@@ -5,7 +5,15 @@
 //! in `BENCH_engine.json` by CI); `engine_oracle_1000_requests_mixed` runs
 //! the identical workload through the preserved pre-fast-path
 //! [`OracleEngine`], so the pair measures the slab + event-wheel +
-//! allocation-free-dispatch speedup directly. The lock-contention and
+//! allocation-free-dispatch speedup directly — but both of those construct
+//! and prewarm their engine inside the timed closure, a cost the two share
+//! and that is as large as the rest of the iteration, so that pair mostly
+//! measures the shared prewarm. The `engine_day_stream_*` /
+//! `engine_oracle_day_stream_*` pairs are the structure-vs-structure
+//! number: one engine built and prewarmed *outside* the closure, then fed
+//! the way `SimulatorSource` feeds it over a day — one-minute arrival
+//! batches, `run_until`, `end_interval`. (`PageMap` is still unmeasured:
+//! the oracle shares it.) The lock-contention and
 //! resize-churn groups stress the two paths the mixed workload exercises
 //! least: waiter hand-off chains and capacity churn with eviction
 //! writeback. `engine_fleet_16_tenants` is the closed-loop wall-time view
@@ -15,8 +23,10 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dasr_containers::ResourceVector;
 use dasr_core::{tenant_seed, AutoPolicy, FleetRunner, RunConfig, ScalingPolicy, TenantSpec};
 use dasr_engine::request::RequestBuilder;
-use dasr_engine::{Engine, EngineConfig, OracleEngine, SimTime};
-use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
+use dasr_engine::{Engine, EngineConfig, OracleEngine, RequestSpec, SimTime};
+use dasr_workloads::{
+    CpuIoConfig, CpuIoWorkload, TpccConfig, TpccWorkload, Trace, TraceDriver, Workload,
+};
 
 /// Submits the headline mixed workload (locks + CPU + reads + dirty
 /// writes + log appends) into either engine via the `submit` closure.
@@ -78,6 +88,79 @@ fn bench_engine(c: &mut Criterion) {
             black_box(e.end_interval())
         })
     });
+}
+
+/// Minutes streamed per `engine_day_stream_*` iteration.
+const STREAM_MINUTES: usize = 60;
+const MINUTE_US: u64 = 60_000_000;
+
+/// `STREAM_MINUTES` one-minute arrival batches at a flat `rps`, times
+/// relative to the start of their minute — generated once, outside the
+/// timed closure, so the pair times the engines and not the generator.
+fn minute_batches<W: Workload>(workload: W, rps: f64) -> Vec<Vec<(u64, RequestSpec)>> {
+    let mut driver = TraceDriver::new(
+        Trace::new("flat", vec![rps; STREAM_MINUTES]),
+        workload,
+        0xDA75,
+    );
+    (0..STREAM_MINUTES)
+        .map(|m| {
+            driver
+                .arrivals_for_minute(m)
+                .into_iter()
+                .map(|(at, spec)| (at.as_micros() % MINUTE_US, spec))
+                .collect()
+        })
+        .collect()
+}
+
+/// Streams the batches into one long-lived, already-warm engine of type
+/// `$engine`: every iteration is the next `STREAM_MINUTES` simulated
+/// minutes of the same run, exactly the per-interval call sequence of
+/// `SimulatorSource::observe_interval`.
+macro_rules! day_stream {
+    ($c:ident, $id:expr, $engine:ty, $batches:expr) => {
+        $c.bench_function($id, |b| {
+            let batches = $batches;
+            let mut e = <$engine>::new(
+                EngineConfig::default(),
+                ResourceVector::new(4.0, 4_096.0, 800.0, 40.0),
+            );
+            e.prewarm(100_000);
+            let mut minute = 0u64;
+            b.iter(|| {
+                let mut completed = 0;
+                for batch in batches {
+                    for (offset_us, spec) in batch {
+                        e.submit_at(
+                            SimTime::from_micros(minute * MINUTE_US + offset_us),
+                            spec.clone(),
+                        );
+                    }
+                    minute += 1;
+                    e.run_until(SimTime::from_mins(minute));
+                    completed += e.end_interval().completed;
+                }
+                black_box(completed)
+            })
+        });
+    };
+}
+
+fn bench_day_stream(c: &mut Criterion) {
+    let cpuio = minute_batches(CpuIoWorkload::new(CpuIoConfig::small()), 5.6);
+    let tpcc = minute_batches(TpccWorkload::new(TpccConfig::small()), 50.0);
+    for (name, batches) in [("cpuio_5.6rps", &cpuio), ("tpcc_50rps", &tpcc)] {
+        let requests: usize = batches.iter().map(Vec::len).sum();
+        println!("engine_day_stream_{name}: {requests} requests per iteration");
+        day_stream!(c, format!("engine_day_stream_{name}"), Engine, batches);
+        day_stream!(
+            c,
+            format!("engine_oracle_day_stream_{name}"),
+            OracleEngine,
+            batches
+        );
+    }
 }
 
 /// Long waiter chains on a handful of hot locks: almost every request
@@ -168,6 +251,7 @@ fn bench_fleet(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine,
+    bench_day_stream,
     bench_lock_contention,
     bench_resize_churn,
     bench_fleet

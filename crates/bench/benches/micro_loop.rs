@@ -14,9 +14,7 @@
 //! them as `BENCH_loop.json` and gates the overhead.
 
 use criterion::{black_box, Criterion};
-use dasr_core::{
-    record_run, replay, AutoPolicy, ClosedLoop, OracleLoop, RunConfig, RunRecording, TenantKnobs,
-};
+use dasr_core::{record_run, replay, AutoPolicy, ClosedLoop, OracleLoop, RunConfig, TenantKnobs};
 use dasr_telemetry::LatencyGoal;
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 
@@ -79,15 +77,6 @@ fn bench_loop(c: &mut Criterion) {
             let mut policy = AutoPolicy::with_knobs(cfg.knobs);
             let report = replay(&cfg, recording.clone(), &mut policy);
             black_box(report.resizes)
-        })
-    });
-
-    // Recording serialization round trip, for the record-to-disk budget.
-    let jsonl = recording.to_jsonl();
-    c.bench_function("recording_jsonl_roundtrip_60", |b| {
-        b.iter(|| {
-            let parsed = RunRecording::from_jsonl(&jsonl).expect("recording parses");
-            black_box(parsed.records.len())
         })
     });
 }

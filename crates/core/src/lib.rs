@@ -34,7 +34,7 @@
 //!   worker pool with bit-identical results regardless of thread or shard
 //!   count, in full (O(tenants)) or streaming-summary (O(shards)) memory
 //!   mode ([`runner::shard`]);
-//! - [`mod@replay`] — record a run's per-interval samples to JSONL and feed
+//! - [`mod@replay`] — record a run's per-interval samples and feed
 //!   them back through any policy ([`replay::ReplaySource`]): exact
 //!   same-policy round trips, counterfactual policy A/B over recorded
 //!   fleets;
@@ -87,6 +87,7 @@ pub use report::{IntervalRecord, RunReport};
 pub use rules::{RuleFire, RuleHistogram, RuleId, RuleTable};
 pub use runner::fleet::{tenant_seed, FleetReport, FleetRunner, TenantSpec};
 pub use runner::oracle::OracleLoop;
+pub use runner::ordered::ordered_shards;
 pub use runner::shard::{FleetAccumulator, FleetSummary, REQUEST_LATENCY_BOUNDS};
 pub use runner::source::SimulatorSource;
 pub use runner::{ClosedLoop, RunConfig};

@@ -2,11 +2,14 @@
 //!
 //! A [`RecordingSource`] wraps any [`TelemetrySource`] and captures the
 //! exact per-interval [`TelemetrySample`]s and probe states the loop saw;
-//! the capture serializes to JSON lines (via [`crate::json`], no serde)
-//! and loads back into a [`ReplaySource`] that feeds the recorded run
-//! through *any* policy — the same one (an exactness check, see below) or
-//! a different one (offline policy A/B over recorded fleets, the
-//! RobustScaler-style offline evaluation named in the roadmap).
+//! a [`ReplaySource`] feeds the capture through *any* policy — the same
+//! one (an exactness check, see below) or a different one (offline policy
+//! A/B over recorded fleets, the RobustScaler-style offline evaluation
+//! named in the roadmap).
+//!
+//! A [`RunRecording`] is an in-memory value. Its one serialized form is
+//! the run store: `dasr_store::Store::append_recording` archives it and
+//! `load_recording` reads it back with every float bit-exact.
 //!
 //! # Replay fidelity
 //!
@@ -32,14 +35,11 @@
 //! question, not a re-simulation; use the simulator for closed-loop
 //! counterfactuals.
 
-use crate::json::{self, Json};
 use crate::policy::ScalingPolicy;
 use crate::report::RunReport;
 use crate::runner::source::SimulatorSource;
 use crate::runner::{ClosedLoop, RunConfig};
 use crate::trace::DecisionTrace;
-use dasr_containers::RESOURCE_KINDS;
-use dasr_engine::waits::WAIT_CLASSES;
 use dasr_telemetry::{
     LatencyGoal, NullActuator, ProbeStatus, ResizeActuator, SourcePair, TelemetrySample,
     TelemetrySource,
@@ -58,97 +58,6 @@ pub struct SampleRecord {
     pub probe: ProbeStatus,
 }
 
-impl SampleRecord {
-    /// Serializes the record as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let s = &self.sample;
-        let probe = match self.probe {
-            ProbeStatus::Inactive => Json::Obj(vec![("active".into(), Json::Bool(false))]),
-            ProbeStatus::Active { reached_target } => Json::Obj(vec![
-                ("active".into(), Json::Bool(true)),
-                ("reached_target".into(), Json::Bool(reached_target)),
-            ]),
-        };
-        Json::Obj(vec![
-            (
-                "tenant".into(),
-                match self.tenant {
-                    Some(t) => Json::Num(t as f64),
-                    None => Json::Null,
-                },
-            ),
-            ("interval".into(), Json::Num(s.interval as f64)),
-            (
-                "util_pct".into(),
-                Json::Arr(s.util_pct.iter().map(|&v| Json::Num(v)).collect()),
-            ),
-            (
-                "wait_ms".into(),
-                Json::Arr(s.wait_ms.iter().map(|&v| Json::Num(v)).collect()),
-            ),
-            ("latency_ms".into(), Json::from_opt(s.latency_ms)),
-            ("avg_latency_ms".into(), Json::from_opt(s.avg_latency_ms)),
-            ("completed".into(), Json::Num(s.completed as f64)),
-            ("arrivals".into(), Json::Num(s.arrivals as f64)),
-            ("rejected".into(), Json::Num(s.rejected as f64)),
-            ("mem_used_mb".into(), Json::Num(s.mem_used_mb)),
-            ("mem_capacity_mb".into(), Json::Num(s.mem_capacity_mb)),
-            ("disk_reads_per_sec".into(), Json::Num(s.disk_reads_per_sec)),
-            ("probe".into(), probe),
-        ])
-        .write()
-    }
-
-    /// Parses a record back from [`SampleRecord::to_json_line`] output.
-    pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let v = json::parse(line)?;
-        let mut util_pct = [0.0; RESOURCE_KINDS.len()];
-        let util_json = v.get("util_pct")?.arr()?;
-        if util_json.len() != util_pct.len() {
-            return Err("util_pct has wrong arity".into());
-        }
-        for (slot, j) in util_pct.iter_mut().zip(util_json.iter()) {
-            *slot = j.num()?;
-        }
-        let mut wait_ms = [0.0; WAIT_CLASSES.len()];
-        let wait_json = v.get("wait_ms")?.arr()?;
-        if wait_json.len() != wait_ms.len() {
-            return Err("wait_ms has wrong arity".into());
-        }
-        for (slot, j) in wait_ms.iter_mut().zip(wait_json.iter()) {
-            *slot = j.num()?;
-        }
-        let probe_json = v.get("probe")?;
-        let probe = if probe_json.get("active")?.bool()? {
-            ProbeStatus::Active {
-                reached_target: probe_json.get("reached_target")?.bool()?,
-            }
-        } else {
-            ProbeStatus::Inactive
-        };
-        Ok(Self {
-            tenant: match v.get("tenant")? {
-                Json::Null => None,
-                other => Some(other.num()? as u64),
-            },
-            sample: TelemetrySample {
-                interval: v.get("interval")?.num()? as u64,
-                util_pct,
-                wait_ms,
-                latency_ms: v.get("latency_ms")?.opt_num()?,
-                avg_latency_ms: v.get("avg_latency_ms")?.opt_num()?,
-                completed: v.get("completed")?.num()? as u64,
-                arrivals: v.get("arrivals")?.num()? as u64,
-                rejected: v.get("rejected")?.num()? as u64,
-                mem_used_mb: v.get("mem_used_mb")?.num()?,
-                mem_capacity_mb: v.get("mem_capacity_mb")?.num()?,
-                disk_reads_per_sec: v.get("disk_reads_per_sec")?.num()?,
-            },
-            probe,
-        })
-    }
-}
-
 /// Run-level metadata at the head of a recording.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecordingHeader {
@@ -162,45 +71,6 @@ pub struct RecordingHeader {
     pub seed: u64,
 }
 
-impl RecordingHeader {
-    fn to_json_line(&self, intervals: usize) -> String {
-        Json::Obj(vec![
-            ("kind".into(), Json::Str("dasr-recording".into())),
-            ("version".into(), Json::Num(1.0)),
-            ("policy".into(), Json::Str(self.policy.clone())),
-            ("workload".into(), Json::Str(self.workload.clone())),
-            ("trace".into(), Json::Str(self.trace.clone())),
-            ("intervals".into(), Json::Num(intervals as f64)),
-            // Seeds use the full u64 range (SplitMix64 per-tenant streams),
-            // which f64 JSON numbers cannot carry exactly — ship as text.
-            ("seed".into(), Json::Str(self.seed.to_string())),
-        ])
-        .write()
-    }
-
-    fn from_json_line(line: &str) -> Result<(Self, usize), String> {
-        let v = json::parse(line)?;
-        if v.get("kind")?.str()? != "dasr-recording" {
-            return Err("not a dasr recording header".into());
-        }
-        let version = v.get("version")?.num()? as u64;
-        if version != 1 {
-            return Err(format!("unsupported recording version {version}"));
-        }
-        let header = Self {
-            policy: v.get("policy")?.str()?.to_string(),
-            workload: v.get("workload")?.str()?.to_string(),
-            trace: v.get("trace")?.str()?.to_string(),
-            seed: v
-                .get("seed")?
-                .str()?
-                .parse::<u64>()
-                .map_err(|e| format!("bad seed: {e}"))?,
-        };
-        Ok((header, v.get("intervals")?.num()? as usize))
-    }
-}
-
 /// A recorded run: header plus one [`SampleRecord`] per interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecording {
@@ -211,36 +81,6 @@ pub struct RunRecording {
 }
 
 impl RunRecording {
-    /// Serializes the recording as JSON lines: one header line, then one
-    /// line per interval (each line newline-terminated).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = self.header.to_json_line(self.records.len());
-        out.push('\n');
-        for rec in &self.records {
-            out.push_str(&rec.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses a recording back from [`RunRecording::to_jsonl`] output.
-    /// Blank lines are skipped, so concatenation-friendly files load too.
-    pub fn from_jsonl(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let head = lines.next().ok_or("empty recording")?;
-        let (header, intervals) = RecordingHeader::from_json_line(head)?;
-        let records = lines
-            .map(SampleRecord::from_json_line)
-            .collect::<Result<Vec<_>, _>>()?;
-        if records.len() != intervals {
-            return Err(format!(
-                "header promises {intervals} intervals, found {}",
-                records.len()
-            ));
-        }
-        Ok(Self { header, records })
-    }
-
     /// Stamps every record with a fleet tenant index.
     pub fn stamp_tenant(&mut self, tenant: u64) {
         for rec in &mut self.records {
@@ -538,54 +378,6 @@ mod tests {
         assert_eq!(recorded, plain);
         assert_eq!(recording.records.len(), 4);
         assert_eq!(recording.header.trace, "flat");
-    }
-
-    #[test]
-    fn sample_record_round_trips_exactly() {
-        let (_, recording) = recording();
-        for rec in &recording.records {
-            let line = rec.to_json_line();
-            assert!(!line.contains('\n'));
-            let back = SampleRecord::from_json_line(&line).unwrap();
-            assert_eq!(&back, rec);
-            assert_eq!(back.to_json_line(), line);
-        }
-    }
-
-    #[test]
-    fn recording_jsonl_round_trips_exactly() {
-        let (_, mut recording) = recording();
-        recording.header.seed = u64::MAX - 12345; // not f64-representable
-        recording.stamp_tenant(3);
-        let text = recording.to_jsonl();
-        let back = RunRecording::from_jsonl(&text).unwrap();
-        assert_eq!(back, recording);
-        assert_eq!(back.records[0].tenant, Some(3));
-        assert_eq!(back.to_jsonl(), text);
-    }
-
-    #[test]
-    fn from_jsonl_rejects_malformed_input() {
-        assert!(RunRecording::from_jsonl("").is_err());
-        assert!(RunRecording::from_jsonl("{\"kind\":\"other\"}").is_err());
-        let (_, recording) = recording();
-        let text = recording.to_jsonl();
-        // Drop the last record: count no longer matches the header.
-        let truncated: Vec<&str> = text.lines().collect();
-        assert!(RunRecording::from_jsonl(&truncated[..truncated.len() - 1].join("\n")).is_err());
-    }
-
-    #[test]
-    fn probe_states_survive_the_round_trip() {
-        let rec = SampleRecord {
-            tenant: None,
-            sample: recording().1.records[0].sample,
-            probe: ProbeStatus::Active {
-                reached_target: true,
-            },
-        };
-        let back = SampleRecord::from_json_line(&rec.to_json_line()).unwrap();
-        assert_eq!(back.probe, rec.probe);
     }
 
     #[test]

@@ -3,45 +3,42 @@
 //! A DBaaS control plane runs the paper's loop for *every* tenant on a
 //! server, every billing interval. The tenants are independent — no shared
 //! mutable state crosses the loop — so the fleet is embarrassingly
-//! parallel. [`FleetRunner`] exploits that with a fixed worker pool over
-//! *shards*: the tenant index space is split into contiguous chunks and a
-//! shared atomic cursor hands the next unclaimed shard to whichever worker
-//! frees up first. Dynamic claiming keeps all cores busy even when tenant
-//! costs are skewed (the old one-chunk-per-thread split stalled on the
-//! slowest chunk); sharding keeps claim traffic to one atomic op per shard
-//! instead of one per tenant.
+//! parallel. [`FleetRunner`] runs it on the
+//! [ordered-shard driver](crate::runner::ordered): the tenant index space
+//! is split into contiguous shards, workers claim them off an atomic
+//! cursor (so skewed tenant costs do not stall a core), and shard results
+//! come back in shard order.
 //!
-//! Each worker folds the reports it produces into a per-shard
-//! [`FleetAccumulator`] and the shard folds are merged into one — a true
-//! monoid (exact floating-point sums, see [`crate::runner::shard`]), so
-//! fleet aggregates cost O(1) at read time and the merge order cannot
-//! perturb them.
+//! Each shard folds the reports it produces into a [`FleetAccumulator`]
+//! and the shard folds are merged into one — a true monoid (exact
+//! floating-point sums, see [`crate::runner::shard`]), so fleet aggregates
+//! cost O(1) at read time.
 //!
 //! # Two memory modes
 //!
-//! - [`FleetRunner::run_fleet`] — *full* mode: keeps every tenant's
-//!   [`RunReport`] (O(tenants) memory) plus the folded [`FleetSummary`].
+//! - [`FleetRunner::run_fleet`] / [`FleetRunner::run_fleet_sources`] —
+//!   *full* mode: keeps every tenant's [`RunReport`] (O(tenants) memory)
+//!   plus the folded [`FleetSummary`].
 //! - [`FleetRunner::run_fleet_summary`] — *summary* mode: each report is
-//!   folded and dropped inside the worker; only the O(shards) accumulators
-//!   and the not-yet-flushed shards' event buffers stay live. Events
+//!   folded and dropped inside the worker; only the shard accumulators
+//!   and the not-yet-delivered shards' event buffers stay live. Events
 //!   stream out through an [`EventSink`] in shard order, producing the
 //!   same byte stream a full run's [`FleetReport::events_jsonl`] renders.
 //!
 //! # Determinism contract
 //!
 //! Results are **bit-identical regardless of thread count *and* shard
-//! count**. Three mechanisms, one per axis of nondeterminism:
+//! count**. The driver's [argument](crate::runner::ordered#determinism)
+//! covers scheduling and delivery order; the fleet adds the two things
+//! the driver asks of its callers:
 //!
-//! - *Scheduling*: each work item `i` is a pure function of the inputs at
-//!   index `i` (per-tenant seeds are derived from the fleet seed with a
-//!   SplitMix64 hash, never from shared RNG state), and every result lands
-//!   in slot `i` of the output, so claim order cannot reorder anything.
-//! - *Sharding*: fleet aggregates are folded through exact-sum
-//!   accumulators whose merge is associative and commutative at the bit
-//!   level, so shard boundaries cannot perturb a single ulp.
-//! - *Event order*: shard event buffers are flushed to the sink in shard
-//!   index order (out-of-order finishers park until the gap closes), so
-//!   the stream is always tenant-major.
+//! - each tenant's run is a pure function of its index (per-tenant seeds
+//!   come from the fleet seed through a SplitMix64 hash, never from
+//!   shared RNG state);
+//! - reports and events are *concatenated* in shard order, and the only
+//!   *reduction* — the [`FleetAccumulator`] — is associative and
+//!   commutative at the bit level, so shard boundaries cannot perturb a
+//!   single ulp.
 //!
 //! `FleetRunner::new(1)` is the sequential reference the property tests
 //! compare against.
@@ -50,19 +47,13 @@ use crate::obs::{EventSink, MetricRegistry, RunObservability};
 use crate::policy::ScalingPolicy;
 use crate::report::RunReport;
 use crate::rules::RuleHistogram;
+use crate::runner::ordered::ordered_shards;
 use crate::runner::shard::{FleetAccumulator, FleetSummary};
+use crate::runner::source::SimulatorSource;
 use crate::runner::{ClosedLoop, RunConfig};
 use dasr_stats::{percentile, percentile_interpolated};
 use dasr_telemetry::{ResizeActuator, TelemetrySource};
 use dasr_workloads::{Trace, Workload};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A shard's output slice paired with its starting index. Exactly one
-/// worker claims each shard, but safe code needs the mutex to hand the
-/// `&mut` slice across threads.
-type ShardSlots<'a, T> = Mutex<(usize, &'a mut [Option<T>])>;
 
 /// Executes independent per-tenant closed loops across OS threads.
 #[derive(Debug, Clone, Copy)]
@@ -117,136 +108,42 @@ impl FleetRunner {
     ///
     /// `f` must be a pure function of its index for the determinism
     /// contract to hold; the runner guarantees output order and exactly
-    /// one call per index either way. Work is claimed shard by shard from
-    /// a shared cursor, so stragglers do not stall the other workers.
+    /// one call per index either way.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if n == 0 {
-            return Vec::new();
-        }
-        let threads = self.threads.min(n);
-        if threads == 1 {
-            return (0..n).map(f).collect();
-        }
-        let chunk = n.div_ceil(self.shard_count(n));
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let shards: Vec<ShardSlots<'_, T>> = slots
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, slice)| Mutex::new((c * chunk, slice)))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let f = &f;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = shards.get(c) else {
-                        break;
-                    };
-                    let mut guard = cell.lock().expect("shard slice lock poisoned");
-                    let (start, slice) = &mut *guard;
-                    for (offset, slot) in slice.iter_mut().enumerate() {
-                        *slot = Some(f(*start + offset));
-                    }
-                });
-            }
-        });
-        drop(shards);
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every index was assigned to exactly one worker"))
-            .collect()
+        let mut out = Vec::with_capacity(n);
+        ordered_shards(
+            n,
+            self.threads,
+            self.shard_count(n),
+            || (),
+            |(), range| range.map(&f).collect::<Vec<T>>(),
+            |mut part| out.append(&mut part),
+        );
+        out
     }
 
-    /// Runs one closed loop per tenant and aggregates the reports (*full*
-    /// mode: every [`RunReport`] is kept, O(tenants) memory).
+    /// Runs one simulated closed loop per tenant and aggregates the
+    /// reports (*full* mode: every [`RunReport`] is kept, O(tenants)
+    /// memory) — [`run_fleet_sources`](Self::run_fleet_sources) with
+    /// every tenant on a [`SimulatorSource`].
     ///
     /// `make_policy` builds each tenant's policy inside the worker that
-    /// runs it (policies are stateful and not shared). Tenants are
-    /// independent by construction, so the [determinism
-    /// contract](self#determinism-contract) applies to the whole fleet
-    /// run. Fleet aggregates are folded shard by shard as workers finish
-    /// and surface as the report's O(1) [`FleetSummary`].
+    /// runs it (policies are stateful and not shared).
     pub fn run_fleet<W, F>(&self, tenants: &[TenantSpec<W>], make_policy: F) -> FleetReport
     where
         W: Workload + Clone + Sync,
         F: Fn(usize, &TenantSpec<W>) -> Box<dyn ScalingPolicy> + Sync,
     {
-        let n = tenants.len();
-        let threads = self.threads.min(n.max(1));
-        if n == 0 || threads == 1 {
-            // Sequential reference: fold tenant by tenant.
-            let mut acc = FleetAccumulator::new();
-            let mut reports = Vec::with_capacity(n);
-            for (i, tenant) in tenants.iter().enumerate() {
-                let report = run_tenant(i, tenant, &make_policy);
-                acc.fold_report(&report);
-                reports.push(report);
-            }
-            return FleetReport {
-                reports,
-                summary: acc.finish(),
-            };
-        }
-
-        let chunk = n.div_ceil(self.shard_count(n));
-        let mut slots: Vec<Option<RunReport>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let shards: Vec<ShardSlots<'_, RunReport>> = slots
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, slice)| Mutex::new((c * chunk, slice)))
-            .collect();
-        let cursor = AtomicUsize::new(0);
-        let total = Mutex::new(FleetAccumulator::new());
-        let make_policy = &make_policy;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = shards.get(c) else {
-                        break;
-                    };
-                    let mut acc = FleetAccumulator::new();
-                    let mut guard = cell.lock().expect("shard slice lock poisoned");
-                    let (start, slice) = &mut *guard;
-                    for (offset, slot) in slice.iter_mut().enumerate() {
-                        let i = *start + offset;
-                        let report = run_tenant(i, &tenants[i], make_policy);
-                        acc.fold_report(&report);
-                        *slot = Some(report);
-                    }
-                    drop(guard);
-                    // Exact-sum merge: order-free, so no parking needed.
-                    total
-                        .lock()
-                        .expect("fleet accumulator poisoned")
-                        .merge(&acc);
-                });
-            }
-        });
-        drop(shards);
-        let reports = slots
-            .into_iter()
-            .map(|slot| slot.expect("every tenant was run by exactly one worker"))
-            .collect();
-        FleetReport {
-            reports,
-            summary: total
-                .into_inner()
-                .expect("fleet accumulator poisoned")
-                .finish(),
-        }
+        self.run_fleet_sources(tenants.len(), |i| simulated(i, &tenants[i], &make_policy))
     }
 
-    /// Runs the fleet in *summary* mode: each tenant's report is folded
-    /// into its shard's accumulator and dropped, so live memory is
-    /// O(shards) instead of O(tenants). Run events stream out through
+    /// Runs the simulated fleet in *summary* mode: each tenant's report
+    /// is folded into its shard's accumulator and dropped, so live memory
+    /// is O(shards) instead of O(tenants). Run events stream out through
     /// `sink` in shard order — byte-identical to a full run's
     /// [`FleetReport::events_jsonl`] for any thread/shard count (pass
     /// [`crate::obs::NullSink`] to drop them).
@@ -264,86 +161,18 @@ impl FleetRunner {
         W: Workload + Clone + Sync,
         F: Fn(usize, &TenantSpec<W>) -> Box<dyn ScalingPolicy> + Sync,
     {
-        let n = tenants.len();
-        let threads = self.threads.min(n.max(1));
-        if n == 0 || threads == 1 {
-            let mut acc = FleetAccumulator::new();
-            for (i, tenant) in tenants.iter().enumerate() {
-                let mut report = run_tenant(i, tenant, &make_policy);
-                acc.fold_report(&report);
-                for ev in report.obs.events.drain(..) {
-                    sink.emit(&ev);
-                }
-                // `report` drops here: O(1) live reports.
-            }
-            sink.finish();
-            return acc.finish();
-        }
-
-        struct ShardOut {
-            acc: FleetAccumulator,
-            events: Vec<crate::obs::RunEvent>,
-        }
-        struct MergeState<'a> {
-            /// Next shard index the sink is waiting for.
-            next: usize,
-            /// Finished shards parked until the gap before them closes.
-            parked: BTreeMap<usize, ShardOut>,
-            total: FleetAccumulator,
-            sink: &'a mut dyn EventSink,
-        }
-
-        let chunk = n.div_ceil(self.shard_count(n));
-        let shard_total = n.div_ceil(chunk);
-        let cursor = AtomicUsize::new(0);
-        let state = Mutex::new(MergeState {
-            next: 0,
-            parked: BTreeMap::new(),
-            total: FleetAccumulator::new(),
-            sink,
-        });
-        let make_policy = &make_policy;
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= shard_total {
-                        break;
-                    }
-                    let start = c * chunk;
-                    let end = (start + chunk).min(n);
-                    let mut acc = FleetAccumulator::new();
-                    let mut events = Vec::new();
-                    for i in start..end {
-                        let mut report = run_tenant(i, &tenants[i], make_policy);
-                        acc.fold_report(&report);
-                        events.append(&mut report.obs.events);
-                    }
-                    let mut st = state.lock().expect("fleet merge state poisoned");
-                    st.parked.insert(c, ShardOut { acc, events });
-                    // Flush every shard that is now next in order.
-                    loop {
-                        let next = st.next;
-                        let Some(out) = st.parked.remove(&next) else {
-                            break;
-                        };
-                        st.total.merge(&out.acc);
-                        for ev in &out.events {
-                            st.sink.emit(ev);
-                        }
-                        st.next += 1;
-                    }
-                });
-            }
-        });
-        let st = state.into_inner().expect("fleet merge state poisoned");
-        debug_assert_eq!(st.next, shard_total, "every shard was flushed");
-        st.sink.finish();
-        st.total.finish()
+        let summary = self.fold_fleet(
+            tenants.len(),
+            |i| simulated(i, &tenants[i], &make_policy),
+            |mut report, events| events.append(&mut report.obs.events),
+            |events| events.iter().for_each(|ev| sink.emit(ev)),
+        );
+        sink.finish();
+        summary
     }
 
-    /// Runs `n` closed loops over caller-supplied backends — the
-    /// source-generic sibling of [`FleetRunner::run_fleet`].
+    /// Runs `n` closed loops over caller-supplied backends, keeping every
+    /// report.
     ///
     /// `make(i)` builds tenant `i`'s run configuration, telemetry backend
     /// and policy inside the worker that runs it, so the fleet can mix
@@ -351,32 +180,74 @@ impl FleetRunner {
     /// (`crate::replay::ReplaySource`), or anything else behind the seam.
     /// `make` must be a pure function of `i` for the [determinism
     /// contract](self#determinism-contract) to hold. Tenant `i`'s traces
-    /// and events are stamped with `i` exactly as in `run_fleet`; the
-    /// summary is folded through the same exact-sum monoid, so the fold
-    /// order (here: tenant order, after the parallel map) cannot perturb
-    /// it.
+    /// and events are stamped with `i`, so fleet-wide JSONL dumps stay
+    /// attributable.
     pub fn run_fleet_sources<B, F>(&self, n: usize, make: F) -> FleetReport
     where
         B: TelemetrySource + ResizeActuator,
         F: Fn(usize) -> (RunConfig, B, Box<dyn ScalingPolicy>) + Sync,
     {
-        let reports = self.map(n, |i| {
-            let (cfg, mut backend, mut policy) = make(i);
-            let mut report = ClosedLoop::run_source(&cfg, &mut backend, policy.as_mut());
-            for rec in &mut report.intervals {
-                rec.trace.tenant = Some(i as u64);
-            }
-            report.obs.stamp_tenant(i as u64);
-            report
-        });
-        let mut acc = FleetAccumulator::new();
-        for report in &reports {
-            acc.fold_report(report);
-        }
-        FleetReport {
-            reports,
-            summary: acc.finish(),
-        }
+        let mut reports = Vec::with_capacity(n);
+        let summary = self.fold_fleet(
+            n,
+            make,
+            |report, kept| kept.push(report),
+            |mut kept| reports.append(&mut kept),
+        );
+        FleetReport { reports, summary }
+    }
+
+    /// The one fleet loop. Per shard: run each tenant, stamp its index
+    /// into every decision trace and run event, fold the report into the
+    /// shard's accumulator, and let `keep` move what must outlive the
+    /// shard into its buffer (the report drops right after). Shard
+    /// buffers reach `deliver` in shard order; the accumulators merge
+    /// into the returned summary.
+    fn fold_fleet<B, F, K, Keep, Deliver>(
+        &self,
+        n: usize,
+        make: F,
+        keep: Keep,
+        mut deliver: Deliver,
+    ) -> FleetSummary
+    where
+        B: TelemetrySource + ResizeActuator,
+        F: Fn(usize) -> (RunConfig, B, Box<dyn ScalingPolicy>) + Sync,
+        K: Send,
+        Keep: Fn(RunReport, &mut Vec<K>) + Sync,
+        Deliver: FnMut(Vec<K>) + Send,
+    {
+        let mut total = FleetAccumulator::new();
+        ordered_shards(
+            n,
+            self.threads,
+            self.shard_count(n),
+            || (),
+            |(), range| {
+                let mut acc = FleetAccumulator::new();
+                let mut kept = Vec::new();
+                for i in range {
+                    // The backend (for a simulated tenant: its engine)
+                    // is dropped before the report is folded.
+                    let mut report = {
+                        let (cfg, mut backend, mut policy) = make(i);
+                        ClosedLoop::run_source(&cfg, &mut backend, policy.as_mut())
+                    };
+                    for rec in &mut report.intervals {
+                        rec.trace.tenant = Some(i as u64);
+                    }
+                    report.obs.stamp_tenant(i as u64);
+                    acc.fold_report(&report);
+                    keep(report, &mut kept);
+                }
+                (acc, kept)
+            },
+            |(acc, kept)| {
+                total.merge(&acc);
+                deliver(kept);
+            },
+        );
+        total.finish()
     }
 }
 
@@ -386,26 +257,21 @@ impl Default for FleetRunner {
     }
 }
 
-/// Runs tenant `i`'s closed loop and stamps its index into every decision
-/// trace and run event so fleet-wide JSONL dumps stay attributable (a pure
-/// function of `i`, so the determinism contract is untouched).
-fn run_tenant<W, F>(i: usize, tenant: &TenantSpec<W>, make_policy: &F) -> RunReport
+/// Tenant `i` of a simulated fleet as a source-generic tenant.
+fn simulated<W, F>(
+    i: usize,
+    tenant: &TenantSpec<W>,
+    make_policy: &F,
+) -> (RunConfig, SimulatorSource<W>, Box<dyn ScalingPolicy>)
 where
-    W: Workload + Clone + Sync,
-    F: Fn(usize, &TenantSpec<W>) -> Box<dyn ScalingPolicy> + Sync,
+    W: Workload + Clone,
+    F: Fn(usize, &TenantSpec<W>) -> Box<dyn ScalingPolicy>,
 {
-    let mut policy = make_policy(i, tenant);
-    let mut report = ClosedLoop::run(
-        &tenant.cfg,
-        &tenant.trace,
-        tenant.workload.clone(),
-        policy.as_mut(),
-    );
-    for rec in &mut report.intervals {
-        rec.trace.tenant = Some(i as u64);
-    }
-    report.obs.stamp_tenant(i as u64);
-    report
+    (
+        tenant.cfg.clone(),
+        SimulatorSource::new(&tenant.cfg, &tenant.trace, tenant.workload.clone()),
+        make_policy(i, tenant),
+    )
 }
 
 /// Derives tenant `index`'s seed from a fleet-wide seed.

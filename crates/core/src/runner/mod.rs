@@ -12,10 +12,12 @@
 //!
 //! [`fleet`] scales the loop out: N independent tenants across a sharded
 //! worker pool with bit-identical results regardless of thread or shard
-//! count; [`shard`] holds the exact-sum monoid that fold rests on.
+//! count; [`ordered`] is the one fan-out it (and the store's read path)
+//! runs on, and [`shard`] holds the exact-sum monoid the fold rests on.
 
 pub mod fleet;
 pub mod oracle;
+pub mod ordered;
 pub mod shard;
 pub mod source;
 

@@ -19,9 +19,10 @@
 //!    memory is O(largest batch), not O(result set) — the
 //!    `store_query` example pins this with a VmHWM measurement.
 //! 3. **Segments fan out; results fold in segment order.** Sealed
-//!    segments are independent files, so workers claim them off an
-//!    atomic cursor (the `FleetScheduler` pattern) and build per-segment
-//!    partials. Partials are then folded *in segment id order*, so the
+//!    segments are independent files, so [`fold_records`] runs them on
+//!    the same ordered-shard driver the fleet uses
+//!    ([`ordered_shards`], one segment per shard) and gets
+//!    the per-segment partials back *in segment id order*, so the
 //!    result is byte-identical to a single-threaded scan at any thread
 //!    count — the `scan_equivalence` test pins threads {1, 2, 8} against
 //!    each other.
@@ -30,15 +31,13 @@ use std::fs::File;
 use std::io::{Read as _, Seek as _, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::codec::BatchDecoder;
-use crate::crc::crc32;
 use crate::index::{IndexEntry, SegmentIndex};
 use crate::record::{etag_of, Cursor, RecordPayload, RunId, StoredRecord};
-use crate::segment::{self, FormatVersion, BATCH_OVERHEAD};
-use crate::store::{FireCounts, StoreError};
+use crate::segment::{self, Batch, FormatVersion};
+use crate::store::StoreError;
+use dasr_core::runner::ordered::ordered_shards;
 
 /// What record shapes a query wants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,257 +133,160 @@ impl Query {
     }
 }
 
-/// The exact byte length of entry `i`'s batch frame: entries are
-/// contiguous in file order, so it runs to the next entry (or the
-/// segment's end).
-// dasr-lint: no-alloc
-fn frame_len(idx: &SegmentIndex, i: usize) -> usize {
-    let end = idx
-        .entries
-        .get(i + 1)
-        .map_or(idx.seg_bytes, |next| next.offset);
-    // dasr-lint: allow(G3) reason="entries[i] follows a successful matches-check at index i; get(i+1) guards the far edge"
-    (end - idx.entries[i].offset) as usize
+/// Where entry `i`'s batch frame lies in its segment: `(offset, length)`.
+fn frame_of(idx: &SegmentIndex, i: usize) -> Result<(u64, usize), String> {
+    idx.frame(i)
+        .ok_or_else(|| format!("index entry {i} describes no batch frame"))
 }
 
-/// Parses and CRC-verifies one batch frame already in memory. Returns
-/// the record count; the payload is `frame[8 .. len - 4]`.
-fn verify_frame(frame: &[u8], offset: u64) -> Result<u32, String> {
-    let len = frame.len();
-    if len < BATCH_OVERHEAD {
-        return Err(format!(
-            "batch frame at offset {offset} shorter than its overhead"
-        ));
-    }
-    // dasr-lint: allow(G3) reason="frame length checked against BATCH_OVERHEAD just above"
-    let n_records = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
-    let payload_len = u32::from_le_bytes([frame[4], frame[5], frame[6], frame[7]]) as usize;
-    if payload_len + BATCH_OVERHEAD != len {
-        return Err(format!(
-            "batch at offset {offset} promises {payload_len} payload bytes, index allots {len}"
-        ));
-    }
-    let payload = &frame[8..8 + payload_len];
-    let stored_crc = u32::from_le_bytes([
-        frame[len - 4],
-        frame[len - 3],
-        frame[len - 2],
-        frame[len - 1],
-    ]);
-    let actual = crc32(payload);
-    if stored_crc != actual {
-        return Err(format!(
-            "batch at offset {offset} fails CRC: stored {stored_crc:08x}, computed {actual:08x}"
-        ));
-    }
-    Ok(n_records)
-}
-
-/// Seeks to one batch frame, reads exactly `len` bytes into the caller's
-/// reusable buffer, and CRC-verifies it. Returns the record count; the
-/// payload is `buf[8 .. len - 4]`.
-fn read_frame(file: &mut File, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<u32, String> {
-    if len < BATCH_OVERHEAD {
-        return Err(format!(
-            "batch frame at offset {offset} shorter than its overhead"
-        ));
-    }
+/// Seeks to a batch frame and reads exactly its `len` bytes into the
+/// caller's reusable buffer; the frame is then `buf[..]`.
+fn read_frame(file: &mut File, offset: u64, len: usize, buf: &mut Vec<u8>) -> Result<(), String> {
     buf.resize(len, 0);
     file.seek(SeekFrom::Start(offset))
         .map_err(|e| format!("seek to batch at offset {offset} failed: {e}"))?;
     file.read_exact(buf)
-        .map_err(|e| format!("read of batch at offset {offset} failed: {e}"))?;
-    verify_frame(buf, offset)
+        .map_err(|e| format!("read of batch at offset {offset} failed: {e}"))
 }
 
-/// Streams one segment's matching records into `fold(acc, &record)`,
-/// reading only the batches `query.matches_entry` admits, through the
-/// caller's reusable buffer.
+/// Per-worker scratch of the segment fold, reused across batches *and*
+/// segments.
+#[derive(Default)]
+struct FoldScratch {
+    /// Frame bytes: one batch (sparse read) or the whole segment (dense).
+    buf: Vec<u8>,
+    /// Entries of the current segment that must be read and decoded.
+    todo: Vec<usize>,
+}
+
+/// Streams one segment's matching records into `fold(acc, &record)`.
 ///
-/// Two read strategies, picked per segment: when at least half the
-/// batches survive pruning the whole segment is read in one sequential
-/// pass (one syscall, frames sliced out of the buffer); a sparse match
-/// seeks to each surviving frame instead, so a narrow query never pays
-/// for the batches it pruned.
-fn fold_segment<T>(
+/// Every batch `query.matches_entry` admits is first offered to
+/// `answer(acc, entry)`: a `true` means the index entry alone answered
+/// the batch (e.g. its fire tally was added to `acc`) and it is never
+/// read. The rest are read through the caller's reusable scratch with
+/// one of two strategies, picked per segment from the share of batches
+/// that survived: when at least half do, the whole segment is read in
+/// one sequential pass (one syscall, frames sliced out of the buffer);
+/// a sparse match seeks to each surviving frame instead, so a narrow
+/// query never pays for the batches it pruned.
+fn fold_segment<T, A, F>(
     dir: &Path,
     idx: &SegmentIndex,
     query: &Query,
     acc: &mut T,
-    fold: &(impl Fn(&mut T, &StoredRecord) + ?Sized),
-    buf: &mut Vec<u8>,
-) -> Result<(), String> {
-    let name = || segment::file_name(idx.segment_id);
-    let matching = idx
-        .entries
-        .iter()
-        .filter(|e| query.matches_entry(e))
-        .count();
-    if matching == 0 {
+    answer: &A,
+    fold: &F,
+    scratch: &mut FoldScratch,
+) -> Result<(), String>
+where
+    A: Fn(&mut T, &IndexEntry) -> bool,
+    F: Fn(&mut T, &StoredRecord),
+{
+    let FoldScratch { buf, todo } = scratch;
+    todo.clear();
+    for (i, entry) in idx.entries.iter().enumerate() {
+        if query.matches_entry(entry) && !answer(acc, entry) {
+            todo.push(i);
+        }
+    }
+    if todo.is_empty() {
         return Ok(());
     }
-    let mut decode = |frame: &[u8], offset: u64| -> Result<(), String> {
-        let n_records =
-            verify_frame(frame, offset).map_err(|e| format!("segment {}: {e}", name()))?;
-        let payload = &frame[8..frame.len() - 4];
-        segment::decode_payload(idx.version, payload, n_records, |rec| {
-            if query.matches_record(rec) {
-                fold(acc, rec);
-            }
-        })
-        .map_err(|e| format!("segment {} batch at offset {offset}: {e}", name()))
-    };
-    let dense = matching * 2 >= idx.entries.len();
+    let mut file = File::open(dir.join(segment::file_name(idx.segment_id)))
+        .map_err(|e| format!("open failed: {e}"))?;
+    let dense = todo.len() * 2 >= idx.entries.len();
     if dense {
-        // Sequential read of the full segment; frames are slices of it.
         buf.clear();
-        let mut file = File::open(dir.join(name()))
-            .map_err(|e| format!("segment {} open failed: {e}", name()))?;
         file.read_to_end(buf)
-            .map_err(|e| format!("segment {} read failed: {e}", name()))?;
-        let seg = std::mem::take(buf);
-        let mut result = Ok(());
-        for (i, entry) in idx.entries.iter().enumerate() {
-            if !query.matches_entry(entry) {
-                continue;
-            }
-            let (at, len) = (entry.offset as usize, frame_len(idx, i));
-            let Some(frame) = seg.get(at..at + len) else {
-                result = Err(format!(
-                    "segment {} batch at offset {at} runs past the file ({} bytes)",
-                    name(),
-                    seg.len()
-                ));
-                break;
-            };
-            if let Err(e) = decode(frame, entry.offset) {
-                result = Err(e);
-                break;
-            }
-        }
-        *buf = seg;
-        return result;
+            .map_err(|e| format!("read failed: {e}"))?;
     }
-    let mut file: Option<File> = None;
-    for (i, entry) in idx.entries.iter().enumerate() {
-        if !query.matches_entry(entry) {
-            continue;
-        }
-        let file = match file.as_mut() {
-            Some(f) => f,
-            None => {
-                let path = dir.join(name());
-                file.insert(
-                    File::open(&path)
-                        .map_err(|e| format!("segment {} open failed: {e}", name()))?,
-                )
-            }
+    for &i in todo.iter() {
+        let (offset, len) = frame_of(idx, i)?;
+        let frame = if dense {
+            usize::try_from(offset)
+                .ok()
+                .and_then(|at| buf.get(at..at.checked_add(len)?))
+                .ok_or_else(|| {
+                    format!(
+                        "batch at offset {offset} runs past the file ({} bytes)",
+                        buf.len()
+                    )
+                })?
+        } else {
+            read_frame(&mut file, offset, len, buf)?;
+            buf.as_slice()
         };
-        let len = frame_len(idx, i);
-        if len < BATCH_OVERHEAD {
-            return Err(format!(
-                "segment {}: batch frame at offset {} shorter than its overhead",
-                name(),
-                entry.offset
-            ));
-        }
-        buf.resize(len, 0);
-        file.seek(SeekFrom::Start(entry.offset)).map_err(|e| {
-            format!(
-                "segment {}: seek to batch at offset {} failed: {e}",
-                name(),
-                entry.offset
-            )
-        })?;
-        file.read_exact(buf).map_err(|e| {
-            format!(
-                "segment {}: read of batch at offset {} failed: {e}",
-                name(),
-                entry.offset
-            )
-        })?;
-        decode(&buf[..], entry.offset)?;
+        Batch::parse_exact(frame, offset, idx.version)?
+            .visit(|rec| {
+                if query.matches_record(rec) {
+                    fold(acc, rec);
+                }
+            })
+            .map_err(|e| format!("batch at offset {offset}: {e}"))?;
     }
     Ok(())
 }
 
 /// Runs `query` over every segment, folding matching records into one
-/// accumulator per segment (`make` builds each), and returns the
-/// partials **in segment id order** — so any associative combine the
+/// accumulator per segment (`make` builds each; `answer` may settle a
+/// batch from its index entry alone, see [`fold_segment`]), and returns
+/// the partials **in segment id order** — so any associative combine the
 /// caller does is independent of thread count.
 ///
 /// Segments whose entries all fail the batch check are skipped without
-/// opening their files. With `threads > 1` and more than one working
-/// segment, workers claim segments off an atomic cursor; otherwise the
-/// fold runs inline on the caller's thread. Both paths produce
-/// identical partials (`scan_equivalence` pins it).
-pub(crate) fn fold_records<T, M, F>(
+/// opening their files; the rest fan out over up to `threads` workers,
+/// one segment per shard, each worker with its own read buffer.
+pub(crate) fn fold_records<T, M, A, F>(
     dir: &Path,
     indices: &[SegmentIndex],
     query: &Query,
     threads: usize,
     make: M,
+    answer: A,
     fold: F,
 ) -> Result<Vec<T>, StoreError>
 where
     T: Send,
     M: Fn() -> T + Sync,
+    A: Fn(&mut T, &IndexEntry) -> bool + Sync,
     F: Fn(&mut T, &StoredRecord) + Sync,
 {
     let work: Vec<&SegmentIndex> = indices
         .iter()
         .filter(|idx| idx.entries.iter().any(|e| query.matches_entry(e)))
         .collect();
-    let threads = threads.clamp(1, work.len().max(1));
-    if threads <= 1 {
-        let mut buf = Vec::new();
-        let mut out = Vec::with_capacity(work.len());
-        for idx in &work {
-            let mut acc = make();
-            fold_segment(dir, idx, query, &mut acc, &fold, &mut buf)
-                .map_err(StoreError::Corrupt)?;
-            out.push(acc);
-        }
-        return Ok(out);
-    }
-    let cursor = AtomicUsize::new(0);
-    let partials: Mutex<Vec<(usize, Result<T, String>)>> =
-        Mutex::new(Vec::with_capacity(work.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut buf = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(idx) = work.get(k) else { break };
+    let mut partials = Vec::with_capacity(work.len());
+    ordered_shards(
+        work.len(),
+        threads,
+        work.len(),
+        FoldScratch::default,
+        |scratch, range| {
+            (work.get(range).into_iter().flatten())
+                .map(|idx| {
                     let mut acc = make();
-                    let res =
-                        fold_segment(dir, idx, query, &mut acc, &fold, &mut buf).map(|()| acc);
-                    partials
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((k, res));
-                }
-            });
-        }
-    });
-    let mut partials = partials
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    partials.sort_unstable_by_key(|(k, _)| *k);
+                    fold_segment(dir, idx, query, &mut acc, &answer, &fold, scratch)
+                        .map(|()| acc)
+                        .map_err(|e| format!("segment {}: {e}", segment::file_name(idx.segment_id)))
+                })
+                .collect::<Vec<_>>()
+        },
+        |part| partials.extend(part),
+    );
     partials
         .into_iter()
-        .map(|(_, r)| r.map_err(StoreError::Corrupt))
+        .map(|r| r.map_err(StoreError::Corrupt))
         .collect()
 }
 
 /// True when every record a batch described by `e` could contribute to
 /// the query is *provably* admitted — the interval window contains the
 /// batch's whole bounding box and the run filter (if any) is pinned by
-/// `min_run == max_run`. For such a batch the index tally IS the
-/// answer, so the batch is never read.
+/// `min_run == max_run`. For such a batch an index-side tally IS the
+/// answer, so the batch need never be read.
 // dasr-lint: no-alloc
-fn tally_covers_entry(query: &Query, e: &IndexEntry) -> bool {
+pub(crate) fn entry_fully_covered(query: &Query, e: &IndexEntry) -> bool {
     query.tenant.is_none()
         && query
             .intervals
@@ -393,109 +295,6 @@ fn tally_covers_entry(query: &Query, e: &IndexEntry) -> bool {
         && query
             .run
             .is_none_or(|r| e.min_run == e.max_run && e.min_run == r.0)
-}
-
-/// One segment's contribution to a fire-count query: fully-covered
-/// batches sum their index tallies without any file I/O; only batches
-/// the window (or a multi-run segment) straddles are read and decoded.
-fn fires_segment(
-    dir: &Path,
-    idx: &SegmentIndex,
-    query: &Query,
-    counts: &mut FireCounts,
-    buf: &mut Vec<u8>,
-) -> Result<(), String> {
-    let name = || segment::file_name(idx.segment_id);
-    let mut file: Option<File> = None;
-    for (i, entry) in idx.entries.iter().enumerate() {
-        if !query.matches_entry(entry) {
-            continue;
-        }
-        if tally_covers_entry(query, entry) {
-            counts.merge_tally(&entry.fires);
-            continue;
-        }
-        let file = match file.as_mut() {
-            Some(f) => f,
-            None => file.insert(
-                File::open(dir.join(name()))
-                    .map_err(|e| format!("segment {} open failed: {e}", name()))?,
-            ),
-        };
-        let n_records = read_frame(file, entry.offset, frame_len(idx, i), buf)
-            .map_err(|e| format!("segment {}: {e}", name()))?;
-        // dasr-lint: allow(G3) reason="read_frame only returns buffers at least BATCH_OVERHEAD (12 bytes) long"
-        let payload = &buf[8..buf.len() - 4];
-        segment::decode_payload(idx.version, payload, n_records, |rec| {
-            if query.matches_record(rec) {
-                if let RecordPayload::Event(ev) = &rec.payload {
-                    counts.record(&ev.kind);
-                }
-            }
-        })
-        .map_err(|e| format!("segment {} batch at offset {}: {e}", name(), entry.offset))?;
-    }
-    Ok(())
-}
-
-/// [`fold_records`] specialized to rule-fire counting: the per-batch
-/// [`FireTally`](crate::index::FireTally) in the index answers every
-/// fully-covered batch with pure index arithmetic, so a whole-run
-/// `fire_counts` is an index walk, not a decode (the ≥5× bar
-/// `store_fire_counts_100k` gates on). Partials still merge in segment
-/// id order at any thread count — `FireCounts::merge` is commutative,
-/// but `scan_equivalence` need not rely on it.
-///
-/// `query.shape` must admit every event shape the tallies count (the
-/// [`Store::fire_counts`](crate::Store::fire_counts) mask): a narrower
-/// mask would make covered batches overcount relative to a decode.
-pub(crate) fn fold_fires(
-    dir: &Path,
-    indices: &[SegmentIndex],
-    query: &Query,
-    threads: usize,
-) -> Result<FireCounts, StoreError> {
-    let work: Vec<&SegmentIndex> = indices
-        .iter()
-        .filter(|idx| idx.entries.iter().any(|e| query.matches_entry(e)))
-        .collect();
-    let threads = threads.clamp(1, work.len().max(1));
-    let mut total = FireCounts::default();
-    if threads <= 1 {
-        let mut buf = Vec::new();
-        for idx in &work {
-            fires_segment(dir, idx, query, &mut total, &mut buf).map_err(StoreError::Corrupt)?;
-        }
-        return Ok(total);
-    }
-    let cursor = AtomicUsize::new(0);
-    let partials: Mutex<Vec<(usize, Result<FireCounts, String>)>> =
-        Mutex::new(Vec::with_capacity(work.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut buf = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(idx) = work.get(k) else { break };
-                    let mut acc = FireCounts::default();
-                    let res = fires_segment(dir, idx, query, &mut acc, &mut buf).map(|()| acc);
-                    partials
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((k, res));
-                }
-            });
-        }
-    });
-    let mut partials = partials
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    partials.sort_unstable_by_key(|(k, _)| *k);
-    for (_, part) in partials {
-        total.merge(&part.map_err(StoreError::Corrupt)?);
-    }
-    Ok(total)
 }
 
 /// A lazy, pull-based record stream over a store snapshot: decodes one
@@ -541,7 +340,7 @@ impl RecordCursor {
             entry: 0,
             file: None,
             buf: Vec::new(),
-            version: FormatVersion::default(),
+            version: FormatVersion::V2,
             decoder: BatchDecoder::new(),
             payload_len: 0,
             at: 0,
@@ -563,25 +362,24 @@ impl RecordCursor {
                 if !self.query.matches_entry(&idx.entries[i]) {
                     continue;
                 }
+                let name = || segment::file_name(idx.segment_id);
                 let file = match self.file.as_mut() {
                     Some(f) => f,
-                    None => {
-                        let path = self.dir.join(segment::file_name(idx.segment_id));
-                        self.file.insert(File::open(&path).map_err(|e| {
-                            format!(
-                                "segment {} open failed: {e}",
-                                segment::file_name(idx.segment_id)
-                            )
-                        })?)
-                    }
+                    None => self.file.insert(
+                        File::open(self.dir.join(name()))
+                            .map_err(|e| format!("segment {} open failed: {e}", name()))?,
+                    ),
                 };
-                let len = frame_len(idx, i);
-                let n_records = read_frame(file, idx.entries[i].offset, len, &mut self.buf)
-                    .map_err(|e| format!("segment {}: {e}", segment::file_name(idx.segment_id)))?;
+                let batch = frame_of(idx, i)
+                    .and_then(|(offset, len)| {
+                        read_frame(file, offset, len, &mut self.buf)?;
+                        Batch::parse_exact(&self.buf, offset, idx.version)
+                    })
+                    .map_err(|e| format!("segment {}: {e}", name()))?;
                 self.version = idx.version;
-                self.payload_len = len - BATCH_OVERHEAD;
+                self.payload_len = batch.payload.len();
+                self.remaining = batch.n_records;
                 self.at = 0;
-                self.remaining = n_records;
                 self.decoder.reset();
                 return Ok(true);
             }

@@ -10,9 +10,10 @@
 //!
 //! The index is a pure *cache*: it lives in a `.idx` sidecar next to its
 //! segment and is rebuilt from the segment bytes whenever it is missing,
-//! fails its CRC, or describes a different byte length than the recovered
-//! segment (a crash can tear the sidecar just like the log — rebuilding is
-//! always safe because the segment is the single source of truth).
+//! fails its CRC, lays its frames out inconsistently, or describes a
+//! different byte length than the recovered segment (a crash can tear
+//! the sidecar just like the log — rebuilding is always safe because the
+//! segment is the single source of truth).
 //!
 //! Beyond the bounding boxes, each entry carries two *content filters*
 //! so the common queries can skip batches without touching segment
@@ -285,14 +286,19 @@ impl SegmentIndex {
         format!("seg-{id:06}.idx")
     }
 
-    /// An empty index for a fresh segment (header only).
-    pub fn fresh(segment_id: u32, version: FormatVersion) -> Self {
+    /// An empty index for a fresh (header-only, hence v2) segment.
+    pub fn fresh(segment_id: u32) -> Self {
         Self {
             segment_id,
-            version,
+            version: FormatVersion::V2,
             seg_bytes: segment::HEADER_LEN as u64,
             entries: Vec::new(),
         }
+    }
+
+    /// Writes this index as its segment's `.idx` sidecar in `dir`.
+    pub fn write_sidecar(&self, dir: &std::path::Path) -> std::io::Result<()> {
+        std::fs::write(dir.join(Self::file_name(self.segment_id)), self.to_bytes())
     }
 
     /// Records in the segment, summed over the entries.
@@ -339,7 +345,11 @@ impl SegmentIndex {
     }
 
     /// Parses a sidecar; any inconsistency is an error (the caller then
-    /// rebuilds from the segment).
+    /// rebuilds from the segment). A CRC only proves the bytes are the
+    /// ones that were written, so the frame layout is validated too
+    /// ([`check_layout`](Self::check_layout)): readers compute frame
+    /// lengths by subtracting neighbouring offsets and must never be
+    /// handed a sidecar where that underflows.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         if bytes.len() < HEADER_LEN + 4 {
             return Err("index sidecar truncated".to_string());
@@ -401,12 +411,53 @@ impl SegmentIndex {
                 fires,
             });
         }
-        Ok(Self {
+        let idx = Self {
             segment_id,
             version,
             seg_bytes,
             entries,
-        })
+        };
+        idx.check_layout()?;
+        Ok(idx)
+    }
+
+    /// The byte range entry `i`'s batch frame occupies in the segment:
+    /// frames are contiguous in file order, so it runs to the next
+    /// entry's offset (or the segment's end). `None` when `i` is out of
+    /// range or the offsets are not increasing.
+    // dasr-lint: no-alloc
+    pub fn frame(&self, i: usize) -> Option<(u64, usize)> {
+        let offset = self.entries.get(i)?.offset;
+        let end = self
+            .entries
+            .get(i + 1)
+            .map_or(self.seg_bytes, |next| next.offset);
+        Some((offset, usize::try_from(end.checked_sub(offset)?).ok()?))
+    }
+
+    /// Checks that the entries tile the segment: the first frame starts
+    /// right after the header, each frame is at least a batch's overhead
+    /// long, offsets strictly increase, and the last frame ends at
+    /// `seg_bytes`.
+    fn check_layout(&self) -> Result<(), String> {
+        let first = self.entries.first().map_or(self.seg_bytes, |e| e.offset);
+        if first != segment::HEADER_LEN as u64 {
+            return Err(format!(
+                "index sidecar starts its frames at byte {first}, not right after the header"
+            ));
+        }
+        for i in 0..self.entries.len() {
+            if self
+                .frame(i)
+                .is_none_or(|(_, len)| len < segment::BATCH_OVERHEAD)
+            {
+                return Err(format!(
+                    "index sidecar entry {i} does not describe a batch frame inside {} segment bytes",
+                    self.seg_bytes
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Rebuilds the index by scanning (and fully decoding) the segment
@@ -416,10 +467,9 @@ impl SegmentIndex {
         let mut entries = Vec::with_capacity(scan.batches.len());
         for batch in &scan.batches {
             let mut entry = IndexEntry::empty(batch.offset);
-            segment::decode_payload(batch.version, batch.payload, batch.n_records, |rec| {
-                entry.absorb(rec)
-            })
-            .map_err(|e| format!("batch at offset {}: {e}", batch.offset))?;
+            batch
+                .visit(|rec| entry.absorb(rec))
+                .map_err(|e| format!("batch at offset {}: {e}", batch.offset))?;
             entries.push(entry);
         }
         Ok(Self {
@@ -587,10 +637,7 @@ mod tests {
         assert_eq!(back, idx);
         assert_eq!(back.records(), 3);
         assert_eq!(back.max_run(), Some(1));
-        assert_eq!(
-            SegmentIndex::fresh(9, FormatVersion::default()).max_run(),
-            None
-        );
+        assert_eq!(SegmentIndex::fresh(9).max_run(), None);
     }
 
     #[test]
@@ -621,30 +668,63 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_matches_incremental_construction() {
-        for version in [FormatVersion::V1, FormatVersion::V2] {
-            let mut seg = segment::header_bytes(5, version).to_vec();
-            let recs = [rec(0, 3), rec(0, 8), rec(1, 1)];
-            let mut payload = Vec::new();
-            match version {
-                FormatVersion::V1 => {
-                    for r in &recs {
-                        r.encode_into(&mut payload);
-                    }
-                }
-                FormatVersion::V2 => {
-                    let mut enc = crate::codec::BatchEncoder::new();
-                    for r in &recs {
-                        enc.encode_into(r, &mut payload);
-                    }
-                }
-            }
-            segment::append_batch(&mut seg, recs.len() as u32, &payload);
-            let rebuilt = SegmentIndex::build_from_segment(&seg).expect("rebuilds");
-            assert_eq!(rebuilt.segment_id, 5);
-            assert_eq!(rebuilt.version, version);
-            assert_eq!(rebuilt.seg_bytes, seg.len() as u64);
-            assert_eq!(rebuilt.entries, vec![IndexEntry::from_records(16, &recs)]);
+    fn crc_valid_sidecars_with_impossible_layouts_are_rejected() {
+        let good = SegmentIndex {
+            segment_id: 1,
+            version: FormatVersion::V2,
+            seg_bytes: 200,
+            entries: vec![
+                IndexEntry::from_records(16, &[rec(0, 1)]),
+                IndexEntry::from_records(60, &[rec(0, 2)]),
+                IndexEntry::from_records(130, &[rec(0, 3)]),
+            ],
+        };
+        assert_eq!(
+            SegmentIndex::from_bytes(&good.to_bytes()).expect("tiles"),
+            good
+        );
+        assert_eq!(good.frame(1), Some((60, 70)));
+        assert_eq!(good.frame(2), Some((130, 70)));
+        assert_eq!(good.frame(3), None);
+        // Each of these re-encodes with a valid CRC; only the layout
+        // check can tell they describe no possible segment.
+        type Damage = fn(&mut SegmentIndex);
+        let hostile: [(&str, Damage); 5] = [
+            ("swapped offsets", |i| i.entries.swap(1, 2)),
+            ("starts inside the header", |i| i.entries[0].offset = 8),
+            ("starts past the header", |i| i.entries[0].offset = 20),
+            ("frame under the overhead", |i| i.entries[2].offset = 65),
+            ("runs past the segment", |i| i.seg_bytes = 135),
+        ];
+        for (what, damage) in hostile {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            assert!(
+                SegmentIndex::from_bytes(&bad.to_bytes()).is_err(),
+                "{what} must not parse"
+            );
         }
+        // An empty index is only consistent with a header-only segment.
+        let mut empty = SegmentIndex::fresh(4);
+        assert!(SegmentIndex::from_bytes(&empty.to_bytes()).is_ok());
+        empty.seg_bytes += 1;
+        assert!(SegmentIndex::from_bytes(&empty.to_bytes()).is_err());
+    }
+
+    #[test]
+    fn rebuild_matches_incremental_construction() {
+        let mut seg = segment::header_bytes(5).to_vec();
+        let recs = [rec(0, 3), rec(0, 8), rec(1, 1)];
+        let mut payload = Vec::new();
+        let mut enc = crate::codec::BatchEncoder::new();
+        for r in &recs {
+            enc.encode_into(r, &mut payload);
+        }
+        segment::append_batch(&mut seg, recs.len() as u32, &payload);
+        let rebuilt = SegmentIndex::build_from_segment(&seg).expect("rebuilds");
+        assert_eq!(rebuilt.segment_id, 5);
+        assert_eq!(rebuilt.version, FormatVersion::V2);
+        assert_eq!(rebuilt.seg_bytes, seg.len() as u64);
+        assert_eq!(rebuilt.entries, vec![IndexEntry::from_records(16, &recs)]);
     }
 }

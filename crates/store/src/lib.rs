@@ -27,9 +27,9 @@
 //!   [`TelemetrySource`](dasr_telemetry::TelemetrySource): feed an
 //!   archived run back through any policy via the replay machinery;
 //! - [`record`], [`codec`], [`segment`], [`index`], [`writer`],
-//!   [`cursor`] — the layers: bit-exact record codec (fixed-width v1
-//!   and delta/varint/dictionary v2 framing), CRC-framed batches in
-//!   numbered segments, sparse per-batch time index with content
+//!   [`cursor`] — the layers: bit-exact record codec (delta/varint/
+//!   dictionary v2 framing; fixed-width v1 is decode-only), CRC-framed
+//!   batches in numbered segments, sparse per-batch time index with content
 //!   filters and fire tallies, deterministic writer thread, and the
 //!   streaming/parallel read fast path ([`Query`], [`RecordCursor`]).
 //!

@@ -1,16 +1,20 @@
-//! Binary record codec: [`RunEvent`]s and [`SampleRecord`]s as
-//! fixed-layout little-endian frames.
+//! Stored record types, and the decoder for the v1 record format:
+//! [`RunEvent`]s and [`SampleRecord`]s as fixed-layout little-endian
+//! frames.
 //!
-//! The store is a *binary* log — JSONL is the interchange format at the
-//! edges (sinks, recordings), but on disk every record is a compact frame
-//! whose floats are stored as raw IEEE-754 bits (`f64::to_bits`). That
-//! choice is what makes the store lossless: a float that round-trips
-//! through its bits is the *same* float, so a recording loaded back from
-//! the store renders byte-identical JSONL to the live run
-//! (`store_replay_roundtrip` pins this). The full byte layout is specified
-//! in `docs/STORE_FORMAT.md`; the `format_spec` test decodes the worked
-//! hex example in that document with this module's real decoder, so the
-//! spec cannot drift from the implementation.
+//! The store is a *binary* log — event JSONL is the interchange format at
+//! the edges (sinks), but on disk every record is a compact frame whose
+//! floats are stored as raw IEEE-754 bits (`f64::to_bits`). That choice
+//! is what makes the store lossless: a float that round-trips through
+//! its bits is the *same* float, so a recording loaded back from the
+//! store replays to byte-identical event JSONL
+//! (`store_replay_roundtrip` pins this).
+//!
+//! New segments are written by [`crate::codec`] (v2). The v1 frames
+//! this module decodes exist only in segments written by earlier
+//! builds, so there is no v1 encoder: the decoder's fixtures are the
+//! worked hex dumps in `docs/STORE_FORMAT.md` §7, which the
+//! `format_spec` test feeds through it.
 //!
 //! Record types here are R1-protected (`dasr-lint`): no `String` fields —
 //! human-readable output is rendered from structure at print time, never
@@ -130,28 +134,6 @@ impl StoredRecord {
         }
     }
 
-    /// Appends the record's wire frame (`rec_len u16` + body) to `buf`.
-    ///
-    /// The frame layout is fixed per kind — see `docs/STORE_FORMAT.md` —
-    /// so the append hot path never allocates beyond the caller's buffer.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        let len_at = buf.len();
-        put_u16(buf, 0); // patched below
-        put_u32(buf, self.run.0);
-        match &self.payload {
-            RecordPayload::Event(ev) => {
-                buf.push(KIND_EVENT);
-                encode_event(ev, buf);
-            }
-            RecordPayload::Sample(rec) => {
-                buf.push(KIND_SAMPLE);
-                encode_sample(rec, buf);
-            }
-        }
-        let body = (buf.len() - len_at - 2) as u16;
-        buf[len_at..len_at + 2].copy_from_slice(&body.to_le_bytes());
-    }
-
     /// Decodes one wire frame from the front of `bytes`; returns the
     /// record and the number of bytes consumed.
     pub fn decode(bytes: &[u8]) -> Result<(Self, usize), String> {
@@ -183,72 +165,6 @@ impl StoredRecord {
 
 /// Event frame body: `tenant u64 | interval u64 | etag u8 | flags u8 |
 /// a u64 | b u64 | c u64` (42 bytes; unused of a/b/c are zero).
-// dasr-lint: no-alloc
-fn encode_event(ev: &RunEvent, buf: &mut Vec<u8>) {
-    put_u64(buf, ev.tenant.unwrap_or(TENANT_NONE));
-    put_u64(buf, ev.interval);
-    let (tag, flags, a, b, cc) = match &ev.kind {
-        EventKind::IntervalStart => (etag::INTERVAL_START, 0, 0, 0, 0),
-        EventKind::IntervalEnd {
-            latency_ms,
-            completed,
-            rejected,
-        } => (
-            etag::INTERVAL_END,
-            latency_ms.map_or(0, |_| flag::OPT_A),
-            latency_ms.map_or(0, f64::to_bits),
-            *completed,
-            *rejected,
-        ),
-        EventKind::ResizeIssued { from_rung, to_rung } => (
-            etag::RESIZE_ISSUED,
-            0,
-            u64::from(*from_rung),
-            u64::from(*to_rung),
-            0,
-        ),
-        EventKind::ResizeDenied { reason } => {
-            let code = match reason {
-                DenyReason::Cooldown => 0,
-                DenyReason::Budget => 1,
-            };
-            (etag::RESIZE_DENIED, 0, code, 0, 0)
-        }
-        EventKind::BudgetThrottle { headroom_pct } => {
-            (etag::BUDGET_THROTTLE, 0, headroom_pct.to_bits(), 0, 0)
-        }
-        EventKind::BalloonTrigger { phase, target_mb } => {
-            let code = match phase {
-                BalloonPhase::Started => 0,
-                BalloonPhase::Aborted => 1,
-                BalloonPhase::Confirmed => 2,
-            };
-            (
-                etag::BALLOON_TRIGGER,
-                target_mb.map_or(0, |_| flag::OPT_A),
-                code,
-                target_mb.map_or(0, f64::to_bits),
-                0,
-            )
-        }
-        EventKind::SloViolation {
-            observed_ms,
-            goal_ms,
-        } => (
-            etag::SLO_VIOLATION,
-            0,
-            observed_ms.to_bits(),
-            goal_ms.to_bits(),
-            0,
-        ),
-    };
-    buf.push(tag);
-    buf.push(flags);
-    put_u64(buf, a);
-    put_u64(buf, b);
-    put_u64(buf, cc);
-}
-
 fn decode_event(c: &mut Cursor<'_>) -> Result<RunEvent, String> {
     let tenant = opt_tenant(c.u64()?);
     let interval = c.u64()?;
@@ -304,46 +220,6 @@ fn decode_event(c: &mut Cursor<'_>) -> Result<RunEvent, String> {
 /// n_wait u8 | util f64-bits×n_util | wait f64-bits×n_wait | latency u64 |
 /// avg u64 | completed u64 | arrivals u64 | rejected u64 | mem_used u64 |
 /// mem_cap u64 | disk_rps u64` (171 bytes at the current arities).
-// dasr-lint: no-alloc
-fn encode_sample(rec: &SampleRecord, buf: &mut Vec<u8>) {
-    let s = &rec.sample;
-    put_u64(buf, rec.tenant.unwrap_or(TENANT_NONE));
-    put_u64(buf, s.interval);
-    let mut flags = 0u8;
-    if s.latency_ms.is_some() {
-        flags |= flag::OPT_A;
-    }
-    if s.avg_latency_ms.is_some() {
-        flags |= flag::OPT_B;
-    }
-    match rec.probe {
-        ProbeStatus::Inactive => {}
-        ProbeStatus::Active { reached_target } => {
-            flags |= flag::PROBE_ACTIVE;
-            if reached_target {
-                flags |= flag::PROBE_REACHED;
-            }
-        }
-    }
-    buf.push(flags);
-    buf.push(RESOURCE_KINDS.len() as u8);
-    buf.push(WAIT_CLASSES.len() as u8);
-    for v in &s.util_pct {
-        put_u64(buf, v.to_bits());
-    }
-    for v in &s.wait_ms {
-        put_u64(buf, v.to_bits());
-    }
-    put_u64(buf, s.latency_ms.map_or(0, f64::to_bits));
-    put_u64(buf, s.avg_latency_ms.map_or(0, f64::to_bits));
-    put_u64(buf, s.completed);
-    put_u64(buf, s.arrivals);
-    put_u64(buf, s.rejected);
-    put_u64(buf, s.mem_used_mb.to_bits());
-    put_u64(buf, s.mem_capacity_mb.to_bits());
-    put_u64(buf, s.disk_reads_per_sec.to_bits());
-}
-
 fn decode_sample(c: &mut Cursor<'_>) -> Result<SampleRecord, String> {
     let tenant = opt_tenant(c.u64()?);
     let interval = c.u64()?;
@@ -403,21 +279,6 @@ fn decode_sample(c: &mut Cursor<'_>) -> Result<SampleRecord, String> {
 // dasr-lint: no-alloc
 fn opt_tenant(wire: u64) -> Option<u64> {
     (wire != TENANT_NONE).then_some(wire)
-}
-
-// dasr-lint: no-alloc
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-// dasr-lint: no-alloc
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-// dasr-lint: no-alloc
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Bounds-checked little-endian reader over a byte slice. Shared with
@@ -487,219 +348,5 @@ impl<'a> Cursor<'a> {
         let mut arr = [0u8; 8];
         arr.copy_from_slice(b);
         Ok(u64::from_le_bytes(arr))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample(interval: u64) -> SampleRecord {
-        SampleRecord {
-            tenant: Some(9),
-            sample: TelemetrySample {
-                interval,
-                util_pct: [12.5, 0.0, 99.9, 50.0],
-                wait_ms: [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-                latency_ms: Some(41.25),
-                avg_latency_ms: None,
-                completed: 640,
-                arrivals: 650,
-                rejected: 10,
-                mem_used_mb: 1024.5,
-                mem_capacity_mb: 2048.0,
-                disk_reads_per_sec: 17.75,
-            },
-            probe: ProbeStatus::Active {
-                reached_target: true,
-            },
-        }
-    }
-
-    fn all_events() -> Vec<EventKind> {
-        vec![
-            EventKind::IntervalStart,
-            EventKind::IntervalEnd {
-                latency_ms: Some(f64::consts_hack()),
-                completed: 7,
-                rejected: 0,
-            },
-            EventKind::IntervalEnd {
-                latency_ms: None,
-                completed: 0,
-                rejected: 0,
-            },
-            EventKind::ResizeIssued {
-                from_rung: 2,
-                to_rung: 4,
-            },
-            EventKind::ResizeDenied {
-                reason: DenyReason::Cooldown,
-            },
-            EventKind::ResizeDenied {
-                reason: DenyReason::Budget,
-            },
-            EventKind::BudgetThrottle { headroom_pct: 12.5 },
-            EventKind::BalloonTrigger {
-                phase: BalloonPhase::Started,
-                target_mb: Some(1740.5),
-            },
-            EventKind::BalloonTrigger {
-                phase: BalloonPhase::Aborted,
-                target_mb: None,
-            },
-            EventKind::BalloonTrigger {
-                phase: BalloonPhase::Confirmed,
-                target_mb: Some(900.0),
-            },
-            EventKind::SloViolation {
-                observed_ms: 150.5,
-                goal_ms: 100.0,
-            },
-        ]
-    }
-
-    trait ConstsHack {
-        /// An f64 that does not survive a decimal round trip naively —
-        /// bit-exact storage must preserve it anyway.
-        fn consts_hack() -> f64;
-    }
-    impl ConstsHack for f64 {
-        fn consts_hack() -> f64 {
-            0.1 + 0.2 // 0.30000000000000004
-        }
-    }
-
-    #[test]
-    fn every_event_kind_round_trips_bit_exactly() {
-        for (i, kind) in all_events().into_iter().enumerate() {
-            let rec = StoredRecord {
-                run: RunId(42),
-                payload: RecordPayload::Event(RunEvent {
-                    tenant: if i % 2 == 0 { Some(i as u64) } else { None },
-                    interval: 1000 + i as u64,
-                    kind,
-                }),
-            };
-            let mut buf = Vec::new();
-            rec.encode_into(&mut buf);
-            let (back, used) = StoredRecord::decode(&buf).expect("decodes");
-            assert_eq!(used, buf.len());
-            assert_eq!(back, rec);
-            // Stable encoding: re-encoding yields identical bytes.
-            let mut buf2 = Vec::new();
-            back.encode_into(&mut buf2);
-            assert_eq!(buf2, buf);
-        }
-    }
-
-    #[test]
-    fn sample_round_trips_bit_exactly() {
-        for probe in [
-            ProbeStatus::Inactive,
-            ProbeStatus::Active {
-                reached_target: false,
-            },
-            ProbeStatus::Active {
-                reached_target: true,
-            },
-        ] {
-            let mut s = sample(77);
-            s.probe = probe;
-            s.tenant = None;
-            let rec = StoredRecord {
-                run: RunId(0),
-                payload: RecordPayload::Sample(s),
-            };
-            let mut buf = Vec::new();
-            rec.encode_into(&mut buf);
-            let (back, used) = StoredRecord::decode(&buf).expect("decodes");
-            assert_eq!(used, buf.len());
-            assert_eq!(back, rec);
-        }
-    }
-
-    #[test]
-    fn frames_concatenate_and_split() {
-        let mut buf = Vec::new();
-        let recs: Vec<StoredRecord> = (0..5)
-            .map(|i| StoredRecord {
-                run: RunId(i),
-                payload: if i % 2 == 0 {
-                    RecordPayload::Event(RunEvent {
-                        tenant: Some(u64::from(i)),
-                        interval: u64::from(i) * 10,
-                        kind: EventKind::IntervalStart,
-                    })
-                } else {
-                    RecordPayload::Sample(sample(u64::from(i)))
-                },
-            })
-            .collect();
-        for r in &recs {
-            r.encode_into(&mut buf);
-        }
-        let mut at = 0;
-        let mut back = Vec::new();
-        while at < buf.len() {
-            let (rec, used) = StoredRecord::decode(&buf[at..]).expect("frame");
-            back.push(rec);
-            at += used;
-        }
-        assert_eq!(back, recs);
-    }
-
-    #[test]
-    fn truncated_and_corrupt_frames_are_rejected() {
-        let rec = StoredRecord {
-            run: RunId(1),
-            payload: RecordPayload::Sample(sample(3)),
-        };
-        let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
-        for cut in [0, 1, 5, buf.len() - 1] {
-            assert!(StoredRecord::decode(&buf[..cut]).is_err(), "cut = {cut}");
-        }
-        // Unknown kind byte.
-        let mut bad = buf.clone();
-        bad[6] = 99;
-        assert!(StoredRecord::decode(&bad).is_err());
-        // Arity byte from a different build.
-        let mut bad = buf;
-        bad[24] = 3; // n_util
-        assert!(StoredRecord::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn nan_payloads_survive_bit_exactly() {
-        // NaN never survives JSON; the binary format must carry it.
-        let rec = StoredRecord {
-            run: RunId(0),
-            payload: RecordPayload::Event(RunEvent {
-                tenant: None,
-                interval: 0,
-                kind: EventKind::SloViolation {
-                    observed_ms: f64::NAN,
-                    goal_ms: f64::NEG_INFINITY,
-                },
-            }),
-        };
-        let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
-        let (back, _) = StoredRecord::decode(&buf).expect("decodes");
-        match back.payload {
-            RecordPayload::Event(RunEvent {
-                kind:
-                    EventKind::SloViolation {
-                        observed_ms,
-                        goal_ms,
-                    },
-                ..
-            }) => {
-                assert_eq!(observed_ms.to_bits(), f64::NAN.to_bits());
-                assert_eq!(goal_ms.to_bits(), f64::NEG_INFINITY.to_bits());
-            }
-            other => panic!("wrong payload {other:?}"),
-        }
     }
 }

@@ -23,9 +23,9 @@
 //!
 //! The header's `version` field governs how every batch payload in the
 //! file decodes — segments are **homogeneous**: a store directory may mix
-//! v1 and v2 segments freely, but one file never mixes formats. v1
-//! segments written by earlier builds remain readable forever; new
-//! segments default to [`FormatVersion::V2`].
+//! v1 and v2 segments freely, but one file never mixes formats. Writers
+//! emit only [`FormatVersion::V2`]; v1 segments written by earlier builds
+//! remain readable forever (`docs/STORE_FORMAT.md` §11).
 
 use crate::codec::BatchDecoder;
 use crate::crc::crc32;
@@ -43,13 +43,13 @@ pub const HEADER_LEN: usize = 16;
 pub const BATCH_OVERHEAD: usize = 12;
 
 /// A segment's record-payload format, as negotiated by the header's
-/// `version` field. See `docs/STORE_FORMAT.md` §9 for the rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// `version` field. See `docs/STORE_FORMAT.md` §11 for the rules.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FormatVersion {
     /// Fixed-layout frames (`rec_len u16` + body); the PR-8 format.
+    /// Decode-only: no writer produces it any more.
     V1,
     /// Varint/delta/dictionary frames decoded by [`crate::codec`].
-    #[default]
     V2,
 }
 
@@ -87,12 +87,12 @@ pub fn file_name(id: u32) -> String {
     format!("seg-{id:06}.dseg")
 }
 
-/// The 16 header bytes of segment `id` in format `version`.
-pub fn header_bytes(id: u32, version: FormatVersion) -> [u8; HEADER_LEN] {
+/// The 16 header bytes of a new segment `id` (always the v2 format).
+pub fn header_bytes(id: u32) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..8].copy_from_slice(&MAGIC);
     h[8..12].copy_from_slice(&id.to_le_bytes());
-    h[12..14].copy_from_slice(&version.wire().to_le_bytes());
+    h[12..14].copy_from_slice(&VERSION_V2.to_le_bytes());
     h
 }
 
@@ -106,7 +106,14 @@ pub fn append_batch(out: &mut Vec<u8>, n_records: u32, payload: &[u8]) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
-/// One intact batch located by [`scan`].
+/// Little-endian `u32` at `at`, if `bytes` reaches that far.
+// dasr-lint: no-alloc
+fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    let b = bytes.get(at..at.checked_add(4)?)?;
+    Some(u32::from_le_bytes(b.try_into().ok()?))
+}
+
+/// One intact batch frame: parsed, length-checked and CRC-verified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Batch<'a> {
     /// File offset of the batch's 8-byte header.
@@ -119,107 +126,112 @@ pub struct Batch<'a> {
     pub version: FormatVersion,
 }
 
-impl Batch<'_> {
+impl<'a> Batch<'a> {
+    /// Reads the batch frame at the front of `bytes` — the store's one
+    /// frame reader, behind the recovery [`scan`], the segment folds and
+    /// the streaming cursor: header parse, length check against what is
+    /// actually there, CRC. `bytes` may run past the frame (a scan hands
+    /// in the rest of the file); [`frame_len`](Self::frame_len) says
+    /// where the next one starts. `offset` is the frame's position in
+    /// its segment, for error messages and [`Batch::offset`].
+    pub fn parse(bytes: &'a [u8], offset: u64, version: FormatVersion) -> Result<Self, String> {
+        let (Some(n_records), Some(payload_len)) = (u32_at(bytes, 0), u32_at(bytes, 4)) else {
+            return Err(format!("batch header truncated at offset {offset}"));
+        };
+        let payload_len = payload_len as usize;
+        let end = 8usize.saturating_add(payload_len);
+        let (Some(payload), Some(stored_crc)) = (bytes.get(8..end), u32_at(bytes, end)) else {
+            return Err(format!(
+                "batch at offset {offset} truncated: payload {payload_len}+4 bytes promised, {} on disk",
+                bytes.len() - 8
+            ));
+        };
+        let actual = crc32(payload);
+        if stored_crc != actual {
+            return Err(format!(
+                "batch at offset {offset} fails CRC: stored {stored_crc:08x}, computed {actual:08x}"
+            ));
+        }
+        Ok(Self {
+            offset,
+            n_records,
+            payload,
+            version,
+        })
+    }
+
+    /// [`parse`](Self::parse) for a frame whose length the index already
+    /// fixed: `frame` must hold exactly one batch, no more.
+    pub fn parse_exact(
+        frame: &'a [u8],
+        offset: u64,
+        version: FormatVersion,
+    ) -> Result<Self, String> {
+        let batch = Self::parse(frame, offset, version)?;
+        if batch.frame_len() != frame.len() {
+            return Err(format!(
+                "batch at offset {offset} promises {} payload bytes, index allots {}",
+                batch.payload.len(),
+                frame.len()
+            ));
+        }
+        Ok(batch)
+    }
+
+    /// Bytes the whole frame occupies on disk.
+    pub fn frame_len(&self) -> usize {
+        BATCH_OVERHEAD + self.payload.len()
+    }
+
+    /// Decodes the payload record by record, handing each to `visit`.
+    ///
+    /// A `StoredRecord` owns no heap data, so visiting stack copies is
+    /// allocation-free and the caller chooses whether to collect, fold,
+    /// or drop them.
+    pub fn visit(&self, mut visit: impl FnMut(&StoredRecord)) -> Result<(), String> {
+        let (payload, n_records) = (self.payload, self.n_records);
+        let seen = match self.version {
+            FormatVersion::V1 => {
+                let mut rest = payload;
+                let mut seen = 0u32;
+                while !rest.is_empty() {
+                    let (rec, used) = StoredRecord::decode(rest)?;
+                    visit(&rec);
+                    seen += 1;
+                    rest = rest.get(used..).unwrap_or_default();
+                }
+                seen
+            }
+            FormatVersion::V2 => {
+                let mut dec = BatchDecoder::new();
+                let mut c = Cursor::new(payload);
+                for _ in 0..n_records {
+                    visit(&dec.decode_next(&mut c)?);
+                }
+                if c.pos() != payload.len() {
+                    return Err(format!(
+                        "batch payload has {} trailing bytes after {n_records} records",
+                        payload.len() - c.pos()
+                    ));
+                }
+                n_records
+            }
+        };
+        if seen != n_records {
+            return Err(format!(
+                "batch promises {n_records} records, payload holds {seen}"
+            ));
+        }
+        Ok(())
+    }
+
     /// Decodes the payload into records (exactly `n_records` of them).
     pub fn records(&self) -> Result<Vec<StoredRecord>, String> {
         let mut out = Vec::with_capacity(self.n_records as usize);
-        decode_payload(self.version, self.payload, self.n_records, |rec| {
-            out.push(*rec)
-        })
-        .map_err(|e| format!("batch at offset {}: {e}", self.offset))?;
+        self.visit(|rec| out.push(*rec))
+            .map_err(|e| format!("batch at offset {}: {e}", self.offset))?;
         Ok(out)
     }
-}
-
-/// Decodes one batch payload record by record, handing each to `visit`.
-///
-/// This is the single decode loop behind both [`Batch::records`] and the
-/// streaming cursor ([`crate::cursor`]): a `StoredRecord` owns no heap
-/// data, so visiting stack copies is allocation-free and the caller
-/// chooses whether to collect, fold, or drop them.
-pub fn decode_payload(
-    version: FormatVersion,
-    payload: &[u8],
-    n_records: u32,
-    mut visit: impl FnMut(&StoredRecord),
-) -> Result<(), String> {
-    match version {
-        FormatVersion::V1 => {
-            let mut at = 0;
-            let mut seen = 0u32;
-            while at < payload.len() {
-                let (rec, used) = StoredRecord::decode(&payload[at..])?;
-                visit(&rec);
-                seen += 1;
-                at += used;
-            }
-            check_count(seen, n_records)
-        }
-        FormatVersion::V2 => {
-            let mut dec = BatchDecoder::new();
-            let mut c = Cursor::new(payload);
-            for _ in 0..n_records {
-                visit(&dec.decode_next(&mut c)?);
-            }
-            if c.pos() != payload.len() {
-                return Err(format!(
-                    "batch payload has {} trailing bytes after {n_records} records",
-                    payload.len() - c.pos()
-                ));
-            }
-            Ok(())
-        }
-    }
-}
-
-fn check_count(seen: u32, promised: u32) -> Result<(), String> {
-    if seen != promised {
-        return Err(format!(
-            "batch promises {promised} records, payload holds {seen}"
-        ));
-    }
-    Ok(())
-}
-
-/// Reads and CRC-verifies the single batch at `offset` — the targeted
-/// read path queries use with offsets taken from the sparse index, so a
-/// range scan decodes only the batches whose bounding boxes overlap the
-/// query instead of re-walking the whole segment.
-pub fn batch_at(bytes: &[u8], offset: u64) -> Result<Batch<'_>, String> {
-    let at = offset as usize;
-    if at < HEADER_LEN || at + 8 > bytes.len() {
-        return Err(format!("batch offset {offset} out of bounds"));
-    }
-    let version = FormatVersion::from_wire(u16::from_le_bytes([bytes[12], bytes[13]]))?;
-    let n_records = u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-    let payload_len =
-        u32::from_le_bytes([bytes[at + 4], bytes[at + 5], bytes[at + 6], bytes[at + 7]]) as usize;
-    let rest = &bytes[at + 8..];
-    if rest.len() < payload_len + 4 {
-        return Err(format!(
-            "batch at offset {offset} truncated: payload {payload_len}+4 bytes promised, {} on disk",
-            rest.len()
-        ));
-    }
-    let payload = &rest[..payload_len];
-    let stored_crc = u32::from_le_bytes([
-        rest[payload_len],
-        rest[payload_len + 1],
-        rest[payload_len + 2],
-        rest[payload_len + 3],
-    ]);
-    let actual = crc32(payload);
-    if stored_crc != actual {
-        return Err(format!(
-            "batch at offset {offset} fails CRC: stored {stored_crc:08x}, computed {actual:08x}"
-        ));
-    }
-    Ok(Batch {
-        offset,
-        n_records,
-        payload,
-        version,
-    })
 }
 
 /// What a forward scan of a segment's bytes found.
@@ -246,68 +258,39 @@ pub struct ScanOutcome<'a> {
 /// is data loss bounded to the final writes and is reported in
 /// [`ScanOutcome::torn`] for the caller to truncate away.
 pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, String> {
-    if bytes.len() < HEADER_LEN {
+    let (Some(magic), Some(segment_id), Some([v0, v1, ..])) =
+        (bytes.get(..8), u32_at(bytes, 8), bytes.get(12..HEADER_LEN))
+    else {
         return Err(format!(
             "segment header truncated: {} bytes, need {HEADER_LEN}",
             bytes.len()
         ));
-    }
-    if bytes[..8] != MAGIC {
+    };
+    if magic != MAGIC {
         return Err("bad segment magic".to_string());
     }
-    let segment_id = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    let version = FormatVersion::from_wire(u16::from_le_bytes([bytes[12], bytes[13]]))?;
+    let version = FormatVersion::from_wire(u16::from_le_bytes([*v0, *v1]))?;
 
     let mut batches = Vec::new();
     let mut at = HEADER_LEN;
     let mut torn = None;
-    while at < bytes.len() {
-        let Some(rest) = bytes.get(at + 8..) else {
-            torn = Some(format!("batch header truncated at offset {at}"));
-            break;
-        };
-        let n_records =
-            u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]]);
-        let payload_len =
-            u32::from_le_bytes([bytes[at + 4], bytes[at + 5], bytes[at + 6], bytes[at + 7]])
-                as usize;
-        if rest.len() < payload_len + 4 {
-            torn = Some(format!(
-                "batch at offset {at} truncated: payload {payload_len}+4 bytes promised, {} on disk",
-                rest.len()
-            ));
-            break;
+    while let Some(rest) = bytes.get(at..).filter(|r| !r.is_empty()) {
+        match Batch::parse(rest, at as u64, version) {
+            Ok(batch) => {
+                at += batch.frame_len();
+                batches.push(batch);
+            }
+            Err(e) => {
+                torn = Some(e);
+                break;
+            }
         }
-        let payload = &rest[..payload_len];
-        let stored_crc = u32::from_le_bytes([
-            rest[payload_len],
-            rest[payload_len + 1],
-            rest[payload_len + 2],
-            rest[payload_len + 3],
-        ]);
-        let actual = crc32(payload);
-        if stored_crc != actual {
-            torn = Some(format!(
-                "batch at offset {at} fails CRC: stored {stored_crc:08x}, computed {actual:08x}"
-            ));
-            break;
-        }
-        batches.push(Batch {
-            offset: at as u64,
-            n_records,
-            payload,
-            version,
-        });
-        at += BATCH_OVERHEAD + payload_len;
     }
-    let valid_len = batches.last().map_or(HEADER_LEN as u64, |b| {
-        b.offset + (BATCH_OVERHEAD + b.payload.len()) as u64
-    });
     Ok(ScanOutcome {
         segment_id,
         version,
         batches,
-        valid_len,
+        valid_len: at as u64,
         torn,
     })
 }
@@ -318,8 +301,6 @@ mod tests {
     use crate::codec::BatchEncoder;
     use crate::record::{RecordPayload, RunId};
     use dasr_core::obs::{EventKind, RunEvent};
-
-    const BOTH: [FormatVersion; 2] = [FormatVersion::V1, FormatVersion::V2];
 
     fn event(interval: u64) -> StoredRecord {
         StoredRecord {
@@ -335,22 +316,13 @@ mod tests {
         }
     }
 
-    fn segment_with(version: FormatVersion, batches: &[&[StoredRecord]]) -> Vec<u8> {
-        let mut bytes = header_bytes(7, version).to_vec();
+    fn segment_with(batches: &[&[StoredRecord]]) -> Vec<u8> {
+        let mut bytes = header_bytes(7).to_vec();
         for recs in batches {
             let mut payload = Vec::new();
-            match version {
-                FormatVersion::V1 => {
-                    for r in *recs {
-                        r.encode_into(&mut payload);
-                    }
-                }
-                FormatVersion::V2 => {
-                    let mut enc = BatchEncoder::new();
-                    for r in *recs {
-                        enc.encode_into(r, &mut payload);
-                    }
-                }
+            let mut enc = BatchEncoder::new();
+            for r in *recs {
+                enc.encode_into(r, &mut payload);
             }
             append_batch(&mut bytes, recs.len() as u32, &payload);
         }
@@ -358,106 +330,117 @@ mod tests {
     }
 
     #[test]
-    fn clean_segment_scans_fully_in_both_formats() {
-        for version in BOTH {
-            let a = [event(1), event(2)];
-            let b = [event(3)];
-            let bytes = segment_with(version, &[&a, &b]);
-            let out = scan(&bytes).expect("scans");
-            assert_eq!(out.segment_id, 7);
-            assert_eq!(out.version, version);
-            assert_eq!(out.batches.len(), 2);
-            assert!(out.torn.is_none());
-            assert_eq!(out.valid_len, bytes.len() as u64);
-            assert_eq!(out.batches[0].records().unwrap(), a, "{version}");
-            assert_eq!(out.batches[1].records().unwrap(), b, "{version}");
-        }
-    }
-
-    #[test]
-    fn v2_batches_are_smaller_than_v1() {
-        let recs: Vec<StoredRecord> = (0..32).map(event).collect();
-        let v1 = segment_with(FormatVersion::V1, &[&recs]);
-        let v2 = segment_with(FormatVersion::V2, &[&recs]);
-        assert!(
-            v2.len() * 4 < v1.len(),
-            "expected ≥4x shrink on an event batch: v1 = {}, v2 = {}",
-            v1.len(),
-            v2.len()
-        );
+    fn clean_segment_scans_fully() {
+        let a = [event(1), event(2)];
+        let b = [event(3)];
+        let bytes = segment_with(&[&a, &b]);
+        let out = scan(&bytes).expect("scans");
+        assert_eq!(out.segment_id, 7);
+        assert_eq!(out.version, FormatVersion::V2);
+        assert_eq!(out.batches.len(), 2);
+        assert!(out.torn.is_none());
+        assert_eq!(out.valid_len, bytes.len() as u64);
+        assert_eq!(out.batches[0].records().unwrap(), a);
+        assert_eq!(out.batches[1].records().unwrap(), b);
     }
 
     #[test]
     fn empty_segment_is_just_a_header() {
-        for version in BOTH {
-            let bytes = header_bytes(0, version).to_vec();
-            let out = scan(&bytes).expect("scans");
-            assert!(out.batches.is_empty());
-            assert!(out.torn.is_none());
-            assert_eq!(out.valid_len, HEADER_LEN as u64);
-        }
+        let bytes = header_bytes(0).to_vec();
+        let out = scan(&bytes).expect("scans");
+        assert!(out.batches.is_empty());
+        assert!(out.torn.is_none());
+        assert_eq!(out.valid_len, HEADER_LEN as u64);
     }
 
     #[test]
     fn torn_tail_keeps_intact_prefix() {
-        for version in BOTH {
-            let a = [event(1), event(2)];
-            let b = [event(3)];
-            let bytes = segment_with(version, &[&a, &b]);
-            let first_end = scan(&bytes).unwrap().batches[1].offset as usize;
-            // Truncate anywhere inside the second batch: first batch
-            // survives.
-            for cut in [first_end + 1, first_end + 5, bytes.len() - 1] {
-                let out = scan(&bytes[..cut]).expect("header intact");
-                assert_eq!(out.batches.len(), 1, "cut = {cut} ({version})");
-                assert!(out.torn.is_some());
-                assert_eq!(out.valid_len as usize, first_end);
-            }
+        let a = [event(1), event(2)];
+        let b = [event(3)];
+        let bytes = segment_with(&[&a, &b]);
+        let first_end = scan(&bytes).unwrap().batches[1].offset as usize;
+        // Truncate anywhere inside the second batch: first batch
+        // survives.
+        for cut in [first_end + 1, first_end + 5, bytes.len() - 1] {
+            let out = scan(&bytes[..cut]).expect("header intact");
+            assert_eq!(out.batches.len(), 1, "cut = {cut}");
+            assert!(out.torn.is_some());
+            assert_eq!(out.valid_len as usize, first_end);
         }
     }
 
     #[test]
-    fn batch_at_reads_exactly_one_batch() {
-        for version in BOTH {
-            let a = [event(1), event(2)];
-            let b = [event(3)];
-            let bytes = segment_with(version, &[&a, &b]);
-            let scanned = scan(&bytes).unwrap();
-            for want in &scanned.batches {
-                let got = batch_at(&bytes, want.offset).expect("reads");
-                assert_eq!(&got, want);
-            }
-            assert!(batch_at(&bytes, 0).is_err(), "offset inside the header");
-            assert!(batch_at(&bytes, bytes.len() as u64).is_err());
-            let mut corrupt = bytes.clone();
-            let second = scanned.batches[1].offset as usize;
-            corrupt[second + 10] ^= 0x01;
-            assert!(batch_at(&corrupt, second as u64)
-                .expect_err("corrupt")
-                .contains("CRC"));
-        }
+    fn parse_reads_exactly_one_batch() {
+        let a = [event(1), event(2)];
+        let b = [event(3)];
+        let bytes = segment_with(&[&a, &b]);
+        let scanned = scan(&bytes).unwrap();
+        let (first, second) = (scanned.batches[0], scanned.batches[1]);
+        let at = first.offset as usize;
+        // From the rest of the file: stops at the frame's own end.
+        let got = Batch::parse(&bytes[at..], first.offset, FormatVersion::V2).expect("reads");
+        assert_eq!(got, first);
+        assert_eq!(at + got.frame_len(), second.offset as usize);
+        // From an index-sized slice: must fit exactly.
+        let frame = &bytes[at..at + got.frame_len()];
+        assert_eq!(
+            Batch::parse_exact(frame, first.offset, FormatVersion::V2).expect("fits"),
+            first
+        );
+        assert!(
+            Batch::parse_exact(&bytes[at..], first.offset, FormatVersion::V2)
+                .expect_err("slack after the frame")
+                .contains("index allots")
+        );
+        assert!(Batch::parse(&frame[..5], 0, FormatVersion::V2)
+            .expect_err("short header")
+            .contains("header truncated"));
+        assert!(
+            Batch::parse(&frame[..frame.len() - 1], 0, FormatVersion::V2)
+                .expect_err("short payload")
+                .contains("truncated")
+        );
+        let mut corrupt = frame.to_vec();
+        corrupt[10] ^= 0x01;
+        assert!(Batch::parse(&corrupt, 0, FormatVersion::V2)
+            .expect_err("corrupt")
+            .contains("CRC"));
     }
 
     #[test]
     fn corrupt_payload_fails_crc() {
-        for version in BOTH {
-            let a = [event(1), event(2)];
-            let mut bytes = segment_with(version, &[&a]);
-            let flip = HEADER_LEN + 8 + 3; // inside the payload
-            bytes[flip] ^= 0x40;
-            let out = scan(&bytes).expect("header intact");
-            assert!(out.batches.is_empty());
-            assert!(out.torn.expect("torn").contains("CRC"));
+        let a = [event(1), event(2)];
+        let mut bytes = segment_with(&[&a]);
+        let flip = HEADER_LEN + 8 + 3; // inside the payload
+        bytes[flip] ^= 0x40;
+        let out = scan(&bytes).expect("header intact");
+        assert!(out.batches.is_empty());
+        assert!(out.torn.expect("torn").contains("CRC"));
+    }
+
+    #[test]
+    fn record_count_must_match_the_payload() {
+        let a = [event(1), event(2)];
+        let mut payload = Vec::new();
+        let mut enc = BatchEncoder::new();
+        for r in &a {
+            enc.encode_into(r, &mut payload);
+        }
+        for claimed in [1u32, 3] {
+            let mut frame = Vec::new();
+            append_batch(&mut frame, claimed, &payload);
+            let batch = Batch::parse(&frame, 0, FormatVersion::V2).expect("framing is intact");
+            assert!(batch.records().is_err(), "claimed {claimed} of 2 records");
         }
     }
 
     #[test]
     fn bad_header_is_an_error() {
         assert!(scan(b"short").is_err());
-        let mut bytes = header_bytes(1, FormatVersion::V1).to_vec();
+        let mut bytes = header_bytes(1).to_vec();
         bytes[0] = b'X';
         assert!(scan(&bytes).is_err());
-        let mut bytes = header_bytes(1, FormatVersion::V1).to_vec();
+        let mut bytes = header_bytes(1).to_vec();
         bytes[12] = 9; // version
         assert!(scan(&bytes)
             .expect_err("unknown version")
@@ -466,11 +449,10 @@ mod tests {
 
     #[test]
     fn version_wire_round_trips() {
-        for version in BOTH {
+        for version in [FormatVersion::V1, FormatVersion::V2] {
             assert_eq!(FormatVersion::from_wire(version.wire()).unwrap(), version);
         }
         assert!(FormatVersion::from_wire(0).is_err());
         assert!(FormatVersion::from_wire(3).is_err());
-        assert_eq!(FormatVersion::default(), FormatVersion::V2);
     }
 }

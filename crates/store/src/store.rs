@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::cursor::{self, Query, RecordCursor, Shape};
-use crate::index::{FireTally, KindSet, SegmentIndex};
+use crate::index::{FireTally, IndexEntry, KindSet, SegmentIndex};
 use crate::record::{etag, RecordPayload, RunId, StoredRecord};
 use crate::segment::{self, FormatVersion};
 use crate::sink::StoreSink;
@@ -357,8 +357,9 @@ impl Store {
     /// Opens (creating if needed) the store at `dir` with default writer
     /// knobs, running crash recovery first: torn segment tails are
     /// truncated to the last intact batch, stale index sidecars rebuilt,
-    /// and a torn manifest tail line dropped — see
-    /// [`recovery_notes`](Self::recovery_notes) for what was done.
+    /// a torn manifest tail line dropped, and an active segment in the
+    /// read-only v1 format sealed with a fresh segment rolled after it —
+    /// see [`recovery_notes`](Self::recovery_notes) for what was done.
     ///
     /// # Examples
     ///
@@ -384,7 +385,7 @@ impl Store {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let mut notes = Vec::new();
-        let indices = recover_segments(&dir, cfg.format, &mut notes)?;
+        let indices = recover_segments(&dir, &mut notes)?;
         let manifest = recover_manifest(&dir, &mut notes)?;
         let max_manifest_run = manifest.iter().map(|m| m.run.0).max();
         let max_stored_run = indices.iter().filter_map(SegmentIndex::max_run).max();
@@ -608,19 +609,21 @@ impl Store {
     /// ```
     // dasr-lint: entry(G3)
     pub fn scan_range(&self, intervals: Range<u64>) -> Result<Vec<StoredRecord>, StoreError> {
-        self.collect_records(Query {
+        let query = Query {
             intervals: Some(intervals),
             ..Query::default()
-        })
+        };
+        self.collect(&query, |out, rec| out.push(*rec))
     }
 
     /// Every record of one run, in append order.
     // dasr-lint: entry(G3)
     pub fn run_records(&self, run: RunId) -> Result<Vec<StoredRecord>, StoreError> {
-        self.collect_records(Query {
+        let query = Query {
             run: Some(run),
             ..Query::default()
-        })
+        };
+        self.collect(&query, |out, rec| out.push(*rec))
     }
 
     /// A lazy streaming cursor over everything flushed so far that
@@ -672,12 +675,11 @@ impl Store {
             shape: Shape::Events(KindSet::ALL_EVENTS),
             ..Query::default()
         };
-        let parts = self.fold(&query, Vec::new, |out: &mut Vec<RunEvent>, rec| {
+        self.collect(&query, |out, rec| {
             if let RecordPayload::Event(ev) = &rec.payload {
                 out.push(*ev);
             }
-        })?;
-        Ok(parts.into_iter().flatten().collect())
+        })
     }
 
     /// One run's sample records (all tenants, or one), in append order.
@@ -693,12 +695,11 @@ impl Store {
             shape: Shape::Samples,
             ..Query::default()
         };
-        let parts = self.fold(&query, Vec::new, |out: &mut Vec<SampleRecord>, rec| {
+        self.collect(&query, |out, rec| {
             if let RecordPayload::Sample(s) = &rec.payload {
                 out.push(*s);
             }
-        })?;
-        Ok(parts.into_iter().flatten().collect())
+        })
     }
 
     /// Rule-fire totals over an interval window — one run or (with
@@ -712,17 +713,38 @@ impl Store {
         // `FireCounts::record` ignores `IntervalEnd`, so batches holding
         // only end-of-interval events (or samples) are pruned unread.
         let counted = KindSet::ALL_EVENTS & !(1 << etag::INTERVAL_END);
-        // The shape mask must admit everything the index tallies count —
-        // `cursor::fold_fires` answers fully-covered batches from their
-        // per-batch `FireTally` without decoding them.
+        // The shape mask must admit everything the index tallies count:
+        // a batch the window and run filter cover in full is answered by
+        // its per-batch `FireTally` and never read, so a whole-run count
+        // is an index walk, not a decode (the ≥5× bar
+        // `store_fire_counts_100k` gates on).
         let query = Query {
             intervals: Some(intervals),
             run,
             shape: Shape::Events(counted),
             ..Query::default()
         };
-        let snap: WriterSnapshot = self.writer.flush()?;
-        cursor::fold_fires(&self.dir, &snap.indices, &query, self.read_threads)
+        let parts = self.fold(
+            &query,
+            FireCounts::default,
+            |counts, entry| {
+                let covered = cursor::entry_fully_covered(&query, entry);
+                if covered {
+                    counts.merge_tally(&entry.fires);
+                }
+                covered
+            },
+            |counts, rec| {
+                if let RecordPayload::Event(ev) = &rec.payload {
+                    counts.record(&ev.kind);
+                }
+            },
+        )?;
+        let mut total = FireCounts::default();
+        for part in &parts {
+            total.merge(part);
+        }
+        Ok(total)
     }
 
     /// Reconstructs a committed run (optionally narrowed to one tenant)
@@ -753,10 +775,17 @@ impl Store {
     /// accumulator per segment — segments in parallel across
     /// [`read_threads`](Self::read_threads), partials returned in
     /// segment order so the caller's combine is order-stable.
-    fn fold<T, M, F>(&self, query: &Query, make: M, fold: F) -> Result<Vec<T>, StoreError>
+    fn fold<T, M, A, F>(
+        &self,
+        query: &Query,
+        make: M,
+        answer: A,
+        fold: F,
+    ) -> Result<Vec<T>, StoreError>
     where
         T: Send,
         M: Fn() -> T + Sync,
+        A: Fn(&mut T, &IndexEntry) -> bool + Sync,
         F: Fn(&mut T, &StoredRecord) + Sync,
     {
         let snap: WriterSnapshot = self.writer.flush()?;
@@ -766,25 +795,31 @@ impl Store {
             query,
             self.read_threads,
             make,
+            answer,
             fold,
         )
     }
 
-    /// [`fold`](Self::fold) specialized to collecting whole records.
-    fn collect_records(&self, query: Query) -> Result<Vec<StoredRecord>, StoreError> {
-        let parts = self.fold(&query, Vec::new, |out: &mut Vec<StoredRecord>, rec| {
-            out.push(*rec);
-        })?;
+    /// [`fold`](Self::fold) with `pick` pushing what it wants of every
+    /// matching record (no batch is answered from the index); the
+    /// per-segment lists are concatenated, so the result is in append order.
+    fn collect<R, P>(&self, query: &Query, pick: P) -> Result<Vec<R>, StoreError>
+    where
+        R: Send,
+        P: Fn(&mut Vec<R>, &StoredRecord) + Sync,
+    {
+        let parts = self.fold(query, Vec::new, |_, _| false, pick)?;
         Ok(parts.into_iter().flatten().collect())
     }
 }
 
 /// Scans the store directory's segments, truncating torn tails and
 /// rebuilding stale sidecars. Returns one index per segment, id order,
-/// active last — the writer resumes from exactly this state.
+/// active last — the writer resumes from exactly this state. The active
+/// segment is always a v2 one: a v1 active segment left by an earlier
+/// build is sealed as it stands and a fresh segment rolled after it.
 fn recover_segments(
     dir: &Path,
-    format: FormatVersion,
     notes: &mut Vec<RecoveryNote>,
 ) -> Result<Vec<SegmentIndex>, StoreError> {
     let mut ids = Vec::new();
@@ -795,37 +830,30 @@ fn recover_segments(
         }
     }
     ids.sort_unstable();
-    if ids.is_empty() {
-        fs::write(
-            dir.join(segment::file_name(0)),
-            segment::header_bytes(0, format),
-        )?;
-        return Ok(vec![SegmentIndex::fresh(0, format)]);
-    }
-    let last = *ids.last().unwrap_or(&0);
-    let mut indices = Vec::with_capacity(ids.len());
+    let Some(&last) = ids.last() else {
+        return Ok(vec![create_segment(dir, 0)?]);
+    };
+    let mut indices = Vec::with_capacity(ids.len() + 1);
     for id in ids {
         let path = dir.join(segment::file_name(id));
-        let bytes = fs::read(&path)?;
         let active = id == last;
         if !active {
-            // Sealed segment: trust a sidecar that matches the file.
-            if let Some(idx) = load_sidecar(dir, id, bytes.len() as u64) {
+            // Sealed segment: trust a sidecar that matches the file's
+            // length, without reading the segment itself.
+            if let Some(idx) = load_sidecar(dir, id, fs::metadata(&path)?.len()) {
                 indices.push(idx);
                 continue;
             }
         }
+        let bytes = fs::read(&path)?;
         if active && bytes.len() < segment::HEADER_LEN {
             // A crash tore the freshly created segment's header write;
-            // nothing was committed to it (so its original format byte is
-            // both unknowable and irrelevant). Rewrite the header in
-            // place at the configured format.
-            fs::write(&path, segment::header_bytes(id, format))?;
+            // nothing was committed to it, so start it over.
+            indices.push(create_segment(dir, id)?);
             notes.push(RecoveryNote {
                 segment: Some(id),
                 detail: format!("rewrote torn {}-byte segment header", bytes.len()),
             });
-            indices.push(SegmentIndex::fresh(id, format));
             continue;
         }
         let scan = segment::scan(&bytes)
@@ -853,7 +881,7 @@ fn recover_segments(
         // Repair the sidecar so the next open trusts it again (sealed
         // segments only — the writer refreshes the active one).
         if !active {
-            fs::write(dir.join(SegmentIndex::file_name(id)), idx.to_bytes())?;
+            idx.write_sidecar(dir)?;
             notes.push(RecoveryNote {
                 segment: Some(id),
                 detail: "rebuilt stale index sidecar".to_string(),
@@ -861,7 +889,22 @@ fn recover_segments(
         }
         indices.push(idx);
     }
+    if let Some(old) = indices.last().filter(|a| a.version == FormatVersion::V1) {
+        old.write_sidecar(dir)?;
+        let next = old.segment_id + 1;
+        notes.push(RecoveryNote {
+            segment: Some(old.segment_id),
+            detail: format!("sealed active v1 segment; new records go to v2 segment {next}"),
+        });
+        indices.push(create_segment(dir, next)?);
+    }
     Ok(indices)
+}
+
+/// Writes segment `id` as a header-only file and returns its index.
+fn create_segment(dir: &Path, id: u32) -> std::io::Result<SegmentIndex> {
+    fs::write(dir.join(segment::file_name(id)), segment::header_bytes(id))?;
+    Ok(SegmentIndex::fresh(id))
 }
 
 /// Loads segment `id`'s sidecar if it is intact and describes exactly
@@ -1109,7 +1152,6 @@ mod tests {
         let cfg = WriterConfig {
             batch_records: 8,
             segment_max_bytes: 256,
-            ..WriterConfig::default()
         };
         let mut store = Store::open_with(&dir, cfg).expect("open");
         let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 1));

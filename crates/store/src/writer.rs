@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use crate::codec::BatchEncoder;
 use crate::index::{IndexEntry, SegmentIndex};
 use crate::record::StoredRecord;
-use crate::segment::{self, FormatVersion};
+use crate::segment;
 use crate::StoreError;
 
 /// Flush-policy knobs for the writer thread.
@@ -42,12 +42,6 @@ pub struct WriterConfig {
     /// opened once a batch write reaches this length. A bound, not an
     /// exact size — the final batch is never split.
     pub segment_max_bytes: u64,
-    /// Record format for *newly created* segments. A recovered active
-    /// segment keeps the format in its header regardless of this knob —
-    /// segments are homogeneous — so reopening an old store appends v1
-    /// frames until the active v1 segment seals, then rolls into this
-    /// format.
-    pub format: FormatVersion,
 }
 
 impl Default for WriterConfig {
@@ -55,7 +49,6 @@ impl Default for WriterConfig {
         Self {
             batch_records: 256,
             segment_max_bytes: 4 * 1024 * 1024,
-            format: FormatVersion::default(),
         }
     }
 }
@@ -136,7 +129,10 @@ impl StoreWriter {
     /// `indices` must hold one entry per existing segment in id order; the
     /// last is the active segment, already truncated to its recovered
     /// length — the writer opens it in append mode and continues from
-    /// there.
+    /// there. The writer emits v2 frames only and segments are
+    /// homogeneous, so the active segment must be a v2 one:
+    /// [`Store::open`](crate::Store::open) seals a v1 active segment and
+    /// rolls a v2 segment before spawning the writer.
     pub fn spawn(
         dir: PathBuf,
         cfg: WriterConfig,
@@ -238,8 +234,7 @@ struct WriterState {
     batch_entry: IndexEntry,
     /// Reusable frame buffer for batch writes.
     frame_buf: Vec<u8>,
-    /// v2 batch encoder; reset at every batch boundary. Unused while the
-    /// active segment is v1.
+    /// Batch encoder; reset at every batch boundary.
     encoder: BatchEncoder,
     records_appended: u64,
     /// Sticky first I/O error; set once, reported on every later flush.
@@ -249,11 +244,6 @@ struct WriterState {
 impl WriterState {
     fn active(&mut self) -> &mut SegmentIndex {
         self.indices.last_mut().expect("active segment index")
-    }
-
-    /// The active segment's record format (fixed by its header).
-    fn active_version(&self) -> FormatVersion {
-        self.indices.last().expect("active segment index").version
     }
 
     /// Buffers one record; flushes the batch when it fills. The hot path:
@@ -267,10 +257,7 @@ impl WriterState {
         if self.batch_entry.n_records == 0 {
             self.batch_entry = IndexEntry::empty(self.active().seg_bytes);
         }
-        match self.active_version() {
-            FormatVersion::V1 => rec.encode_into(&mut self.batch_payload),
-            FormatVersion::V2 => self.encoder.encode_into(rec, &mut self.batch_payload),
-        }
+        self.encoder.encode_into(rec, &mut self.batch_payload);
         self.batch_entry.absorb(rec);
         self.records_appended += 1;
         if self.batch_entry.n_records as usize >= self.cfg.batch_records {
@@ -328,22 +315,20 @@ impl WriterState {
                 return;
             }
         };
-        if let Err(e) = file.write_all(&segment::header_bytes(next_id, self.cfg.format)) {
+        if let Err(e) = file.write_all(&segment::header_bytes(next_id)) {
             self.error = Some(format!("segment {next_id} header write failed: {e}"));
             return;
         }
         self.file = file;
-        self.indices
-            .push(SegmentIndex::fresh(next_id, self.cfg.format));
+        self.indices.push(SegmentIndex::fresh(next_id));
     }
 
     /// Writes the active segment's `.idx` sidecar (atomic enough for a
     /// cache: the sidecar is rebuilt from the segment whenever it is
     /// stale or torn).
-    fn write_sidecar(&mut self) -> std::io::Result<()> {
+    fn write_sidecar(&self) -> std::io::Result<()> {
         let active = self.indices.last().expect("active segment index");
-        let path = self.dir.join(SegmentIndex::file_name(active.segment_id));
-        std::fs::write(path, active.to_bytes())
+        active.write_sidecar(&self.dir)
     }
 
     /// Explicit flush: write the open batch, push it to the OS, refresh
@@ -398,13 +383,10 @@ mod tests {
         dir
     }
 
-    fn init_segment(dir: &Path, version: FormatVersion) -> Vec<SegmentIndex> {
-        std::fs::write(
-            dir.join(segment::file_name(0)),
-            segment::header_bytes(0, version),
-        )
-        .expect("seed segment");
-        vec![SegmentIndex::fresh(0, version)]
+    fn init_segment(dir: &Path) -> Vec<SegmentIndex> {
+        std::fs::write(dir.join(segment::file_name(0)), segment::header_bytes(0))
+            .expect("seed segment");
+        vec![SegmentIndex::fresh(0)]
     }
 
     #[test]
@@ -414,8 +396,7 @@ mod tests {
             batch_records: 3,
             ..WriterConfig::default()
         };
-        let writer =
-            StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir, cfg.format)).expect("spawn");
+        let writer = StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir)).expect("spawn");
         for i in 0..7 {
             writer.append(rec(i)).expect("append");
         }
@@ -437,66 +418,28 @@ mod tests {
 
     #[test]
     fn segments_roll_at_the_size_bound() {
-        for (tag, version) in [("roll1", FormatVersion::V1), ("roll2", FormatVersion::V2)] {
-            let dir = fresh_dir(tag);
-            let cfg = WriterConfig {
-                batch_records: 4,
-                segment_max_bytes: 256,
-                format: version,
-            };
-            let mut writer =
-                StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir, version)).expect("spawn");
-            for i in 0..40 {
-                writer.append(rec(i)).expect("append");
-            }
-            let snap = writer.shutdown().expect("shutdown").expect("snapshot");
-            assert!(snap.indices.len() > 1, "rolled into multiple segments");
-            assert_eq!(snap.records(), 40);
-            for idx in &snap.indices {
-                assert_eq!(idx.version, version);
-                let seg_path = dir.join(segment::file_name(idx.segment_id));
-                let bytes = std::fs::read(&seg_path).expect("segment readable");
-                assert_eq!(bytes.len() as u64, idx.seg_bytes);
-                let rebuilt = SegmentIndex::build_from_segment(&bytes).expect("rebuilds");
-                assert_eq!(&rebuilt, idx, "sidecar-free rebuild matches");
-                let sidecar = std::fs::read(dir.join(SegmentIndex::file_name(idx.segment_id)))
-                    .expect("sidecar written");
-                assert_eq!(&SegmentIndex::from_bytes(&sidecar).expect("parses"), idx);
-            }
-            std::fs::remove_dir_all(&dir).expect("cleanup");
-        }
-    }
-
-    #[test]
-    fn recovered_v1_segment_keeps_v1_until_it_rolls() {
-        // A store written before the v2 codec reopens with format = V2 in
-        // the config; the active segment must keep appending v1 frames
-        // (its header says v1), and only the *next* segment is v2.
-        let dir = fresh_dir("upgrade");
+        let dir = fresh_dir("roll");
         let cfg = WriterConfig {
             batch_records: 4,
             segment_max_bytes: 256,
-            format: FormatVersion::V2,
         };
-        let mut writer =
-            StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir, FormatVersion::V1))
-                .expect("spawn");
+        let mut writer = StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir)).expect("spawn");
         for i in 0..40 {
             writer.append(rec(i)).expect("append");
         }
         let snap = writer.shutdown().expect("shutdown").expect("snapshot");
         assert!(snap.indices.len() > 1, "rolled into multiple segments");
-        assert_eq!(snap.indices[0].version, FormatVersion::V1);
-        assert!(snap.indices[1..]
-            .iter()
-            .all(|i| i.version == FormatVersion::V2));
-        for idx in &snap.indices {
-            let bytes =
-                std::fs::read(dir.join(segment::file_name(idx.segment_id))).expect("readable");
-            assert_eq!(segment::scan(&bytes).expect("scans").version, idx.version);
-            assert_eq!(&SegmentIndex::build_from_segment(&bytes).expect("ok"), idx);
-        }
         assert_eq!(snap.records(), 40);
+        for idx in &snap.indices {
+            let seg_path = dir.join(segment::file_name(idx.segment_id));
+            let bytes = std::fs::read(&seg_path).expect("segment readable");
+            assert_eq!(bytes.len() as u64, idx.seg_bytes);
+            let rebuilt = SegmentIndex::build_from_segment(&bytes).expect("rebuilds");
+            assert_eq!(&rebuilt, idx, "sidecar-free rebuild matches");
+            let sidecar = std::fs::read(dir.join(SegmentIndex::file_name(idx.segment_id)))
+                .expect("sidecar written");
+            assert_eq!(&SegmentIndex::from_bytes(&sidecar).expect("parses"), idx);
+        }
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -508,10 +451,9 @@ mod tests {
             let cfg = WriterConfig {
                 batch_records: 5,
                 segment_max_bytes: 300,
-                ..WriterConfig::default()
             };
-            let mut writer = StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir, cfg.format))
-                .expect("spawn");
+            let mut writer =
+                StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir)).expect("spawn");
             for i in 0..23 {
                 writer.append(rec(i * 7)).expect("append");
                 if i == 11 {

@@ -6,9 +6,10 @@
 //! a segment mid-record, flipping payload bytes, tearing the sidecar —
 //! and assert that `Store::open` (a) succeeds, (b) reports what it did,
 //! and (c) serves exactly the records of every intact batch afterwards.
-//! Every scenario runs against both frame formats (v1 fixed-width and
-//! v2 compact), since the durability quantum — the CRC-framed batch —
-//! is format-independent.
+//! The durability quantum — the CRC-framed batch — is independent of
+//! the record format inside it, so the scenarios run on what the writer
+//! produces (v2); v1 segments only ever arrive whole, from earlier
+//! builds (`format_compat` covers reading them).
 
 use dasr_core::obs::{EventKind, RunEvent};
 use dasr_store::crc::crc32;
@@ -17,22 +18,19 @@ use dasr_store::{segment, FormatVersion, RecordPayload, RunId, RunMeta, Store, W
 use std::path::PathBuf;
 
 const BATCH: usize = 4;
-const BOTH: [FormatVersion; 2] = [FormatVersion::V1, FormatVersion::V2];
 
-fn fresh_dir(tag: &str, format: FormatVersion) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("dasr-crash-{tag}-{format}-{}", std::process::id()));
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dasr-crash-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
-fn small_cfg(format: FormatVersion) -> WriterConfig {
+fn small_cfg() -> WriterConfig {
     WriterConfig {
         batch_records: BATCH,
         // Large bound: keep everything in one segment so the tests can
         // reason about a single file.
         segment_max_bytes: 64 * 1024 * 1024,
-        format,
     }
 }
 
@@ -45,8 +43,8 @@ fn event(interval: u64) -> RecordPayload {
 }
 
 /// Writes `n` events under one committed run and closes the store.
-fn write_store(dir: &PathBuf, format: FormatVersion, n: u64) -> RunId {
-    let mut store = Store::open_with(dir, small_cfg(format)).expect("open");
+fn write_store(dir: &PathBuf, n: u64) -> RunId {
+    let mut store = Store::open_with(dir, small_cfg()).expect("open");
     let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 1));
     for i in 0..n {
         store.append(run, event(i)).expect("append");
@@ -58,151 +56,135 @@ fn write_store(dir: &PathBuf, format: FormatVersion, n: u64) -> RunId {
 
 #[test]
 fn truncation_mid_record_recovers_to_the_last_complete_batch() {
-    for format in BOTH {
-        // 10 records, batches of 4 -> batches of 4, 4, 2.
-        let dir = fresh_dir("truncate", format);
-        let run = write_store(&dir, format, 10);
-        let seg = dir.join(segment::file_name(0));
-        let full = std::fs::read(&seg).expect("read segment");
+    // 10 records, batches of 4 -> batches of 4, 4, 2.
+    let dir = fresh_dir("truncate");
+    let run = write_store(&dir, 10);
+    let seg = dir.join(segment::file_name(0));
+    let full = std::fs::read(&seg).expect("read segment");
 
-        // Cut at every byte position inside the final batch (which holds
-        // records 8 and 9): recovery must always land on exactly 8
-        // records.
-        let scan = segment::scan(&full).expect("clean scan");
-        assert_eq!(scan.batches.len(), 3);
-        assert_eq!(scan.version, format);
-        let last_start = scan.batches[2].offset as usize;
-        for cut in [last_start + 1, last_start + 9, full.len() - 1] {
-            std::fs::write(&seg, &full[..cut]).expect("tear");
-            let store = Store::open_with(&dir, small_cfg(format)).expect("recovers");
-            assert!(
-                store
-                    .recovery_notes()
-                    .iter()
-                    .any(|n| n.segment == Some(0) && n.detail.contains("truncated")),
-                "{format} cut at {cut}: notes = {:?}",
-                store.recovery_notes()
-            );
-            let records = store.run_records(run).expect("query");
-            assert_eq!(
-                records.len(),
-                8,
-                "{format} cut at {cut}: last complete batch"
-            );
-            let intervals: Vec<u64> = records.iter().map(|r| r.interval()).collect();
-            assert_eq!(intervals, (0..8).collect::<Vec<_>>());
-            store.close().expect("close");
-        }
-
-        // After recovery the file ends on a batch boundary: reopening
-        // again is clean, and appending continues from there.
-        let mut store = Store::open_with(&dir, small_cfg(format)).expect("reopen");
-        assert!(store.recovery_notes().is_empty(), "already recovered");
-        let run2 = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 2));
-        assert!(run2.0 > run.0);
-        store
-            .append(run2, event(100))
-            .expect("append after recovery");
-        store.end_run(run2).expect("commit");
-        assert_eq!(store.run_records(run2).expect("query").len(), 1);
-        assert_eq!(store.run_records(run).expect("query").len(), 8);
+    // Cut at every byte position inside the final batch (which holds
+    // records 8 and 9): recovery must always land on exactly 8
+    // records.
+    let scan = segment::scan(&full).expect("clean scan");
+    assert_eq!(scan.batches.len(), 3);
+    assert_eq!(scan.version, FormatVersion::V2);
+    let last_start = scan.batches[2].offset as usize;
+    for cut in [last_start + 1, last_start + 9, full.len() - 1] {
+        std::fs::write(&seg, &full[..cut]).expect("tear");
+        let store = Store::open_with(&dir, small_cfg()).expect("recovers");
+        assert!(
+            store
+                .recovery_notes()
+                .iter()
+                .any(|n| n.segment == Some(0) && n.detail.contains("truncated")),
+            "cut at {cut}: notes = {:?}",
+            store.recovery_notes()
+        );
+        let records = store.run_records(run).expect("query");
+        assert_eq!(records.len(), 8, "cut at {cut}: last complete batch");
+        let intervals: Vec<u64> = records.iter().map(|r| r.interval()).collect();
+        assert_eq!(intervals, (0..8).collect::<Vec<_>>());
         store.close().expect("close");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
+
+    // After recovery the file ends on a batch boundary: reopening
+    // again is clean, and appending continues from there.
+    let mut store = Store::open_with(&dir, small_cfg()).expect("reopen");
+    assert!(store.recovery_notes().is_empty(), "already recovered");
+    let run2 = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 2));
+    assert!(run2.0 > run.0);
+    store
+        .append(run2, event(100))
+        .expect("append after recovery");
+    store.end_run(run2).expect("commit");
+    assert_eq!(store.run_records(run2).expect("query").len(), 1);
+    assert_eq!(store.run_records(run).expect("query").len(), 8);
+    store.close().expect("close");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn corrupt_batch_payload_is_cut_away_by_crc() {
-    for format in BOTH {
-        let dir = fresh_dir("corrupt", format);
-        let run = write_store(&dir, format, 10);
-        let seg = dir.join(segment::file_name(0));
-        let mut bytes = std::fs::read(&seg).expect("read segment");
-        let scan = segment::scan(&bytes).expect("clean scan");
-        // Flip one payload bit in the middle batch: it and everything
-        // after it are gone; the first batch survives.
-        let mid = scan.batches[1].offset as usize + 8 + 5;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&seg, &bytes).expect("corrupt");
+    let dir = fresh_dir("corrupt");
+    let run = write_store(&dir, 10);
+    let seg = dir.join(segment::file_name(0));
+    let mut bytes = std::fs::read(&seg).expect("read segment");
+    let scan = segment::scan(&bytes).expect("clean scan");
+    // Flip one payload bit in the middle batch: it and everything
+    // after it are gone; the first batch survives.
+    let mid = scan.batches[1].offset as usize + 8 + 5;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&seg, &bytes).expect("corrupt");
 
-        let store = Store::open_with(&dir, small_cfg(format)).expect("recovers");
-        assert!(
-            store
-                .recovery_notes()
-                .iter()
-                .any(|n| n.detail.contains("CRC")),
-            "{format} notes: {:?}",
-            store.recovery_notes()
-        );
-        let records = store.run_records(run).expect("query");
-        assert_eq!(
-            records.len(),
-            BATCH,
-            "{format}: only the first batch survives"
-        );
-        store.close().expect("close");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
+    let store = Store::open_with(&dir, small_cfg()).expect("recovers");
+    assert!(
+        store
+            .recovery_notes()
+            .iter()
+            .any(|n| n.detail.contains("CRC")),
+        "notes: {:?}",
+        store.recovery_notes()
+    );
+    let records = store.run_records(run).expect("query");
+    assert_eq!(records.len(), BATCH, "only the first batch survives");
+    store.close().expect("close");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn stale_or_torn_sidecars_are_rebuilt_from_the_segment() {
-    for format in BOTH {
-        let dir = fresh_dir("sidecar", format);
-        let run = write_store(&dir, format, 10);
-        let idx_path = dir.join(SegmentIndex::file_name(0));
-        let good = std::fs::read(&idx_path).expect("sidecar exists");
+    let dir = fresh_dir("sidecar");
+    let run = write_store(&dir, 10);
+    let idx_path = dir.join(SegmentIndex::file_name(0));
+    let good = std::fs::read(&idx_path).expect("sidecar exists");
 
-        // Torn sidecar bytes: recovery rebuilds (the sidecar is a cache).
-        std::fs::write(&idx_path, &good[..good.len() / 2]).expect("tear sidecar");
-        let store = Store::open_with(&dir, small_cfg(format)).expect("recovers");
-        assert_eq!(store.run_records(run).expect("query").len(), 10);
-        store.close().expect("close");
-        // Closing refreshed the active segment's sidecar; it parses
-        // again and remembers the segment's format.
-        let repaired = std::fs::read(&idx_path).expect("sidecar rewritten");
-        let parsed = SegmentIndex::from_bytes(&repaired).expect("parses");
-        assert_eq!(parsed.records(), 10);
-        assert_eq!(parsed.version, format);
+    // Torn sidecar bytes: recovery rebuilds (the sidecar is a cache).
+    std::fs::write(&idx_path, &good[..good.len() / 2]).expect("tear sidecar");
+    let store = Store::open_with(&dir, small_cfg()).expect("recovers");
+    assert_eq!(store.run_records(run).expect("query").len(), 10);
+    store.close().expect("close");
+    // Closing refreshed the active segment's sidecar; it parses
+    // again and remembers the segment's format.
+    let repaired = std::fs::read(&idx_path).expect("sidecar rewritten");
+    let parsed = SegmentIndex::from_bytes(&repaired).expect("parses");
+    assert_eq!(parsed.records(), 10);
+    assert_eq!(parsed.version, FormatVersion::V2);
 
-        // Missing sidecar entirely: same outcome.
-        std::fs::remove_file(&idx_path).expect("drop sidecar");
-        let store = Store::open_with(&dir, small_cfg(format)).expect("recovers");
-        assert_eq!(store.run_records(run).expect("query").len(), 10);
-        store.close().expect("close");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
+    // Missing sidecar entirely: same outcome.
+    std::fs::remove_file(&idx_path).expect("drop sidecar");
+    let store = Store::open_with(&dir, small_cfg()).expect("recovers");
+    assert_eq!(store.run_records(run).expect("query").len(), 10);
+    store.close().expect("close");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn torn_header_of_a_fresh_segment_is_rewritten() {
-    for format in BOTH {
-        let dir = fresh_dir("header", format);
-        let run = write_store(&dir, format, 6);
-        // Simulate a crash during the *next* segment's creation: a
-        // second segment file exists but only part of its header made it
-        // to disk.
-        let seg1 = dir.join(segment::file_name(1));
-        std::fs::write(&seg1, &segment::header_bytes(1, format)[..7]).expect("torn header");
+    let dir = fresh_dir("header");
+    let run = write_store(&dir, 6);
+    // Simulate a crash during the *next* segment's creation: a
+    // second segment file exists but only part of its header made it
+    // to disk.
+    let seg1 = dir.join(segment::file_name(1));
+    std::fs::write(&seg1, &segment::header_bytes(1)[..7]).expect("torn header");
 
-        let mut store = Store::open_with(&dir, small_cfg(format)).expect("recovers");
-        assert!(
-            store
-                .recovery_notes()
-                .iter()
-                .any(|n| n.segment == Some(1) && n.detail.contains("header")),
-            "{format} notes: {:?}",
-            store.recovery_notes()
-        );
-        // Old data intact, and the repaired segment accepts appends.
-        assert_eq!(store.run_records(run).expect("query").len(), 6);
-        let run2 = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 9));
-        store.append(run2, event(0)).expect("append");
-        store.end_run(run2).expect("commit");
-        assert_eq!(store.run_records(run2).expect("query").len(), 1);
-        store.close().expect("close");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-    }
+    let mut store = Store::open_with(&dir, small_cfg()).expect("recovers");
+    assert!(
+        store
+            .recovery_notes()
+            .iter()
+            .any(|n| n.segment == Some(1) && n.detail.contains("header")),
+        "notes: {:?}",
+        store.recovery_notes()
+    );
+    // Old data intact, and the repaired segment accepts appends.
+    assert_eq!(store.run_records(run).expect("query").len(), 6);
+    let run2 = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 9));
+    store.append(run2, event(0)).expect("append");
+    store.end_run(run2).expect("commit");
+    assert_eq!(store.run_records(run2).expect("query").len(), 1);
+    store.close().expect("close");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// A v2 batch whose payload is cut mid-varint *with the framing patched
@@ -211,8 +193,8 @@ fn torn_header_of_a_fresh_segment_is_rewritten() {
 /// than serve a half-decoded batch.
 #[test]
 fn crc_valid_truncated_varint_payload_is_reported_as_corrupt() {
-    let dir = fresh_dir("varint", FormatVersion::V2);
-    write_store(&dir, FormatVersion::V2, 10);
+    let dir = fresh_dir("varint");
+    write_store(&dir, 10);
     let seg = dir.join(segment::file_name(0));
     let full = std::fs::read(&seg).expect("read segment");
     let scan = segment::scan(&full).expect("clean scan");
@@ -239,7 +221,7 @@ fn crc_valid_truncated_varint_payload_is_reported_as_corrupt() {
     // The sidecar rebuild decodes every batch; the mid-varint cut
     // surfaces as corruption, not as data loss silently absorbed.
     std::fs::remove_file(dir.join(SegmentIndex::file_name(0))).expect("drop sidecar");
-    let err = match Store::open_with(&dir, small_cfg(FormatVersion::V2)) {
+    let err = match Store::open_with(&dir, small_cfg()) {
         Err(e) => e.to_string(),
         Ok(_) => panic!("forged truncated-varint batch must not open"),
     };
@@ -247,5 +229,60 @@ fn crc_valid_truncated_varint_payload_is_reported_as_corrupt() {
         err.contains("corrupt"),
         "expected a corruption report, got: {err}"
     );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A sidecar is trusted on its CRC, id and length, but a CRC only says
+/// the bytes are the ones somebody wrote. Swapping two entries' offsets
+/// and re-encoding leaves all three checks green while making frame
+/// lengths (next offset − this offset) negative: the sidecar must be
+/// refused and rebuilt from the segment, not followed into an
+/// out-of-range read.
+#[test]
+fn crc_valid_sidecar_with_swapped_offsets_is_rebuilt() {
+    let dir = fresh_dir("hostile-sidecar");
+    let cfg = WriterConfig {
+        batch_records: BATCH,
+        // Small bound: segment 0 seals, so its sidecar is the trusted kind.
+        segment_max_bytes: 128,
+    };
+    let mut store = Store::open_with(&dir, cfg).expect("open");
+    let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 1));
+    for i in 0..40 {
+        store.append(run, event(i)).expect("append");
+    }
+    store.end_run(run).expect("commit");
+    store.close().expect("close");
+
+    let idx_path = dir.join(SegmentIndex::file_name(0));
+    let mut idx = SegmentIndex::from_bytes(&std::fs::read(&idx_path).expect("sidecar"))
+        .expect("honest sidecar parses");
+    assert!(idx.entries.len() >= 2, "segment 0 holds several batches");
+    let (a, b) = (idx.entries[0].offset, idx.entries[1].offset);
+    idx.entries[0].offset = b;
+    idx.entries[1].offset = a;
+    std::fs::write(&idx_path, idx.to_bytes()).expect("plant hostile sidecar");
+
+    let store = Store::open_with(&dir, cfg).expect("opens");
+    assert!(
+        store
+            .recovery_notes()
+            .iter()
+            .any(|n| n.segment == Some(0) && n.detail.contains("rebuilt")),
+        "notes: {:?}",
+        store.recovery_notes()
+    );
+    let intervals: Vec<u64> = store
+        .scan_range(0..u64::MAX)
+        .expect("scan")
+        .iter()
+        .map(|r| r.interval())
+        .collect();
+    assert_eq!(intervals, (0..40).collect::<Vec<_>>());
+    store.close().expect("close");
+    // The rebuild repaired the file: the next open trusts it again.
+    let store = Store::open_with(&dir, cfg).expect("reopen");
+    assert!(store.recovery_notes().is_empty());
+    store.close().expect("close");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }

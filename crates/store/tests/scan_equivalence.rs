@@ -6,7 +6,7 @@
 
 use dasr_core::obs::{BalloonPhase, DenyReason, EventKind, RunEvent};
 use dasr_core::SampleRecord;
-use dasr_store::{FormatVersion, Query, RecordPayload, RunId, RunMeta, Shape, Store, WriterConfig};
+use dasr_store::{Query, RecordPayload, RunId, RunMeta, Shape, Store, WriterConfig};
 use dasr_telemetry::{ProbeStatus, TelemetrySample};
 use std::path::PathBuf;
 
@@ -74,13 +74,12 @@ fn event_kind(tenant: u64, interval: u64) -> EventKind {
 
 /// Builds a store with two runs spanning many small segments, mixing
 /// events and samples across tenants and intervals.
-fn build_store(dir: &PathBuf, format: FormatVersion) -> (RunId, RunId) {
+fn build_store(dir: &PathBuf) -> (RunId, RunId) {
     let cfg = WriterConfig {
         batch_records: 16,
         // Small segments: the 2 × 6 × 40 records span dozens of files,
         // so the parallel fan-out has real work to divide.
         segment_max_bytes: 2 * 1024,
-        format,
     };
     let mut store = Store::open_with(dir, cfg).expect("open");
     let mut runs = Vec::new();
@@ -113,47 +112,45 @@ fn build_store(dir: &PathBuf, format: FormatVersion) -> (RunId, RunId) {
 
 #[test]
 fn every_query_is_bit_identical_at_any_thread_count() {
-    for format in [FormatVersion::V1, FormatVersion::V2] {
-        let dir = fresh_dir(&format!("threads-{format}"));
-        let (run_a, run_b) = build_store(&dir, format);
+    let dir = fresh_dir("threads");
+    let (run_a, run_b) = build_store(&dir);
 
-        let mut store = Store::open(&dir).expect("reopen");
-        assert!(
-            store.stats().expect("stats").segments > 8,
-            "{format}: need many segments for the fan-out to matter"
+    let mut store = Store::open(&dir).expect("reopen");
+    assert!(
+        store.stats().expect("stats").segments > 8,
+        "need many segments for the fan-out to matter"
+    );
+
+    let mut baseline = None;
+    for threads in [1usize, 2, 8] {
+        store.set_read_threads(threads);
+        assert_eq!(store.read_threads(), threads);
+        let got = (
+            store.scan_range(5..30).expect("scan_range"),
+            store.run_records(run_a).expect("run_records"),
+            store.tenant_events(run_b, 3).expect("tenant_events"),
+            store.run_samples(run_a, Some(1)).expect("run_samples"),
+            store.run_samples(run_b, None).expect("all samples"),
+            store.fire_counts(None, 0..INTERVALS).expect("fires all"),
+            store.fire_counts(Some(run_b), 10..20).expect("fires run"),
         );
-
-        let mut baseline = None;
-        for threads in [1usize, 2, 8] {
-            store.set_read_threads(threads);
-            assert_eq!(store.read_threads(), threads);
-            let got = (
-                store.scan_range(5..30).expect("scan_range"),
-                store.run_records(run_a).expect("run_records"),
-                store.tenant_events(run_b, 3).expect("tenant_events"),
-                store.run_samples(run_a, Some(1)).expect("run_samples"),
-                store.run_samples(run_b, None).expect("all samples"),
-                store.fire_counts(None, 0..INTERVALS).expect("fires all"),
-                store.fire_counts(Some(run_b), 10..20).expect("fires run"),
-            );
-            assert!(!got.0.is_empty() && !got.1.is_empty() && !got.2.is_empty());
-            assert_eq!(got.3.len(), INTERVALS as usize);
-            assert_eq!(got.4.len(), (TENANTS * INTERVALS) as usize);
-            assert!(got.5.total_fires() > 0);
-            match &baseline {
-                None => baseline = Some(got),
-                Some(b) => assert_eq!(b, &got, "{format}: results diverged at {threads} threads"),
-            }
+        assert!(!got.0.is_empty() && !got.1.is_empty() && !got.2.is_empty());
+        assert_eq!(got.3.len(), INTERVALS as usize);
+        assert_eq!(got.4.len(), (TENANTS * INTERVALS) as usize);
+        assert!(got.5.total_fires() > 0);
+        match &baseline {
+            None => baseline = Some(got),
+            Some(b) => assert_eq!(b, &got, "results diverged at {threads} threads"),
         }
-        store.close().expect("close");
-        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
+    store.close().expect("close");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 #[test]
 fn streaming_cursor_agrees_with_collected_queries() {
     let dir = fresh_dir("cursor");
-    let (run_a, _) = build_store(&dir, FormatVersion::V2);
+    let (run_a, _) = build_store(&dir);
     let store = Store::open(&dir).expect("reopen");
 
     // Whole-window scan: cursor vs scan_range.

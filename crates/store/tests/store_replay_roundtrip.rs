@@ -73,7 +73,6 @@ fn store_sink_captures_the_live_event_stream_byte_for_byte() {
     let cfg = WriterConfig {
         batch_records: 32,
         segment_max_bytes: 8 * 1024,
-        ..WriterConfig::default()
     };
     let mut store = Store::open_with(&dir, cfg).expect("open");
     let run = store.begin_run(

@@ -1,5 +1,5 @@
-//! Record a 64-tenant fleet run to JSONL, then replay the recording
-//! through two policies — the paper's Auto policy (same as the recording,
+//! Record a 64-tenant fleet run into a run store, load the recordings
+//! back, and replay them through two policies — the paper's Auto policy (same as the recording,
 //! an exactness check) and the Util threshold baseline (a counterfactual
 //! A/B) — and print the decision-trace diff summary.
 //!
@@ -13,9 +13,10 @@
 //! evaluation), not a re-simulation.
 
 use dasr::core::{
-    record_run, replay, replay_with, tenant_seed, AutoPolicy, ReplayDiff, RunConfig, RunRecording,
-    TenantKnobs, UtilPolicy,
+    record_run, replay, replay_with, tenant_seed, AutoPolicy, ReplayDiff, RunConfig, TenantKnobs,
+    UtilPolicy,
 };
+use dasr::store::{RunMeta, Store};
 use dasr::telemetry::{CounterfactualActuator, LatencyGoal};
 use dasr::workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 
@@ -40,28 +41,15 @@ fn tenant_trace(i: usize) -> Trace {
     Trace::new("fleet-mix", demand)
 }
 
-/// Splits a concatenated multi-tenant recording file back into per-tenant
-/// recordings (each section starts at its header line).
-fn split_fleet_jsonl(text: &str) -> Vec<RunRecording> {
-    let mut sections: Vec<String> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        if line.contains("\"kind\":\"dasr-recording\"") {
-            sections.push(String::new());
-        }
-        let section = sections.last_mut().expect("file starts with a header");
-        section.push_str(line);
-        section.push('\n');
-    }
-    sections
-        .iter()
-        .map(|s| RunRecording::from_jsonl(s).expect("recorded section parses"))
-        .collect()
-}
-
 fn main() {
-    // -- 1. Record: 64 tenants under the Auto policy -> one JSONL file --
+    // -- 1. Record: 64 tenants under the Auto policy -> one store run --
     println!("Recording {TENANTS} tenants x {MINUTES} min under Auto…");
-    let mut fleet_jsonl = String::new();
+    let dir = std::env::temp_dir().join("dasr_fleet_recording");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = Store::open(&dir).expect("open store");
+    let run = store.begin_run(
+        RunMeta::new("auto", "cpuio", "fleet-mix", 0x64F1).fleet(TENANTS as u64, MINUTES as u64),
+    );
     let mut originals = Vec::with_capacity(TENANTS);
     for i in 0..TENANTS {
         let cfg = tenant_cfg(i);
@@ -73,22 +61,25 @@ fn main() {
             &mut policy,
         );
         recording.stamp_tenant(i as u64);
-        fleet_jsonl.push_str(&recording.to_jsonl());
+        store.append_recording(run, &recording).expect("archive");
         originals.push(report);
     }
-    let path = std::env::temp_dir().join("dasr_fleet_recording.jsonl");
-    std::fs::write(&path, &fleet_jsonl).expect("write recording");
+    let committed = store.end_run(run).expect("commit");
+    let stats = store.stats().expect("stats");
     println!(
-        "wrote {} ({} lines, {:.1} KiB)",
-        path.display(),
-        fleet_jsonl.lines().count(),
-        fleet_jsonl.len() as f64 / 1024.0
+        "wrote {} ({} samples, {:.1} KiB)",
+        dir.display(),
+        committed.samples,
+        stats.bytes as f64 / 1024.0
     );
+    store.close().expect("close");
 
-    // -- 2. Load the file back and replay --
-    let loaded = std::fs::read_to_string(&path).expect("read recording");
-    let recordings = split_fleet_jsonl(&loaded);
-    assert_eq!(recordings.len(), TENANTS);
+    // -- 2. Reopen the store, load the recordings back and replay --
+    let store = Store::open(&dir).expect("reopen store");
+    let recordings: Vec<_> = (0..TENANTS)
+        .map(|i| store.load_recording(run, Some(i as u64)).expect("load"))
+        .collect();
+    store.close().expect("close");
 
     // 2a. Same policy: every decision must reproduce exactly.
     let mut exact = 0usize;
