@@ -1,290 +1,164 @@
-//! Per-interval signal-set computation: optimized (SoA ring window +
-//! scratch-buffer statistics) vs. the allocating baseline this repo shipped
-//! with (VecDeque window, freshly collected series vectors, full-sort
-//! medians, per-call rank/slope buffers).
+//! Per-interval signal computation on one `dasr_fleet`-synthesised
+//! tenant-day: the full `TelemetryManager::observe`, and the trend and
+//! correlation kernels under it as a batch-vs-sliding pair over the same
+//! nine series (4 utilisation, 4 wait-per-request, latency; trend window
+//! 10, correlation window 15).
 //!
-//! The baseline below is a faithful re-implementation of the old hot path:
-//! it computes the same medians, trends and correlations over the same
-//! windows, minus the (cheap) categorization and struct assembly the real
-//! manager also does — so the measured speedup is, if anything,
-//! understated.
+//! The input is drawn the way the end-to-end benchmark's `control_replay`
+//! pool is — a population tenant's demand against the container covering
+//! its median, `WaitModel` waits, 2 % contaminated samples — because a
+//! periodic, tie-heavy generator (the `i % 17` ramp this bench used to
+//! feed) lets the sign test accept and the sorts short-cut far more often
+//! than telemetry does. Ungated diagnostic; the claim is the end-to-end
+//! `control_replay` row.
 
 use criterion::{black_box, Criterion};
-use dasr_containers::{ResourceKind, RESOURCE_KINDS};
-use dasr_engine::WaitClass;
-use dasr_stats::{Trend, TrendDirection};
+use dasr_containers::{Catalog, ResourceKind, RESOURCE_KINDS};
+use dasr_engine::{WaitClass, WAIT_CLASSES};
+use dasr_fleet::{TenantPopulation, WaitModel};
+use dasr_stats::{
+    spearman_in, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, TrendScratch,
+};
+use dasr_telemetry::signals::wait_class_for;
 use dasr_telemetry::{LatencyGoal, TelemetryConfig, TelemetryManager, TelemetrySample};
-use std::collections::VecDeque;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-fn sample(i: u64) -> TelemetrySample {
-    let mut util_pct = [0.0; 4];
-    util_pct[ResourceKind::Cpu.index()] = 40.0 + (i % 17) as f64;
-    util_pct[ResourceKind::Memory.index()] = 85.0;
-    util_pct[ResourceKind::DiskIo.index()] = 20.0 + (i % 7) as f64;
-    util_pct[ResourceKind::LogIo.index()] = 5.0;
-    let mut wait_ms = [0.0; 7];
-    wait_ms[WaitClass::Cpu.index()] = 500.0 + (i % 13) as f64 * 100.0;
-    wait_ms[WaitClass::DiskIo.index()] = 200.0;
-    wait_ms[WaitClass::Lock.index()] = 100.0;
-    TelemetrySample {
-        interval: i,
-        util_pct,
-        wait_ms,
-        latency_ms: Some(80.0 + (i % 11) as f64),
-        avg_latency_ms: Some(60.0),
-        completed: 5_000,
-        arrivals: 5_000,
-        rejected: 0,
-        mem_used_mb: 3_000.0,
-        mem_capacity_mb: 3_482.0,
-        disk_reads_per_sec: 50.0,
-    }
-}
+const MINUTES: usize = 1440;
+const TREND_WINDOW: usize = 10;
+const CORR_WINDOW: usize = 15;
 
-/// The old AoS window: VecDeque of samples, every series a fresh Vec.
-struct NaiveWindow {
-    cap: usize,
-    samples: VecDeque<TelemetrySample>,
-}
-
-impl NaiveWindow {
-    fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            samples: VecDeque::with_capacity(cap),
-        }
-    }
-
-    fn push(&mut self, sample: TelemetrySample) {
-        if self.samples.len() == self.cap {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(sample);
-    }
-
-    fn recent(&self, n: usize) -> impl Iterator<Item = &TelemetrySample> {
-        let skip = self.samples.len().saturating_sub(n);
-        self.samples.iter().skip(skip)
-    }
-
-    fn util_series(&self, kind: ResourceKind, n: usize) -> Vec<f64> {
-        self.recent(n).map(|s| s.util(kind)).collect()
-    }
-
-    fn wait_per_request_series(&self, class: WaitClass, n: usize) -> Vec<f64> {
-        self.recent(n)
-            .map(|s| s.wait(class) / (s.completed.max(1) as f64))
-            .collect()
-    }
-
-    fn wait_pct_series(&self, class: WaitClass, n: usize) -> Vec<f64> {
-        self.recent(n).map(|s| s.wait_pct(class)).collect()
-    }
-
-    fn latency_series(&self, n: usize) -> Vec<f64> {
-        self.recent(n)
-            .map(|s| s.latency_ms.unwrap_or(f64::NAN))
-            .collect()
-    }
-}
-
-// ---- The seed's statistics kernels, verbatim allocation patterns ----
-
-/// Seed `median`: fresh filtered copy + full (stable-ish) sort per call.
-fn naive_median(values: &[f64]) -> Option<f64> {
-    let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
-        return None;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let idx = (v.len() - 1) as f64 * 0.5;
-    let (lo, hi) = (idx.floor() as usize, idx.ceil() as usize);
-    Some((v[lo] + v[hi]) / 2.0)
-}
-
-/// Seed `average_ranks`: fresh `Vec<usize>` order (stable sort) + rank vec.
-fn naive_average_ranks(values: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..values.len())
-        .filter(|&i| values[i].is_finite())
-        .collect();
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("finite"));
-    let mut ranks = vec![f64::NAN; values.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i + 1;
-        while j < order.len() && values[order[j]] == values[order[i]] {
-            j += 1;
-        }
-        let avg = (i + 1 + j) as f64 / 2.0;
-        for &idx in &order[i..j] {
-            ranks[idx] = avg;
-        }
-        i = j;
-    }
-    ranks
-}
-
-/// Seed `pearson`: filter into a pts vec, unzip, then the moment sums.
-fn naive_pearson(x: &[f64], y: &[f64]) -> Option<f64> {
-    let pts: Vec<(f64, f64)> = x
-        .iter()
-        .zip(y.iter())
-        .filter(|(a, b)| a.is_finite() && b.is_finite())
-        .map(|(a, b)| (*a, *b))
-        .collect();
-    if pts.len() < 2 {
-        return None;
-    }
-    let (xs, ys): (Vec<f64>, Vec<f64>) = pts.into_iter().unzip();
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let (mut sxx, mut syy, mut sxy) = (0.0, 0.0, 0.0);
-    for (a, b) in xs.iter().zip(ys.iter()) {
-        let (dx, dy) = (a - mx, b - my);
-        sxx += dx * dx;
-        syy += dy * dy;
-        sxy += dx * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return None;
-    }
-    Some((sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0))
-}
-
-/// Seed `spearman`: unzip copy + two allocating rank transforms.
-fn naive_spearman(x: &[f64], y: &[f64]) -> Option<f64> {
-    let (xs, ys): (Vec<f64>, Vec<f64>) = x
-        .iter()
-        .zip(y.iter())
-        .filter(|(a, b)| a.is_finite() && b.is_finite())
-        .map(|(a, b)| (*a, *b))
-        .unzip();
-    if xs.len() < 2 {
-        return None;
-    }
-    naive_pearson(&naive_average_ranks(&xs), &naive_average_ranks(&ys))
-}
-
-/// Seed `TheilSen::trend_indexed`: materialize `xs = 0..n`, collect a pts
-/// vec, push every pairwise slope into a fresh vec, full-sort median.
-fn naive_trend_indexed(alpha: f64, y: &[f64]) -> Trend {
-    let xs: Vec<f64> = (0..y.len()).map(|i| i as f64).collect();
-    let pts: Vec<(f64, f64)> = xs
-        .iter()
-        .zip(y.iter())
-        .filter(|(a, b)| a.is_finite() && b.is_finite())
-        .map(|(a, b)| (*a, *b))
-        .collect();
-    if pts.len() < 2 {
-        return Trend::None;
-    }
-    let mut slopes = Vec::with_capacity(pts.len() * (pts.len() - 1) / 2);
-    for i in 0..pts.len() {
-        for j in (i + 1)..pts.len() {
-            let dx = pts[j].0 - pts[i].0;
-            if dx != 0.0 {
-                slopes.push((pts[j].1 - pts[i].1) / dx);
+/// One tenant-day of samples (tenant 5 of population seed 2: a bursty
+/// tenant whose peaks saturate the container).
+fn tenant_day() -> Vec<TelemetrySample> {
+    let tenant = 5;
+    let population = TenantPopulation::generate_with_len(tenant + 1, MINUTES / 5, 2);
+    let demand = &population.tenants[tenant].intervals;
+    let mut rng = StdRng::seed_from_u64(0x9001);
+    let mut models = RESOURCE_KINDS.map(|kind| WaitModel::new(kind, 0x9001));
+    let mut by_cpu = demand.clone();
+    by_cpu.sort_by(|a, b| a.cpu_cores.total_cmp(&b.cpu_cores));
+    let catalog = Catalog::azure_like();
+    let nominal = catalog
+        .assign_for_utilization(&by_cpu[by_cpu.len() / 2])
+        .resources;
+    (0..MINUTES)
+        .map(|m| {
+            let demand = &demand[m / 5];
+            let mut util_pct = [0.0; RESOURCE_KINDS.len()];
+            let mut wait_ms = [0.0; WAIT_CLASSES.len()];
+            for kind in RESOURCE_KINDS {
+                let util = demand[kind] / nominal[kind] * 100.0 * rng.gen_range(0.9..1.1);
+                util_pct[kind.index()] = util.min(100.0);
+                wait_ms[wait_class_for(kind).index()] =
+                    models[kind.index()].sample_at(util.min(100.0)).wait_ms;
             }
-        }
-    }
-    if slopes.is_empty() {
-        return Trend::None;
-    }
-    let (mut pos, mut neg) = (0usize, 0usize);
-    for &m in &slopes {
-        if m > 1e-12 {
-            pos += 1;
-        } else if m < -1e-12 {
-            neg += 1;
-        }
-    }
-    let total = slopes.len() as f64;
-    slopes.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let slope = slopes[(slopes.len() - 1) / 2];
-    let (dominant, direction) = if pos >= neg {
-        (pos, TrendDirection::Increasing)
-    } else {
-        (neg, TrendDirection::Decreasing)
-    };
-    let agreement = dominant as f64 / total;
-    if agreement >= alpha {
-        Trend::Significant {
-            direction,
-            slope,
-            agreement,
-        }
-    } else {
-        Trend::None
-    }
+            wait_ms[WaitClass::Lock.index()] = rng.gen_range(0.0..5.0);
+            let hottest = util_pct.iter().copied().fold(0.0, f64::max);
+            let pressure = ((hottest - 60.0) / 40.0).max(0.0);
+            let mut latency = 40.0 * (1.0 + 6.0 * pressure * pressure) * rng.gen_range(0.8..1.25);
+            if rng.gen_bool(0.02) {
+                let spike = rng.gen_range(10.0..50.0);
+                latency *= spike;
+                wait_ms.iter_mut().for_each(|w| *w *= spike);
+            }
+            let requests = (demand.cpu_cores * 180.0).round().max(1.0) as u64;
+            TelemetrySample {
+                interval: m as u64,
+                util_pct,
+                wait_ms,
+                latency_ms: Some(latency),
+                avg_latency_ms: Some(latency * 0.6),
+                completed: requests,
+                arrivals: requests,
+                rejected: 0,
+                mem_used_mb: demand.memory_mb.min(nominal.memory_mb),
+                mem_capacity_mb: nominal.memory_mb,
+                disk_reads_per_sec: demand[ResourceKind::DiskIo] * 0.5,
+            }
+        })
+        .collect()
 }
 
-/// One interval of the old signal pipeline: same statistics over the same
-/// windows as `TelemetryManager::signals`, with the seed's allocation
-/// patterns and sort-based kernels.
-fn naive_signals(window: &NaiveWindow, cfg: &TelemetryConfig) -> f64 {
-    let latency_series = window.latency_series(cfg.corr_window);
-    let mut acc = 0.0;
+/// The nine series the trend and correlation signals read, latency last,
+/// each laid out twice over so that the window ending at day-minute `m` is
+/// the contiguous slice ending at `MINUTES + m` on every lap.
+fn series_of(day: &[TelemetrySample]) -> Vec<Vec<f64>> {
+    let mut series: Vec<Vec<f64>> = Vec::new();
     for kind in RESOURCE_KINDS {
-        let class = match kind {
-            ResourceKind::Cpu => WaitClass::Cpu,
-            ResourceKind::Memory => WaitClass::Memory,
-            ResourceKind::DiskIo => WaitClass::DiskIo,
-            ResourceKind::LogIo => WaitClass::LogIo,
-        };
-        acc += naive_median(&window.util_series(kind, cfg.smoothing_window)).unwrap_or(0.0);
-        acc += naive_median(&window.wait_per_request_series(class, cfg.smoothing_window))
-            .unwrap_or(0.0);
-        acc += naive_median(&window.wait_pct_series(class, cfg.smoothing_window)).unwrap_or(0.0);
-
-        let util_t = window.util_series(kind, cfg.trend_window);
-        let trend = naive_trend_indexed(cfg.trend_alpha, &util_t);
-        acc += naive_median(&util_t).unwrap_or(0.0) + trend.is_increasing() as u64 as f64;
-        let wait_t = window.wait_per_request_series(class, cfg.trend_window);
-        let trend = naive_trend_indexed(cfg.trend_alpha, &wait_t);
-        acc += naive_median(&wait_t).unwrap_or(0.0) + trend.is_increasing() as u64 as f64;
-
-        let wait_c = window.wait_per_request_series(class, cfg.corr_window);
-        acc += naive_spearman(&latency_series, &wait_c).unwrap_or(0.0);
-        let util_c = window.util_series(kind, cfg.corr_window);
-        acc += naive_spearman(&latency_series, &util_c).unwrap_or(0.0);
+        series.push(day.iter().map(|s| s.util(kind)).collect());
     }
-    acc += naive_median(&window.latency_series(cfg.smoothing_window)).unwrap_or(0.0);
-    let lat_t = window.latency_series(cfg.trend_window);
-    acc += naive_trend_indexed(cfg.trend_alpha, &lat_t).is_increasing() as u64 as f64;
-    for class in [WaitClass::Lock, WaitClass::Latch, WaitClass::Other] {
-        acc += naive_median(&window.wait_pct_series(class, cfg.smoothing_window)).unwrap_or(0.0);
+    for kind in RESOURCE_KINDS {
+        let class = wait_class_for(kind);
+        series.push(
+            day.iter()
+                .map(|s| s.wait(class) / s.completed as f64)
+                .collect(),
+        );
     }
-    acc
-}
-
-fn telemetry_config() -> TelemetryConfig {
-    TelemetryConfig {
-        latency_goal: Some(LatencyGoal::P95(100.0)),
-        ..TelemetryConfig::default()
+    series.push(day.iter().filter_map(|s| s.latency_ms).collect());
+    for s in &mut series {
+        s.extend_from_within(..);
     }
+    series
 }
 
 fn bench_signals(c: &mut Criterion) {
+    let day = tenant_day();
+    let series = series_of(&day);
+    let estimator = TheilSen::new();
     let mut group = c.benchmark_group("signals");
 
-    group.bench_function("optimized_observe_plus_signals", |b| {
-        let mut tm = TelemetryManager::new(telemetry_config());
-        let mut i = 0u64;
+    group.bench_function("observe_fleet_day", |b| {
+        let mut tm = TelemetryManager::new(TelemetryConfig {
+            latency_goal: Some(LatencyGoal::P95(100.0)),
+            ..TelemetryConfig::default()
+        });
+        let mut i = 0;
         b.iter(|| {
-            i += 1;
-            black_box(tm.observe(sample(i)))
+            i = (i + 1) % MINUTES;
+            black_box(tm.observe(day[i]))
         })
     });
 
-    group.bench_function("baseline_alloc_observe_plus_signals", |b| {
-        let cfg = telemetry_config();
-        let mut window = NaiveWindow::new(cfg.window_cap);
-        let mut i = 0u64;
+    group.bench_function("kernels_batch_fleet_day", |b| {
+        let (mut trend, mut ranks) = (TrendScratch::default(), SpearmanScratch::default());
+        let mut m = 0;
         b.iter(|| {
-            i += 1;
-            window.push(sample(i));
-            black_box(naive_signals(&window, &cfg))
+            m = (m + 1) % MINUTES;
+            let end = MINUTES + m + 1;
+            let latency = &series[8][end - CORR_WINDOW..end];
+            let mut acc = 0.0;
+            for (k, s) in series.iter().enumerate() {
+                let t = estimator.trend_indexed_in(&s[end - TREND_WINDOW..end], &mut trend);
+                acc += t.slope();
+                if k < 8 {
+                    let rho = spearman_in(latency, &s[end - CORR_WINDOW..end], &mut ranks);
+                    acc += rho.unwrap_or(0.0);
+                }
+            }
+            black_box(acc)
+        })
+    });
+
+    group.bench_function("kernels_sliding_fleet_day", |b| {
+        let (mut trend, mut scratch) = (TrendScratch::default(), SpearmanScratch::default());
+        let mut trends = vec![SlidingTheilSen::new(estimator, TREND_WINDOW); series.len()];
+        let mut ranks = vec![SlidingRanks::new(CORR_WINDOW); series.len()];
+        let mut m = 0;
+        b.iter(|| {
+            m = (m + 1) % MINUTES;
+            let mut acc = 0.0;
+            for (k, s) in series.iter().enumerate() {
+                trends[k].push(s[m]);
+                ranks[k].push(s[m]);
+                acc += trends[k].trend_in(&mut trend).slope();
+            }
+            let (others, latency) = ranks.split_at(8);
+            for r in others {
+                acc += latency[0].spearman_in(r, &mut scratch).unwrap_or(0.0);
+            }
+            black_box(acc)
         })
     });
 
@@ -300,13 +174,11 @@ fn main() {
             .find(|m| m.id.contains(needle))
             .map(|m| m.ns_per_iter)
     };
-    if let (Some(opt), Some(base)) = (ns("optimized"), ns("baseline")) {
-        if opt > 0.0 {
+    if let (Some(batch), Some(sliding)) = (ns("kernels_batch"), ns("kernels_sliding")) {
+        if sliding > 0.0 {
             println!(
-                "signal-set speedup: {:.2}x (baseline {:.0} ns → optimized {:.0} ns)",
-                base / opt,
-                base,
-                opt
+                "trend + correlation kernels: {:.2}x (batch {batch:.0} ns → sliding {sliding:.0} ns per interval)",
+                batch / sliding
             );
         }
     }

@@ -19,6 +19,10 @@
 //! - [`rank`] / [`spearman()`] — average-rank computation and Spearman's ρ
 //!   (§3.2.2), robust to outliers because values are first mapped to ranks;
 //! - [`pearson()`] — Pearson correlation (used internally by Spearman);
+//! - [`SlidingTheilSen`] / [`SlidingRanks`] — the trend test and the rank
+//!   correlation over a sliding window at O(window) per sample, returning
+//!   the batch kernels' results bit for bit (the telemetry manager's
+//!   per-interval path);
 //! - [`ewma`] — exponentially weighted moving averages;
 //! - [`histogram`] — fixed-bin histograms and empirical CDFs used by the
 //!   figure-reproduction benches;
@@ -45,6 +49,7 @@ pub mod online;
 pub mod pearson;
 pub mod quantile;
 pub mod rank;
+mod ring;
 pub mod robust;
 pub mod spearman;
 pub mod theil_sen;
@@ -62,6 +67,6 @@ pub use quantile::{
 };
 pub use rank::{average_ranks, average_ranks_in};
 pub use robust::{mad, trimmed_mean};
-pub use spearman::{spearman, spearman_in, SpearmanScratch};
-pub use theil_sen::{theil_sen, TheilSen, Trend, TrendDirection, TrendScratch};
+pub use spearman::{spearman, spearman_in, SlidingRanks, SpearmanScratch};
+pub use theil_sen::{theil_sen, SlidingTheilSen, TheilSen, Trend, TrendDirection, TrendScratch};
 pub use token_bucket::TokenBucket;

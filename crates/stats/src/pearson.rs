@@ -55,6 +55,12 @@ pub fn pearson_of_finite(x: &[f64], y: &[f64]) -> Option<f64> {
         syy += dy * dy;
         sxy += dx * dy;
     }
+    from_moments(sxx, syy, sxy)
+}
+
+/// The correlation coefficient from the centred second moments — the only
+/// step of a rank correlation that rounds.
+pub(crate) fn from_moments(sxx: f64, syy: f64, sxy: f64) -> Option<f64> {
     if sxx == 0.0 || syy == 0.0 {
         return None;
     }

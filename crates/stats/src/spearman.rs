@@ -6,8 +6,9 @@
 //! in a database engine is usually non-linear, and because the rank transform
 //! bounds outlier influence.
 
-use crate::pearson::pearson_of_finite;
+use crate::pearson::{from_moments, pearson_of_finite};
 use crate::rank::average_ranks_in;
+use crate::ring::SampleRing;
 
 /// Spearman rank correlation coefficient of paired samples.
 ///
@@ -72,6 +73,122 @@ pub fn spearman_in(x: &[f64], y: &[f64], scratch: &mut SpearmanScratch) -> Optio
     average_ranks_in(&scratch.xs, &mut scratch.order, &mut scratch.rx);
     average_ranks_in(&scratch.ys, &mut scratch.order, &mut scratch.ry);
     pearson_of_finite(&scratch.rx, &scratch.ry)
+}
+
+/// Average ranks of the last `window` samples of a stream, kept current at
+/// O(window) per sample with no sort, so that one ranking of a series
+/// serves every correlation it takes part in.
+///
+/// What is carried, per ring slot, is the centred average rank (doubled, so
+/// it stays an integer): a sample's average rank is the number of window
+/// samples below it plus half the number equal to it, itself included, plus
+/// one half, and a slide moves each retained sample's two counts by at most
+/// one each — decided by comparing it with the sample that left and the
+/// sample that arrived.
+///
+/// [`SlidingRanks::spearman_in`] returns, bit for bit, what [`spearman_in`]
+/// returns on the two kernels' [`SlidingRanks::window`]s. The argument is
+/// that rank arithmetic is exact in `f64`: an average rank is a
+/// half-integer, the mean rank of `n` samples, tied or not, is
+/// `(n + 1) / 2`, so every centred rank is a half-integer and every product
+/// of two a quarter-integer, and their sums stay far below 2⁵³ (at most
+/// `n³ / 4`; `new` bounds `n`). The centred second moments are therefore
+/// the same numbers in whatever order, grouping or scaling by a power of two
+/// they are accumulated, and only the final quotient — one expression
+/// shared with the batch kernel — rounds. A window holding a non-finite
+/// sample is handed to the batch kernel, which drops the pair and re-ranks
+/// the rest; the counts stay consistent meanwhile because a sample leaves
+/// by the comparisons it entered by.
+#[derive(Debug, Clone)]
+pub struct SlidingRanks {
+    ring: SampleRing,
+    /// Per ring slot, twice the sample's centred average rank:
+    /// `2·#{below} + #{equal, itself included} − len`.
+    twice_centred: Vec<f64>,
+    /// Σ `twice_centred²` over the live slots.
+    sum_sq: f64,
+}
+
+impl SlidingRanks {
+    /// Windows up to this size have exact rank moments (`n³ < 2⁵³`).
+    pub const MAX_WINDOW: usize = 1 << 17;
+
+    /// A kernel ranking the last `window` samples pushed.
+    ///
+    /// # Panics
+    /// Panics if `window` exceeds [`SlidingRanks::MAX_WINDOW`].
+    pub fn new(window: usize) -> Self {
+        assert!(
+            window <= Self::MAX_WINDOW,
+            "rank moments are exact only up to {} samples",
+            Self::MAX_WINDOW
+        );
+        Self {
+            ring: SampleRing::new(window),
+            twice_centred: vec![0.0; window],
+            sum_sq: 0.0,
+        }
+    }
+
+    /// Appends a sample, evicting the oldest once `window` are held.
+    pub fn push(&mut self, v: f64) {
+        let Some((p, evicted)) = self.ring.push(v) else {
+            return;
+        };
+        // What an arriving (+) or leaving (−) sample `a` does to the doubled
+        // rank of a retained sample `r`; NaN compares false and does nothing.
+        let weigh = |a: f64, r: f64| 2.0 * f64::from(a < r) + f64::from(a == r);
+        let samples = self.ring.slots();
+        let ranks = &mut self.twice_centred[..samples.len()];
+        // A sample that evicts none raises every mean rank by a half. Slot
+        // `p` is updated with the rest and then overwritten. (Two loops: with
+        // the choice inside one, the kernel measured a tenth slower.)
+        match evicted {
+            Some(old) => {
+                for (rank, &r) in ranks.iter_mut().zip(samples) {
+                    *rank += weigh(v, r) - weigh(old, r);
+                }
+            }
+            None => {
+                for (rank, &r) in ranks.iter_mut().zip(samples) {
+                    *rank += weigh(v, r) - 1.0;
+                }
+            }
+        }
+        let below_and_equal: f64 = samples.iter().map(|&r| weigh(r, v)).sum();
+        ranks[p] = below_and_equal - samples.len() as f64;
+        self.sum_sq = ranks.iter().map(|c| c * c).sum();
+    }
+
+    /// The samples held, oldest → newest.
+    pub fn window(&self) -> &[f64] {
+        self.ring.window()
+    }
+
+    /// Spearman's ρ between this series and `other` over their windows:
+    /// what [`spearman_in`] returns on `(self.window(), other.window())`,
+    /// bit for bit.
+    ///
+    /// # Panics
+    /// Panics unless the two kernels have the same window size and have
+    /// been pushed the same number of samples.
+    pub fn spearman_in(&self, other: &SlidingRanks, scratch: &mut SpearmanScratch) -> Option<f64> {
+        assert!(
+            self.ring.in_step_with(&other.ring),
+            "rank windows must slide in step"
+        );
+        if !(self.ring.all_finite() && other.ring.all_finite()) {
+            return spearman_in(self.window(), other.window(), scratch);
+        }
+        // Live slots are `0..len`, the same slots on both sides.
+        let len = self.ring.slots().len();
+        let sxy: f64 = self.twice_centred[..len]
+            .iter()
+            .zip(&other.twice_centred[..len])
+            .map(|(a, b)| a * b)
+            .sum();
+        from_moments(self.sum_sq / 4.0, other.sum_sq / 4.0, sxy / 4.0)
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,8 @@
 //! produces a near-even split of positive and negative slopes and is
 //! rejected; this prevents the auto-scaler from chasing noise.
 
+use crate::ring::SampleRing;
+
 /// Direction of an accepted trend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrendDirection {
@@ -25,7 +27,8 @@ pub enum TrendDirection {
 /// Result of a Theil–Sen trend test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Trend {
-    /// Too few points, or the sign-agreement test failed: no statistically
+    /// Too few points, the sign-agreement test failed, or the samples lie
+    /// so far apart that a pairwise difference overflows: no statistically
     /// significant trend. The auto-scaler must ignore it.
     None,
     /// A significant trend with the given direction and median slope
@@ -283,30 +286,55 @@ impl TheilSen {
     fn accept(&self, slopes: &mut [f64]) -> Trend {
         let (mut pos, mut neg) = (0usize, 0usize);
         for &m in slopes.iter() {
-            if m > self.flat_eps {
-                pos += 1;
-            } else if m < -self.flat_eps {
-                neg += 1;
-            }
+            pos += self.is_rising(m) as usize;
+            neg += self.is_falling(m) as usize;
         }
-        let total = slopes.len() as f64;
-        let slope =
-            crate::quantile::median_of_mut(slopes).expect("slopes are finite and non-empty");
+        match self.sign_test(pos, neg, slopes.len()) {
+            Some((direction, agreement)) => accepted(direction, agreement, slopes),
+            None => Trend::None,
+        }
+    }
+
+    /// True when pairwise slope `m` votes for an increasing trend.
+    fn is_rising(&self, m: f64) -> bool {
+        m > self.flat_eps
+    }
+
+    /// True when pairwise slope `m` votes for a decreasing trend.
+    fn is_falling(&self, m: f64) -> bool {
+        m < -self.flat_eps
+    }
+
+    /// The sign test alone: the dominant direction among `total` pairwise
+    /// slopes and its share, if that share reaches α. It runs before the
+    /// median because it needs only the two counters and rejects most
+    /// telemetry windows.
+    fn sign_test(&self, pos: usize, neg: usize, total: usize) -> Option<(TrendDirection, f64)> {
         let (dominant, direction) = if pos >= neg {
             (pos, TrendDirection::Increasing)
         } else {
             (neg, TrendDirection::Decreasing)
         };
-        let agreement = dominant as f64 / total;
-        if agreement >= self.alpha {
-            Trend::Significant {
-                direction,
-                slope,
-                agreement,
-            }
-        } else {
-            Trend::None
-        }
+        let agreement = dominant as f64 / total as f64;
+        (agreement >= self.alpha).then_some((direction, agreement))
+    }
+}
+
+/// The trend of a series that passed the sign test: its median pairwise
+/// slope. Reorders `slopes`.
+///
+/// Finite samples further apart than `f64::MAX` make a pairwise difference
+/// overflow to ±∞. Such a window has no usable median slope and is
+/// [`Trend::None`] — the auto-scaler ignores it, as it ignores every other
+/// series the test cannot vouch for — whatever the signs say.
+fn accepted(direction: TrendDirection, agreement: f64, slopes: &mut [f64]) -> Trend {
+    match crate::quantile::median_of_mut(slopes) {
+        Some(slope) => Trend::Significant {
+            direction,
+            slope,
+            agreement,
+        },
+        None => Trend::None,
     }
 }
 
@@ -319,6 +347,120 @@ pub struct TrendScratch {
     idx: Vec<u32>,
     xs: Vec<f64>,
     ys: Vec<f64>,
+}
+
+/// Theil–Sen trend test over the last `window` samples of a stream, at
+/// O(window) per sample instead of O(window²) and a selection.
+///
+/// [`SlidingTheilSen::trend_in`] returns, bit for bit, what
+/// [`TheilSen::trend_indexed_in`] returns on [`SlidingTheilSen::window`]:
+///
+/// - **What is carried.** The slope of every pair of retained samples, in a
+///   table keyed by *ring slot*, and the two sign counters of the α test.
+///   The batch kernel divides by index *distance*, and a slide changes no
+///   retained pair's distance, order or values, so after a slide the
+///   retained slopes are the same bits; a push overwrites the `window − 1`
+///   entries of the slot it reuses (the evicted sample's slopes) with the
+///   new sample's, moving the counters by what it removed and what it added.
+/// - **The verdict.** The sign test reads only the counters. Only a window
+///   that passes it gathers the table for the median, which is a function
+///   of the multiset of slopes (table order differs from the batch
+///   kernel's): equal finite slopes are equal bits except ±0, and since at
+///   least half the slopes of an accepted window share one non-zero sign,
+///   its median never depends on the sign of a zero.
+/// - **What is not carried.** A window holding a non-finite sample is
+///   handed to the batch kernel, which re-indexes the finite samples; the
+///   table and counters stay consistent meanwhile because every update
+///   removes exactly the bits it stored.
+#[derive(Debug, Clone)]
+pub struct SlidingTheilSen {
+    estimator: TheilSen,
+    ring: SampleRing,
+    /// Slope of the samples in ring slots `s < t`, at `t(t−1)/2 + s`. The
+    /// pairs among slots `0..len` are exactly the first `len(len−1)/2`
+    /// entries; unwritten entries hold NaN, which votes for neither sign.
+    slopes: Vec<f64>,
+    rising: usize,
+    falling: usize,
+}
+
+/// Number of pairs among `n` samples — and the table offset of slot `n`.
+fn pairs(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+impl SlidingTheilSen {
+    /// A kernel answering `estimator`'s trend test over the last `window`
+    /// samples pushed.
+    pub fn new(estimator: TheilSen, window: usize) -> Self {
+        Self {
+            estimator,
+            ring: SampleRing::new(window),
+            slopes: vec![f64::NAN; pairs(window)],
+            rising: 0,
+            falling: 0,
+        }
+    }
+
+    /// Appends a sample, evicting the oldest once `window` are held.
+    pub fn push(&mut self, y: f64) {
+        let Self {
+            estimator,
+            ring,
+            slopes,
+            rising,
+            falling,
+        } = self;
+        let Some((p, _)) = ring.push(y) else {
+            return;
+        };
+        // Overwrites one table entry, keeping the sign counters in step.
+        let mut replace = |at: usize, slope: f64| {
+            let old = std::mem::replace(&mut slopes[at], slope);
+            *rising -= estimator.is_rising(old) as usize;
+            *falling -= estimator.is_falling(old) as usize;
+            *rising += estimator.is_rising(slope) as usize;
+            *falling += estimator.is_falling(slope) as usize;
+        };
+        // Every other live sample is older than `y`: those in lower slots by
+        // `p - q` steps, those in higher slots (none while filling) by
+        // `p + window - q`.
+        let window = ring.capacity();
+        let samples = ring.slots();
+        for (q, &older) in samples[..p].iter().enumerate() {
+            replace(pairs(p) + q, (y - older) / (p - q) as f64);
+        }
+        for (q, &older) in samples.iter().enumerate().skip(p + 1) {
+            replace(pairs(q) + p, (y - older) / (p + window - q) as f64);
+        }
+    }
+
+    /// The samples held, oldest → newest.
+    pub fn window(&self) -> &[f64] {
+        self.ring.window()
+    }
+
+    /// The trend of [`SlidingTheilSen::window`]: what
+    /// [`TheilSen::trend_indexed_in`] returns on it, bit for bit.
+    pub fn trend_in(&self, scratch: &mut TrendScratch) -> Trend {
+        if !self.ring.all_finite() {
+            return self.estimator.trend_indexed_in(self.window(), scratch);
+        }
+        let len = self.ring.slots().len();
+        if len < self.estimator.min_points {
+            return Trend::None;
+        }
+        let live = &self.slopes[..pairs(len)];
+        let Some((direction, agreement)) =
+            self.estimator
+                .sign_test(self.rising, self.falling, live.len())
+        else {
+            return Trend::None;
+        };
+        scratch.slopes.clear();
+        scratch.slopes.extend_from_slice(live);
+        accepted(direction, agreement, &mut scratch.slopes)
+    }
 }
 
 /// Convenience: median pairwise slope of `(x, y)` with default settings.
@@ -424,6 +566,24 @@ mod tests {
             Trend::Significant { agreement, .. } => assert_eq!(agreement, 1.0),
             Trend::None => panic!("expected significant trend"),
         }
+    }
+
+    #[test]
+    fn overflowing_differences_are_no_trend() {
+        // Finite and rising, but three pairwise differences exceed f64::MAX:
+        // the median of the slopes is undefined, and this used to panic.
+        let y = [-1e308, 0.0, 1e308, 1.1e308, 1.2e308];
+        assert_eq!(TheilSen::new().trend_indexed(&y), Trend::None);
+        let mut sliding = SlidingTheilSen::new(TheilSen::new(), y.len());
+        y.iter().for_each(|&v| sliding.push(v));
+        assert_eq!(sliding.trend_in(&mut TrendScratch::default()), Trend::None);
+        // Once the extremes have left the window the trend is back.
+        [1.3e308, 1.4e308, 1.5e308]
+            .iter()
+            .for_each(|&v| sliding.push(v));
+        assert!(sliding
+            .trend_in(&mut TrendScratch::default())
+            .is_increasing());
     }
 
     #[test]

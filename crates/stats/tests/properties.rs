@@ -1,13 +1,66 @@
 //! Property-based tests for the robust-statistics substrate.
 
 use dasr_stats::{
-    average_ranks, median, pearson, percentile, percentile_interpolated, spearman, theil_sen, Cdf,
-    ExactSum, P2Quantile, TheilSen, TokenBucket,
+    average_ranks, median, pearson, percentile, percentile_interpolated, spearman, spearman_in,
+    theil_sen, Cdf, ExactSum, P2Quantile, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen,
+    TokenBucket, Trend, TrendDirection, TrendScratch,
 };
 use proptest::prelude::*;
 
 fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1.0e6..1.0e6f64, 1..max_len)
+}
+
+/// A telemetry-like stream for the sliding kernels, one of four kinds so
+/// that both the carried path and the batch fallback run for long
+/// stretches: continuous with 2 % spikes; quantised (heavily tied) with 2 %
+/// spikes; constant; and hostile — NaN, ±∞ and magnitudes whose pairwise
+/// differences overflow, entering and leaving the window among ordinary
+/// and tied values.
+fn stream() -> impl Strategy<Value = Vec<f64>> {
+    let sample = (0u32..100, -1.0e3..1.0e3f64, 0u32..5);
+    (0u32..4, prop::collection::vec(sample, 1..200)).prop_map(|(kind, draws)| {
+        draws
+            .into_iter()
+            .map(|(roll, x, level)| match (kind, roll) {
+                (0 | 1, 0..=1) => x * 1.0e6,
+                (0, _) => x,
+                (1, _) => level as f64 * 0.5,
+                (2, _) => 42.0,
+                (_, 0) => f64::NAN,
+                (_, 1) => f64::INFINITY,
+                (_, 2) => f64::NEG_INFINITY,
+                (_, 3..=8) => x.signum() * 1.0e308,
+                (_, 9..=40) => level as f64,
+                _ => x,
+            })
+            .collect()
+    })
+}
+
+/// Window sizes for the sliding kernels: degenerate, either side of the
+/// default `min_points` (4), the telemetry manager's two, and its capacity.
+fn window_size() -> impl Strategy<Value = usize> {
+    (0usize..8).prop_map(|i| [0, 1, 2, 3, 4, 10, 15, 60][i])
+}
+
+fn trend_bits(t: Trend) -> Option<(bool, u64, u64)> {
+    match t {
+        Trend::None => None,
+        Trend::Significant {
+            direction,
+            slope,
+            agreement,
+        } => Some((
+            direction == TrendDirection::Increasing,
+            slope.to_bits(),
+            agreement.to_bits(),
+        )),
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -100,6 +153,61 @@ proptest! {
         }
         if let Some(r) = spearman(&x[..n], &y_seed[..n]) {
             prop_assert!((-1.0..=1.0).contains(&r));
+        }
+    }
+
+    /// The sliding Theil–Sen kernel returns the batch kernel's bits on the
+    /// same tail after every push: through the fill phase, at every ring
+    /// alignment over several wraps, and while non-finite samples and
+    /// overflowing differences enter and leave the window.
+    #[test]
+    fn sliding_theil_sen_matches_batch(
+        y in stream(),
+        window in window_size(),
+        alpha in 0.5..=1.0f64,
+        min_points in 2usize..6,
+    ) {
+        let estimator = TheilSen::new().with_alpha(alpha).with_min_points(min_points);
+        let mut sliding = SlidingTheilSen::new(estimator, window);
+        let (mut carried, mut batch) = (TrendScratch::default(), TrendScratch::default());
+        for end in 1..=y.len() {
+            sliding.push(y[end - 1]);
+            let tail = &y[end.saturating_sub(window)..end];
+            prop_assert_eq!(bits(sliding.window()), bits(tail));
+            prop_assert_eq!(
+                trend_bits(sliding.trend_in(&mut carried)),
+                trend_bits(estimator.trend_indexed_in(tail, &mut batch)),
+                "window {} after {} pushes, tail {:?}", window, end, tail
+            );
+        }
+    }
+
+    /// Two sliding rank kernels pushed in step return `spearman_in`'s bits
+    /// on the same tails after every push, ties and dropped pairs included.
+    #[test]
+    fn sliding_ranks_match_batch_spearman(
+        x in stream(),
+        y in stream(),
+        window in window_size(),
+    ) {
+        let (mut rx, mut ry) = (SlidingRanks::new(window), SlidingRanks::new(window));
+        let (mut carried, mut batch) = (SpearmanScratch::default(), SpearmanScratch::default());
+        for end in 1..=x.len().min(y.len()) {
+            rx.push(x[end - 1]);
+            ry.push(y[end - 1]);
+            let from = end.saturating_sub(window);
+            let (tx, ty) = (&x[from..end], &y[from..end]);
+            prop_assert_eq!(bits(rx.window()), bits(tx));
+            prop_assert_eq!(
+                rx.spearman_in(&ry, &mut carried).map(f64::to_bits),
+                spearman_in(tx, ty, &mut batch).map(f64::to_bits),
+                "window {} after {} pushes, x {:?}, y {:?}", window, end, tx, ty
+            );
+            // One ranking serves every pairing, itself included.
+            prop_assert_eq!(
+                rx.spearman_in(&rx, &mut carried).map(f64::to_bits),
+                spearman_in(tx, tx, &mut batch).map(f64::to_bits)
+            );
         }
     }
 

@@ -19,7 +19,7 @@
 //!    memory is O(largest batch), not O(result set) — the
 //!    `store_query` example pins this with a VmHWM measurement.
 //! 3. **Segments fan out; results fold in segment order.** Sealed
-//!    segments are independent files, so [`fold_records`] runs them on
+//!    segments are independent files, so `fold_records` runs them on
 //!    the same ordered-shard driver the fleet uses
 //!    ([`ordered_shards`], one segment per shard) and gets
 //!    the per-segment partials back *in segment id order*, so the

@@ -347,7 +347,7 @@ impl SegmentIndex {
     /// Parses a sidecar; any inconsistency is an error (the caller then
     /// rebuilds from the segment). A CRC only proves the bytes are the
     /// ones that were written, so the frame layout is validated too
-    /// ([`check_layout`](Self::check_layout)): readers compute frame
+    /// (`check_layout`): readers compute frame
     /// lengths by subtracting neighbouring offsets and must never be
     /// handed a sidecar where that underflows.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {

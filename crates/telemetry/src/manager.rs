@@ -9,7 +9,9 @@ use crate::thresholds::ThresholdConfig;
 use crate::window::SampleWindow;
 use dasr_containers::{ResourceKind, RESOURCE_KINDS};
 use dasr_engine::WaitClass;
-use dasr_stats::{median_in, spearman_in, SpearmanScratch, TheilSen, TrendScratch};
+use dasr_stats::{
+    median_in, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, Trend, TrendScratch,
+};
 
 /// Telemetry-manager tuning.
 #[derive(Debug, Clone, Copy)]
@@ -65,12 +67,56 @@ struct SignalScratch {
     trend: TrendScratch,
 }
 
+/// Sliding-window state of one series the trend and correlation signals
+/// read, updated once per sample so that a window slide costs O(window)
+/// (DESIGN.md §9).
+#[derive(Debug)]
+struct SeriesState {
+    trend: SlidingTheilSen,
+    ranks: SlidingRanks,
+}
+
+impl SeriesState {
+    fn new(cfg: &TelemetryConfig) -> Self {
+        let estimator = TheilSen::new().with_alpha(cfg.trend_alpha);
+        Self {
+            trend: SlidingTheilSen::new(estimator, cfg.trend_window.min(cfg.window_cap)),
+            ranks: SlidingRanks::new(cfg.corr_window.min(cfg.window_cap)),
+        }
+    }
+
+    fn push(&mut self, v: f64) {
+        self.trend.push(v);
+        self.ranks.push(v);
+    }
+
+    /// The series' trend over the trend window, materiality guard applied:
+    /// an accepted trend whose projected change over the window is below
+    /// `trend_min_relative_change` of the median level is rejected.
+    fn material_trend(&self, cfg: &TelemetryConfig, scratch: &mut SignalScratch) -> Trend {
+        let trend = self.trend.trend_in(&mut scratch.trend);
+        if let Trend::Significant { slope, .. } = trend {
+            let series = self.trend.window();
+            let level = median_in(series, &mut scratch.median).unwrap_or(0.0).abs();
+            let projected = slope.abs() * (series.len().saturating_sub(1)) as f64;
+            if projected < cfg.trend_min_relative_change * level {
+                return Trend::None;
+            }
+        }
+        trend
+    }
+}
+
 /// Transforms raw interval telemetry into [`SignalSet`]s.
 #[derive(Debug)]
 pub struct TelemetryManager {
     cfg: TelemetryConfig,
     window: SampleWindow,
-    estimator: TheilSen,
+    /// Utilization series, by resource.
+    util: [SeriesState; RESOURCE_KINDS.len()],
+    /// Wait-magnitude series (per `waits_per_request`), by resource.
+    wait: [SeriesState; RESOURCE_KINDS.len()],
+    latency: SeriesState,
     scratch: SignalScratch,
 }
 
@@ -79,7 +125,9 @@ impl TelemetryManager {
     pub fn new(cfg: TelemetryConfig) -> Self {
         Self {
             window: SampleWindow::new(cfg.window_cap),
-            estimator: TheilSen::new().with_alpha(cfg.trend_alpha),
+            util: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
+            wait: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
+            latency: SeriesState::new(&cfg),
             scratch: SignalScratch::default(),
             cfg,
         }
@@ -97,7 +145,23 @@ impl TelemetryManager {
 
     /// Ingests one interval's sample and returns the refreshed signal set.
     pub fn observe(&mut self, sample: TelemetrySample) -> SignalSet {
-        self.window.push(sample);
+        let Self {
+            cfg,
+            window,
+            util,
+            wait,
+            latency,
+            ..
+        } = self;
+        window.push(sample);
+        // The sliding kernels take each series' newest value as the window
+        // stored it, so both see the same bits.
+        let newest = |series: &[f64]| series[series.len() - 1];
+        for kind in RESOURCE_KINDS {
+            util[kind.index()].push(newest(window.util_series(kind, 1)));
+            wait[kind.index()].push(newest(wait_series(cfg, window, wait_class_for(kind), 1)));
+        }
+        latency.push(newest(window.latency_series(1)));
         self.signals()
     }
 
@@ -112,15 +176,18 @@ impl TelemetryManager {
         let Self {
             cfg,
             window,
-            estimator,
+            util,
+            wait,
+            latency,
             scratch,
         } = self;
         let latest = window.latest().expect("signals() before any observe()");
         let smoothing = cfg.smoothing_window;
-        let latency_series = window.latency_series(cfg.corr_window);
 
-        let resources: [ResourceSignals; RESOURCE_KINDS.len()] = RESOURCE_KINDS
-            .map(|kind| resource_signals(cfg, window, estimator, scratch, kind, latency_series));
+        let resources: [ResourceSignals; RESOURCE_KINDS.len()] = RESOURCE_KINDS.map(|kind| {
+            let (util, wait) = (&util[kind.index()], &wait[kind.index()]);
+            resource_signals(cfg, window, scratch, kind, util, wait, &latency.ranks)
+        });
 
         let observed_ms =
             median_in(window.latency_series(smoothing), &mut scratch.median).or(latest.latency_ms);
@@ -129,11 +196,7 @@ impl TelemetryManager {
             observed_ms,
             goal_ms,
             verdict: categorize_latency(observed_ms, goal_ms),
-            trend: {
-                let series = window.latency_series(cfg.trend_window);
-                let trend = estimator.trend_indexed_in(series, &mut scratch.trend);
-                material_trend(cfg, trend, series, &mut scratch.median)
-            },
+            trend: latency.material_trend(cfg, scratch),
         };
 
         SignalSet {
@@ -162,23 +225,6 @@ fn median_wait_pct(
     median_in(window.wait_pct_series(class, n), &mut scratch.median).unwrap_or(0.0)
 }
 
-/// Applies the materiality guard to an accepted trend.
-fn material_trend(
-    cfg: &TelemetryConfig,
-    trend: dasr_stats::Trend,
-    series: &[f64],
-    median_scratch: &mut Vec<f64>,
-) -> dasr_stats::Trend {
-    if let dasr_stats::Trend::Significant { slope, .. } = trend {
-        let level = median_in(series, median_scratch).unwrap_or(0.0).abs();
-        let projected = slope.abs() * (series.len().saturating_sub(1)) as f64;
-        if projected < cfg.trend_min_relative_change * level {
-            return dasr_stats::Trend::None;
-        }
-    }
-    trend
-}
-
 /// The wait-magnitude series of `class` per the configured normalization —
 /// a zero-copy window view either way.
 fn wait_series<'w>(
@@ -197,10 +243,11 @@ fn wait_series<'w>(
 fn resource_signals(
     cfg: &TelemetryConfig,
     window: &SampleWindow,
-    estimator: &TheilSen,
     scratch: &mut SignalScratch,
     kind: ResourceKind,
-    latency_series: &[f64],
+    util: &SeriesState,
+    wait: &SeriesState,
+    latency_ranks: &SlidingRanks,
 ) -> ResourceSignals {
     let class = wait_class_for(kind);
     let smoothing = cfg.smoothing_window;
@@ -215,32 +262,12 @@ fn resource_signals(
     .unwrap_or(0.0);
     let wait_pct = median_wait_pct(window, scratch, class, smoothing);
 
-    let util_series_t = window.util_series(kind, cfg.trend_window);
-    let util_trend = material_trend(
-        cfg,
-        estimator.trend_indexed_in(util_series_t, &mut scratch.trend),
-        util_series_t,
-        &mut scratch.median,
-    );
-    let wait_series_t = wait_series(cfg, window, class, cfg.trend_window);
-    let wait_trend = material_trend(
-        cfg,
-        estimator.trend_indexed_in(wait_series_t, &mut scratch.trend),
-        wait_series_t,
-        &mut scratch.median,
-    );
+    let util_trend = util.material_trend(cfg, scratch);
+    let wait_trend = wait.material_trend(cfg, scratch);
 
-    let n = cfg.corr_window;
-    let corr_latency_wait = spearman_in(
-        latency_series,
-        wait_series(cfg, window, class, n),
-        &mut scratch.spearman,
-    );
-    let corr_latency_util = spearman_in(
-        latency_series,
-        window.util_series(kind, n),
-        &mut scratch.spearman,
-    );
+    // The latency series is ranked once per sample, not once per pairing.
+    let corr_latency_wait = latency_ranks.spearman_in(&wait.ranks, &mut scratch.spearman);
+    let corr_latency_util = latency_ranks.spearman_in(&util.ranks, &mut scratch.spearman);
 
     ResourceSignals {
         kind,
@@ -377,6 +404,19 @@ mod tests {
         let set = m.observe(sample(2, 100.0, 0.0, 0.0, None));
         assert_eq!(set.resource(ResourceKind::Cpu).util_pct, 12.0);
         assert_eq!(set.resource(ResourceKind::Cpu).util_level, UtilLevel::Low);
+    }
+
+    #[test]
+    fn overflowing_series_is_no_trend_not_a_panic() {
+        // Finite telemetry whose pairwise differences overflow to infinity
+        // (reachable from any `TelemetrySource`) used to abort the loop in
+        // the Theil–Sen median.
+        let mut m = manager(None);
+        let mut set = m.observe(sample(0, -1e308, 0.0, 0.0, None));
+        for (i, u) in [0.0, 1e308, 1.1e308, 1.2e308].into_iter().enumerate() {
+            set = m.observe(sample(i as u64 + 1, u, 0.0, 0.0, None));
+        }
+        assert!(set.resource(ResourceKind::Cpu).util_trend.is_none());
     }
 
     #[test]
