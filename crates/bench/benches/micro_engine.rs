@@ -4,7 +4,7 @@
 //! `engine_1000_requests_mixed` is the headline fast-path number (tracked
 //! in `BENCH_engine.json` by CI); `engine_oracle_1000_requests_mixed` runs
 //! the identical workload through the preserved pre-fast-path
-//! [`OracleEngine`], so the pair measures the slab + event-wheel +
+//! [`OracleEngine`], so the pair measures the slab + arrival-lane +
 //! allocation-free-dispatch speedup directly — but both of those construct
 //! and prewarm their engine inside the timed closure, a cost the two share
 //! and that is as large as the rest of the iteration, so that pair mostly
@@ -12,8 +12,13 @@
 //! `engine_oracle_day_stream_*` pairs are the structure-vs-structure
 //! number: one engine built and prewarmed *outside* the closure, then fed
 //! the way `SimulatorSource` feeds it over a day — one-minute arrival
-//! batches, `run_until`, `end_interval`. (`PageMap` is still unmeasured:
-//! the oracle shares it.) The lock-contention and
+//! batches, `run_until`, `end_interval`. The oracle shares the buffer pool
+//! and the lock table, so these pairs do not measure those two; the pool
+//! was measured end to end instead (EXPERIMENTS.md, "Engine request
+//! path"). `engine_day_stream_cpuio_default` is the shape the e2e
+//! benchmark runs — `CpuIoConfig::default()` prewarmed to its 393 k-page
+//! hot set — where the `small()` streams' ≤ 4 096-page hot sets fit in
+//! cache and hide the pool's cost. The lock-contention and
 //! resize-churn groups stress the two paths the mixed workload exercises
 //! least: waiter hand-off chains and capacity churn with eviction
 //! writeback. `engine_fleet_16_tenants` is the closed-loop wall-time view
@@ -114,19 +119,19 @@ fn minute_batches<W: Workload>(workload: W, rps: f64) -> Vec<Vec<(u64, RequestSp
         .collect()
 }
 
-/// Streams the batches into one long-lived, already-warm engine of type
-/// `$engine`: every iteration is the next `STREAM_MINUTES` simulated
-/// minutes of the same run, exactly the per-interval call sequence of
-/// `SimulatorSource::observe_interval`.
+/// Streams the batches into one long-lived engine of type `$engine`,
+/// prewarmed with `$prewarm` pages: every iteration is the next
+/// `STREAM_MINUTES` simulated minutes of the same run, exactly the
+/// per-interval call sequence of `SimulatorSource::observe_interval`.
 macro_rules! day_stream {
-    ($c:ident, $id:expr, $engine:ty, $batches:expr) => {
+    ($c:ident, $id:expr, $engine:ty, $batches:expr, $prewarm:expr) => {
         $c.bench_function($id, |b| {
             let batches = $batches;
             let mut e = <$engine>::new(
                 EngineConfig::default(),
                 ResourceVector::new(4.0, 4_096.0, 800.0, 40.0),
             );
-            e.prewarm(100_000);
+            e.prewarm($prewarm);
             let mut minute = 0u64;
             b.iter(|| {
                 let mut completed = 0;
@@ -153,14 +158,36 @@ fn bench_day_stream(c: &mut Criterion) {
     for (name, batches) in [("cpuio_5.6rps", &cpuio), ("tpcc_50rps", &tpcc)] {
         let requests: usize = batches.iter().map(Vec::len).sum();
         println!("engine_day_stream_{name}: {requests} requests per iteration");
-        day_stream!(c, format!("engine_day_stream_{name}"), Engine, batches);
+        day_stream!(
+            c,
+            format!("engine_day_stream_{name}"),
+            Engine,
+            batches,
+            100_000
+        );
         day_stream!(
             c,
             format!("engine_oracle_day_stream_{name}"),
             OracleEngine,
-            batches
+            batches,
+            100_000
         );
     }
+    // The e2e shape: the default working set, prewarmed, at 20 rps
+    // (about one demanded core of this 4-core container).
+    let workload = CpuIoWorkload::new(CpuIoConfig::default());
+    let hot = workload.hot_pages();
+    let default = minute_batches(workload, 20.0);
+    let requests: usize = default.iter().map(Vec::len).sum();
+    println!("engine_day_stream_cpuio_default: {requests} requests per iteration");
+    day_stream!(c, "engine_day_stream_cpuio_default", Engine, &default, hot);
+    day_stream!(
+        c,
+        "engine_oracle_day_stream_cpuio_default",
+        OracleEngine,
+        &default,
+        hot
+    );
 }
 
 /// Long waiter chains on a handful of hot locks: almost every request
@@ -192,8 +219,8 @@ fn bench_lock_contention(c: &mut Criterion) {
 
 /// Capacity churn: a resize every simulated 250 ms (alternating shrink and
 /// grow) while a read/write stream keeps the pool full — stresses
-/// `set_capacity` eviction, the page-map rebuild-free delete path, and
-/// writeback coalescing.
+/// `set_capacity` eviction, chunk release and reuse in the pool's arena,
+/// and writeback coalescing.
 fn bench_resize_churn(c: &mut Criterion) {
     c.bench_function("engine_resize_churn", |b| {
         b.iter(|| {

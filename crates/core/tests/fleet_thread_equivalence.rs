@@ -3,7 +3,7 @@
 //! latency sample, every interval record field, every rule fire.
 //!
 //! This is the fleet-level half of the engine fast-path equivalence story:
-//! `crates/engine/tests/engine_equivalence.rs` proves the slab/wheel engine
+//! `crates/engine/tests/engine_equivalence.rs` proves the fast-path engine
 //! matches the old implementation bit-for-bit on one tenant; this test
 //! proves the parallel runner adds no thread-count dependence on top, so a
 //! fleet experiment's numbers are reproducible on any machine regardless

@@ -7,13 +7,28 @@
 //! observe whether the working set still fits — the paper's mechanism for
 //! safely probing low memory demand.
 //!
-//! Implementation: an intrusive doubly-linked LRU list over a slab, indexed
-//! by `PageMap` — an open-addressed table with a Fibonacci (FxHash-style)
-//! multiplicative hash and linear probing. Page ids are already
-//! well-distributed integers, so the table beats `HashMap`'s SipHash by a
-//! wide margin on the engine's hottest path (every page access hashes
-//! once; every insert hashes twice). Eviction results are written into
-//! caller-owned scratch buffers, so steady-state operation never allocates.
+//! ## Layout: page-indexed LRU nodes
+//!
+//! Page ids are grouped into aligned *chunks* of [`CHUNK`] consecutive ids.
+//! A chunk with at least one resident page owns `CHUNK` LRU nodes (`prev`,
+//! `next`, state absent / clean / dirty — 12 bytes each) in one arena, so a
+//! page's node sits at a fixed place, `chunk_base + (page & (CHUNK - 1))`,
+//! and the intrusive doubly-linked LRU list runs through those nodes. A
+//! small directory maps `page >> CHUNK_BITS` to the chunk's arena slot:
+//! `PageMap`, an open-addressed table with a Fibonacci (FxHash-style)
+//! multiplicative hash and linear probing. Workloads place their hot sets
+//! at low, contiguous page ids, so even a 400 k-page pool needs a few
+//! hundred directory entries and the probe stays in cache: a hit costs one
+//! node access instead of a page-keyed map probe plus a node access, and an
+//! eviction only marks its node absent.
+//!
+//! **Memory is bounded by resident pages, never by page ids seen.** Each
+//! chunk counts its resident pages; when the last one leaves, the chunk
+//! leaves the directory and its arena slot goes to a free list for the next
+//! new chunk. A new page is admitted only after the evictions it causes, so
+//! the arena never holds more chunks than the highest capacity the pool
+//! had. Eviction results are written into caller-owned scratch buffers, so
+//! steady-state operation never allocates.
 
 const NONE: u32 = u32::MAX;
 
@@ -22,16 +37,27 @@ const NONE: u32 = u32::MAX;
 /// page ids, which is exactly the access pattern workloads generate.
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// `log2` of the pages per chunk. Measured from 2^8 to 2^12 on the e2e
+/// fleet-day (EXPERIMENTS.md, "Engine request path").
+const CHUNK_BITS: u32 = 8;
+/// Pages per chunk: the arena grows and recycles in units of this many
+/// nodes.
+pub const CHUNK: usize = 1 << CHUNK_BITS;
+/// `page & OFFSET` is a page's node offset inside its chunk.
+const OFFSET: u64 = CHUNK as u64 - 1;
+/// Chunk slots addressable by `u32` node indices with `NONE` left free.
+const MAX_CHUNKS: usize = (u32::MAX >> CHUNK_BITS) as usize;
+
 /// Open-addressed `u64 → u32` index with linear probing and backward-shift
 /// deletion. The sentinel for an empty slot lives in the *value* array
-/// (`u32::MAX`, never a valid slab index), so any `u64` is a legal key.
+/// (`u32::MAX`, never a valid slot index), so any `u64` is a legal key.
 ///
-/// Grows at 75% load; never shrinks (the pool's working set is bounded by
+/// Grows at 75% load; never shrinks (the pool's chunk count is bounded by
 /// its largest capacity, and resizes reuse the high-water allocation).
 #[derive(Debug)]
 struct PageMap {
     keys: Vec<u64>,
-    /// Slab index per slot, or `NONE` when the slot is empty.
+    /// Value per slot, or `NONE` when the slot is empty.
     vals: Vec<u32>,
     mask: usize,
     /// `64 - log2(capacity)`: the hash keeps the *high* bits of the
@@ -70,6 +96,7 @@ impl PageMap {
         (key.wrapping_mul(FIB) >> self.shift) as usize
     }
 
+    #[cfg(any(test, feature = "strict-invariants"))]
     fn len(&self) -> usize {
         self.len
     }
@@ -195,12 +222,34 @@ impl PageMap {
     }
 }
 
+/// A page's residency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    Absent,
+    Clean,
+    Dirty,
+}
+
+/// One page's LRU links, at the fixed arena index its page id implies.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    page: u64,
-    dirty: bool,
     prev: u32,
     next: u32,
+    state: State,
+}
+
+const ABSENT: Node = Node {
+    prev: NONE,
+    next: NONE,
+    state: State::Absent,
+};
+
+/// Owner of one arena slot: the chunk id (`page >> CHUNK_BITS`) it holds
+/// and how many of that chunk's pages are resident.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    id: u64,
+    resident: u32,
 }
 
 /// Result of a page access.
@@ -217,13 +266,22 @@ pub enum Access {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    map: PageMap,
+    /// Resident pages.
+    len: usize,
+    /// Chunk directory: `page >> CHUNK_BITS` → arena slot.
+    dir: PageMap,
+    /// Node arena: slot `s` owns nodes `s * CHUNK .. (s + 1) * CHUNK`.
     nodes: Vec<Node>,
-    free: Vec<u32>,
+    /// Per arena slot: its chunk and resident count.
+    chunks: Vec<Chunk>,
+    /// Arena slots with no resident page (every node absent).
+    free_chunks: Vec<u32>,
     head: u32,
     tail: u32,
     hits: u64,
     misses: u64,
+    #[cfg(feature = "strict-invariants")]
+    check_tick: u64,
 }
 
 impl BufferPool {
@@ -231,13 +289,17 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            map: PageMap::new(),
+            len: 0,
+            dir: PageMap::new(),
             nodes: Vec::new(),
-            free: Vec::new(),
+            chunks: Vec::new(),
+            free_chunks: Vec::new(),
             head: NONE,
             tail: NONE,
             hits: 0,
             misses: 0,
+            #[cfg(feature = "strict-invariants")]
+            check_tick: 0,
         }
     }
 
@@ -248,7 +310,7 @@ impl BufferPool {
 
     /// Pages currently cached.
     pub fn used(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Accesses `page`; on a hit the page is touched (moved to MRU) and
@@ -256,17 +318,21 @@ impl BufferPool {
     /// and then calls [`insert`](Self::insert).
     // dasr-lint: no-alloc
     pub fn access(&mut self, page: u64, write: bool) -> Access {
-        if let Some(idx) = self.map.get(page) {
-            self.hits += 1;
-            if write {
-                // dasr-lint: allow(G3) reason="PageMap stores only live node indices; map and node array mutate together"
-                self.nodes[idx as usize].dirty = true;
+        match self.node_index(page) {
+            // dasr-lint: allow(G3) reason="node_index only yields nodes of chunk slots the directory holds, all inside the arena"
+            Some(idx) if self.nodes[idx].state != State::Absent => {
+                self.hits += 1;
+                if write {
+                    self.nodes[idx].state = State::Dirty;
+                }
+                self.touch(idx as u32);
+                self.debug_check();
+                Access::Hit
             }
-            self.touch(idx);
-            Access::Hit
-        } else {
-            self.misses += 1;
-            Access::Miss
+            _ => {
+                self.misses += 1;
+                Access::Miss
+            }
         }
     }
 
@@ -280,37 +346,38 @@ impl BufferPool {
     // dasr-lint: no-alloc
     pub fn insert(&mut self, page: u64, dirty: bool, dirty_evicted: &mut Vec<u64>) {
         dirty_evicted.clear();
-        if let Some(idx) = self.map.get(page) {
-            if dirty {
-                self.nodes[idx as usize].dirty = true;
+        if let Some(idx) = self.node_index(page) {
+            if self.nodes[idx].state != State::Absent {
+                if dirty {
+                    self.nodes[idx].state = State::Dirty;
+                }
+                self.touch(idx as u32);
+                self.debug_check();
+                return;
             }
-            self.touch(idx);
-            self.evict_to_capacity(dirty_evicted);
+        }
+        if self.capacity == 0 {
+            // Admitted and evicted at once, as the least recently used page.
+            if dirty {
+                dirty_evicted.push(page);
+            }
             return;
         }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Node {
-                    page,
-                    dirty,
-                    prev: NONE,
-                    next: NONE,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    page,
-                    dirty,
-                    prev: NONE,
-                    next: NONE,
-                });
-                (self.nodes.len() - 1) as u32
-            }
+        // Evict before admitting, so a departing page's chunk slot can be
+        // recycled for this one. The victims and their order are those of
+        // admit-then-evict: the new page at the MRU end is never one.
+        self.evict_to(self.capacity - 1, dirty_evicted);
+        let id = page >> CHUNK_BITS;
+        let slot = match self.dir.get(id) {
+            Some(slot) => slot as usize,
+            None => self.open_chunk(id),
         };
-        self.map.insert(page, idx);
-        self.push_front(idx);
-        self.evict_to_capacity(dirty_evicted);
+        self.chunks[slot].resident += 1;
+        let idx = (slot << CHUNK_BITS) | (page & OFFSET) as usize;
+        self.nodes[idx].state = if dirty { State::Dirty } else { State::Clean };
+        self.len += 1;
+        self.push_front(idx as u32);
+        self.debug_check();
     }
 
     /// Shrinks or grows capacity; evicted dirty pages are written into
@@ -321,7 +388,8 @@ impl BufferPool {
     pub fn set_capacity(&mut self, capacity: usize, dirty_evicted: &mut Vec<u64>) {
         dirty_evicted.clear();
         self.capacity = capacity;
-        self.evict_to_capacity(dirty_evicted);
+        self.evict_to(capacity, dirty_evicted);
+        self.debug_check();
     }
 
     /// Cumulative hits.
@@ -344,22 +412,61 @@ impl BufferPool {
         }
     }
 
-    /// Evicts LRU pages while over capacity, appending dirty victims to
-    /// `dirty_evicted` (NOT cleared — callers clear before the first call).
+    /// Arena index of `page`'s node, if its chunk holds an arena slot.
+    #[inline]
     // dasr-lint: no-alloc
-    fn evict_to_capacity(&mut self, dirty_evicted: &mut Vec<u64>) {
-        while self.map.len() > self.capacity {
-            let tail = self.tail;
-            if tail == NONE {
-                break;
+    fn node_index(&self, page: u64) -> Option<usize> {
+        let slot = self.dir.get(page >> CHUNK_BITS)?;
+        Some(((slot as usize) << CHUNK_BITS) | (page & OFFSET) as usize)
+    }
+
+    /// Gives chunk `id` an arena slot — a freed one when there is one (its
+    /// nodes are all absent), else `CHUNK` fresh absent nodes at the end of
+    /// the arena — and enters it in the directory.
+    fn open_chunk(&mut self, id: u64) -> usize {
+        let chunk = Chunk { id, resident: 0 };
+        let slot = match self.free_chunks.pop() {
+            Some(slot) => {
+                self.chunks[slot as usize] = chunk;
+                slot
             }
-            // dasr-lint: allow(G3) reason="tail checked against NONE above; LRU links always hold live node indices"
-            let node = self.nodes[tail as usize];
-            self.unlink(tail);
-            self.map.remove(node.page);
-            self.free.push(tail);
-            if node.dirty {
-                dirty_evicted.push(node.page);
+            None => {
+                assert!(
+                    self.chunks.len() < MAX_CHUNKS,
+                    "buffer pool exceeds u32 node indices"
+                );
+                self.chunks.push(chunk);
+                self.nodes.resize(self.nodes.len() + CHUNK, ABSENT);
+                (self.chunks.len() - 1) as u32
+            }
+        };
+        self.dir.insert(id, slot);
+        slot as usize
+    }
+
+    /// Evicts LRU pages until at most `limit` remain, appending dirty
+    /// victims to `dirty_evicted` (NOT cleared — callers clear before the
+    /// first call). A chunk whose last resident page leaves gives its arena
+    /// slot back.
+    // dasr-lint: no-alloc
+    fn evict_to(&mut self, limit: usize, dirty_evicted: &mut Vec<u64>) {
+        while self.len > limit {
+            let idx = self.tail;
+            // dasr-lint: allow(G3) reason="len > 0, so tail is a linked node index; LRU links always hold live node indices"
+            let state = self.nodes[idx as usize].state;
+            self.unlink(idx);
+            self.nodes[idx as usize].state = State::Absent;
+            self.len -= 1;
+            let slot = idx as usize >> CHUNK_BITS;
+            let chunk = &mut self.chunks[slot];
+            let page = (chunk.id << CHUNK_BITS) | (u64::from(idx) & OFFSET);
+            chunk.resident -= 1;
+            if chunk.resident == 0 {
+                self.dir.remove(chunk.id);
+                self.free_chunks.push(slot as u32);
+            }
+            if state == State::Dirty {
+                dirty_evicted.push(page);
             }
         }
     }
@@ -410,6 +517,64 @@ impl BufferPool {
         self.head = idx;
         if self.tail == NONE {
             self.tail = idx;
+        }
+    }
+
+    /// Structural self-check (`strict-invariants` builds only): the LRU
+    /// list links exactly `len` nodes, none of them absent, from a head
+    /// with no `prev` to the tail with no `next`; every arena slot's
+    /// resident counter matches its present nodes, and a slot is in the
+    /// directory iff it has a resident page. A violation means a page
+    /// could be lost, evicted twice, or its chunk recycled while resident.
+    /// Sampled past the first [`CHECK_ALWAYS`] mutations to keep large
+    /// simulations tractable.
+    #[inline]
+    fn debug_check(&mut self) {
+        #[cfg(feature = "strict-invariants")]
+        {
+            self.check_tick += 1;
+            if self.check_tick > CHECK_ALWAYS && !self.check_tick.is_multiple_of(CHECK_EVERY) {
+                return;
+            }
+            let (mut linked, mut prev, mut cur) = (0usize, NONE, self.head);
+            while cur != NONE && linked <= self.len {
+                let node = self.nodes.get(cur as usize);
+                debug_assert!(node.is_some(), "LRU link {cur} is outside the arena");
+                let Some(node) = node else { break };
+                debug_assert_ne!(node.state, State::Absent, "linked node {cur} is absent");
+                debug_assert_eq!(node.prev, prev, "node {cur} has a broken back link");
+                linked += 1;
+                prev = cur;
+                cur = node.next;
+            }
+            debug_assert_eq!(linked, self.len, "linked node count must match len");
+            debug_assert_eq!(self.tail, prev, "the tail must end the LRU list");
+            let mut resident = 0;
+            for (slot, chunk) in self.chunks.iter().enumerate() {
+                let present = self
+                    .nodes
+                    .iter()
+                    .skip(slot << CHUNK_BITS)
+                    .take(CHUNK)
+                    .filter(|n| n.state != State::Absent)
+                    .count();
+                debug_assert_eq!(
+                    present, chunk.resident as usize,
+                    "arena slot {slot} miscounts its resident pages"
+                );
+                debug_assert_eq!(
+                    self.dir.get(chunk.id) == Some(slot as u32),
+                    present > 0,
+                    "arena slot {slot} must be in the directory iff it has resident pages"
+                );
+                resident += present;
+            }
+            debug_assert_eq!(resident, self.len, "resident counters must sum to len");
+            debug_assert_eq!(
+                self.dir.len() + self.free_chunks.len(),
+                self.chunks.len(),
+                "every arena slot is in the directory or on the free list"
+            );
         }
     }
 }
@@ -545,7 +710,28 @@ mod tests {
             insert(&mut bp, p, false);
         }
         assert_eq!(bp.used(), 2);
-        assert!(bp.nodes.len() <= 3, "slab should recycle free nodes");
+        // Pages 0..100 share chunk 0: one arena slot, reused throughout.
+        assert_eq!(bp.nodes.len(), CHUNK, "one chunk of nodes");
+        assert_eq!(bp.chunks.len(), 1);
+    }
+
+    /// The memory bound: sparse page ids, one per chunk, stream through a
+    /// 64-page pool. Chunks leave with their last resident page, so the
+    /// arena never holds more than 64 of them.
+    #[test]
+    fn sparse_pages_keep_the_arena_bounded_by_capacity() {
+        let mut bp = BufferPool::new(64);
+        let mut dirty = Vec::new();
+        for i in 0..100_000u64 {
+            let page = i << 20;
+            if bp.access(page, i % 3 == 0) == Access::Miss {
+                bp.insert(page, i % 3 == 0, &mut dirty);
+            }
+        }
+        assert_eq!(bp.used(), 64);
+        assert!(bp.chunks.len() <= 64, "{} chunks", bp.chunks.len());
+        assert!(bp.nodes.len() <= 64 * CHUNK);
+        assert_eq!(bp.dir.len(), 64);
     }
 
     /// Proves the `strict-invariants` wiring is live: a hole punched into
@@ -560,6 +746,20 @@ mod tests {
         let hole = pm.home(1);
         pm.vals[hole] = NONE; // erase without fixing len or shifting
         pm.insert(3, 30);
+    }
+
+    /// Proves the pool's `strict-invariants` check is live: a node marked
+    /// absent while still linked must trip it on the next mutation.
+    #[test]
+    #[cfg(feature = "strict-invariants")]
+    #[should_panic(expected = "is absent")]
+    fn strict_invariants_catch_lru_corruption() {
+        let mut bp = BufferPool::new(4);
+        insert(&mut bp, 1, false);
+        insert(&mut bp, 2, false);
+        let idx = bp.node_index(1).unwrap();
+        bp.nodes[idx].state = State::Absent; // drop residency, stay linked
+        insert(&mut bp, 3, false);
     }
 
     /// Randomized cross-check: the open-addressed [`PageMap`] must behave

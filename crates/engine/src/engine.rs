@@ -10,13 +10,15 @@
 //! ## Fast path
 //!
 //! The engine is the inner loop of every fleet experiment (1k tenants ×
-//! 1440 intervals), so its core data structures are chosen for throughput:
+//! 1440 intervals), so its per-request path is kept cheap:
 //!
 //! - request state lives in a [`GenSlab`] (one array access + generation
-//!   check per event) instead of `HashMap<ReqId, _>` tables;
-//! - the event queue is an [`EventWheel`]
-//!   (µs-granularity buckets + overflow heap) instead of a `BinaryHeap`,
-//!   preserving the `(time, seq)` total order exactly;
+//!   check per event) instead of `HashMap<ReqId, _>` tables, and a request
+//!   enters it only when admitted;
+//! - submitted arrivals wait in a lane — a `VecDeque` ordered by
+//!   `(time, seq)` — beside a plain `BinaryHeap` of engine events;
+//!   [`run_until`](Engine::run_until) takes whichever head is smaller by
+//!   `(time, seq)`, exactly the order one queue holding both would give;
 //! - every dispatch path (CPU/disk/log pumps, lock-waiter resumption,
 //!   buffer-pool eviction, latency collection) writes into engine-owned
 //!   scratch buffers, so steady-state operation never allocates.
@@ -37,15 +39,14 @@ use crate::request::{CompletedRequest, Op, ReqId, RequestSpec};
 use crate::slab::GenSlab;
 use crate::time::SimTime;
 use crate::waits::{WaitClass, WaitStats};
-use crate::wheel::EventWheel;
 use dasr_containers::ResourceVector;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
-/// Events in the simulation queue.
+/// Events in the simulation queue. Arrivals are not among them: they wait
+/// in the engine's arrival lane until admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// A request arrives (spec parked in the slab, inactive).
-    Arrival(ReqId),
     /// A CPU burst finishes.
     CpuDone {
         req: ReqId,
@@ -68,7 +69,7 @@ enum Ev {
     BalloonStep,
 }
 
-/// Per-request execution state.
+/// Per-request execution state of an admitted request.
 #[derive(Debug)]
 struct ReqState {
     spec: RequestSpec,
@@ -80,8 +81,6 @@ struct ReqState {
     pending_page: Option<(u64, bool)>,
     /// Memory grant held (MB), released at completion.
     granted_mb: u32,
-    /// False between `submit_at` and admission at arrival time.
-    active: bool,
 }
 
 /// Telemetry for one billing/monitoring interval, drained by
@@ -163,11 +162,13 @@ pub struct Engine {
     cfg: EngineConfig,
     clock: SimTime,
     seq: u64,
-    events: EventWheel<Ev>,
-    /// All known requests (pending and running); the slab key is the
-    /// `ReqId`. `running` counts admitted (active) entries.
+    /// Engine events, min-ordered by `(time µs, seq)`.
+    events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    /// Submitted, not yet arrived requests as `(time µs, seq, spec)`,
+    /// ordered by `(time, seq)`.
+    lane: VecDeque<(u64, u64, RequestSpec)>,
+    /// Admitted requests; the slab key is the `ReqId`.
     requests: GenSlab<ReqState>,
-    running: usize,
     runnable: VecDeque<ReqId>,
 
     cpu: CpuScheduler,
@@ -221,9 +222,9 @@ impl Engine {
             cfg,
             clock: SimTime::ZERO,
             seq: 0,
-            events: EventWheel::new(),
+            events: BinaryHeap::new(),
+            lane: VecDeque::new(),
             requests: GenSlab::new(),
-            running: 0,
             runnable: VecDeque::new(),
             balloon_target: None,
             waits: WaitStats::new(),
@@ -260,7 +261,7 @@ impl Engine {
 
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.running
+        self.requests.len()
     }
 
     /// Buffer-pool pages in use, as MB of container memory.
@@ -289,22 +290,21 @@ impl Engine {
 
     /// Schedules `spec` to arrive at `at`.
     ///
+    /// The arrival draws its `seq` now, as an event would, and waits in the
+    /// lane in `(time, seq)` order: callers submit in time order, so this
+    /// is an append; an earlier `at` than the lane's last is inserted at
+    /// its place.
+    ///
     /// # Panics
     /// Panics if `at` is in the simulated past.
     // dasr-lint: no-alloc
     pub fn submit_at(&mut self, at: SimTime, spec: RequestSpec) {
         assert!(at >= self.clock, "arrival scheduled in the past");
-        let id = self.requests.insert(ReqState {
-            spec,
-            op: 0,
-            arrived: SimTime::ZERO,
-            cpu_service_us: 0,
-            waits: WaitStats::new(),
-            pending_page: None,
-            granted_mb: 0,
-            active: false,
-        });
-        self.push_event(at, Ev::Arrival(id));
+        self.seq += 1;
+        let at = at.as_micros();
+        // Every queued seq is smaller, so ties in time go before this one.
+        let pos = self.lane.partition_point(|&(t, _, _)| t <= at);
+        self.lane.insert(pos, (at, self.seq, spec));
     }
 
     /// Processes every event with timestamp ≤ `t`, then advances the clock
@@ -313,11 +313,28 @@ impl Engine {
     // dasr-lint: entry(G3)
     pub fn run_until(&mut self, t: SimTime) {
         let horizon = t.as_micros();
-        while let Some((et, _, ev)) = self.events.pop_due(horizon) {
-            let et = SimTime::from_micros(et);
-            debug_assert!(et >= self.clock, "time went backwards");
-            self.clock = et;
-            self.dispatch(ev);
+        loop {
+            let arrival = self.lane.front().map(|&(at, seq, _)| (at, seq));
+            let event = self.events.peek().map(|&Reverse((at, seq, _))| (at, seq));
+            let (at, is_arrival) = match (arrival, event) {
+                (Some(a), Some(e)) if e < a => (e.0, false),
+                (Some(a), _) => (a.0, true),
+                (None, Some(e)) => (e.0, false),
+                (None, None) => break,
+            };
+            if at > horizon {
+                break;
+            }
+            let at = SimTime::from_micros(at);
+            debug_assert!(at >= self.clock, "time went backwards");
+            self.clock = at;
+            if is_arrival {
+                if let Some((_, _, spec)) = self.lane.pop_front() {
+                    self.on_arrival(spec);
+                }
+            } else if let Some(Reverse((_, _, ev))) = self.events.pop() {
+                self.dispatch(ev);
+            }
             self.drain_runnable();
         }
         if t > self.clock {
@@ -441,7 +458,7 @@ impl Engine {
         out.rejected = std::mem::take(&mut self.rejected);
         out.disk_reads = std::mem::take(&mut self.disk_reads);
         out.disk_writes = std::mem::take(&mut self.disk_writes);
-        out.outstanding = self.running;
+        out.outstanding = self.requests.len();
     }
 
     // ------------------------------------------------------------------
@@ -451,7 +468,7 @@ impl Engine {
     // dasr-lint: no-alloc
     fn push_event(&mut self, at: SimTime, ev: Ev) {
         self.seq += 1;
-        self.events.push(at.as_micros(), self.seq, ev);
+        self.events.push(Reverse((at.as_micros(), self.seq, ev)));
     }
 
     /// Schedules completions for dispatched CPU bursts plus the optional
@@ -551,7 +568,6 @@ impl Engine {
     // dasr-lint: no-alloc
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrival(id) => self.on_arrival(id),
             Ev::CpuDone {
                 req,
                 work_us,
@@ -624,20 +640,24 @@ impl Engine {
         }
     }
 
+    /// Admits `spec` into the slab, or rejects it (and drops it) when
+    /// `max_outstanding` requests are in flight.
     // dasr-lint: no-alloc
-    fn on_arrival(&mut self, id: ReqId) {
-        if self.running >= self.cfg.max_outstanding {
+    fn on_arrival(&mut self, spec: RequestSpec) {
+        if self.requests.len() >= self.cfg.max_outstanding {
             self.rejected += 1;
-            // dasr-lint: allow(G3) reason="admission invariant: every arrival event carries a slab key inserted at submit; a stale key must abort, not be masked"
-            self.requests.remove(id).expect("arrival without spec");
             return;
         }
         self.arrivals += 1;
-        let now = self.clock;
-        let state = self.requests.get_mut(id).expect("arrival without spec");
-        state.active = true;
-        state.arrived = now;
-        self.running += 1;
+        let id = self.requests.insert(ReqState {
+            spec,
+            op: 0,
+            arrived: self.clock,
+            cpu_service_us: 0,
+            waits: WaitStats::new(),
+            pending_page: None,
+            granted_mb: 0,
+        });
         self.runnable.push_back(id);
     }
 
@@ -780,7 +800,6 @@ impl Engine {
             .remove(req)
             // dasr-lint: allow(G3) reason="completion invariant: a request completes exactly once; a double-complete must abort the simulation"
             .expect("completing unknown request");
-        self.running -= 1;
         // Strict 2PL: release everything still held.
         self.locks
             .release_all(req, self.clock, &mut self.lock_scratch);

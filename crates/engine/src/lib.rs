@@ -65,7 +65,6 @@ pub mod request;
 pub mod slab;
 pub mod time;
 pub mod waits;
-pub mod wheel;
 
 pub use config::EngineConfig;
 pub use engine::{Engine, IntervalStats};

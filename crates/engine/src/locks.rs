@@ -49,13 +49,14 @@ pub struct GrantedWaiter {
 /// reuses its buffers instead of re-allocating, which matters on the
 /// engine's lock-heavy hot path. [`active_locks`](Self::active_locks)
 /// counts only non-empty states.
+///
+/// A request's held-lock entry is removed when it releases everything:
+/// `ReqId`s carry the slab generation and are never reused, so a kept
+/// entry would be a leak.
 #[derive(Debug, Default)]
 pub struct LockTable {
     locks: HashMap<LockId, LockState>,
     held: HashMap<ReqId, Vec<LockId>>,
-    /// Reused buffer for the lock list drained in
-    /// [`release_all`](Self::release_all).
-    drain_scratch: Vec<LockId>,
 }
 
 impl LockTable {
@@ -116,22 +117,16 @@ impl LockTable {
     // dasr-lint: no-alloc
     pub fn release_all(&mut self, req: ReqId, now: SimTime, out: &mut Vec<GrantedWaiter>) {
         out.clear();
-        // Drain the held list through a reused scratch so the entry keeps
-        // its capacity for the next request reusing this `ReqId` slot.
-        self.drain_scratch.clear();
-        if let Some(list) = self.held.get_mut(&req) {
-            self.drain_scratch.append(list);
-        }
-        for i in 0..self.drain_scratch.len() {
-            // dasr-lint: allow(G3) reason="index bounded by the same len() in the loop condition"
-            let lock = self.drain_scratch[i];
+        let Some(released) = self.held.remove(&req) else {
+            return;
+        };
+        for lock in released {
             let start = out.len();
             if let Some(state) = self.locks.get_mut(&lock) {
                 state.holders.retain(|&(r, _)| r != req);
                 Self::grant_from_queue(state, now, out);
             }
-            for j in start..out.len() {
-                let g = out[j];
+            for g in out.iter().skip(start) {
                 self.held.entry(g.req).or_default().push(lock);
             }
         }
@@ -292,6 +287,25 @@ mod tests {
         t.release_all(1, SimTime(100), &mut granted);
         assert!(granted.is_empty());
         assert_eq!(t.active_locks(), 0, "empty lock states are not counted");
+    }
+
+    /// `ReqId`s carry the slab generation, so no id is ever reused: the
+    /// held-lock entry must leave with its request, or the map grows by one
+    /// entry per lock-taking request for the whole run.
+    #[test]
+    fn release_all_forgets_the_request() {
+        let mut t = LockTable::new();
+        let mut granted = Vec::new();
+        for generation in 0..10_000u64 {
+            let req = generation << 32; // slab slot 0, a fresh generation
+            assert!(t.acquire(req, 7, true, T0));
+            t.release_all(req, SimTime(1), &mut granted);
+        }
+        assert!(
+            t.held.is_empty(),
+            "{} held-lock entries leaked",
+            t.held.len()
+        );
     }
 
     #[test]

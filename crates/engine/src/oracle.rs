@@ -1,9 +1,11 @@
 //! Reference engine — the pre-fast-path implementation, kept as a test
 //! oracle.
 //!
-//! [`OracleEngine`] is the engine exactly as it stood before the slab /
-//! event-wheel rewrite: request state in `HashMap<ReqId, _>` tables and the
-//! event queue in a `BinaryHeap<Reverse<(SimTime, u64, Ev)>>`. It is *not*
+//! [`OracleEngine`] is the engine exactly as it stood before the fast-path
+//! rewrites: request state in `HashMap<ReqId, _>` tables and arrivals and
+//! events alike in one `BinaryHeap<Reverse<(SimTime, u64, Ev)>>`. It shares
+//! `BufferPool` and `LockTable` with [`Engine`](crate::Engine), so the pool
+//! has its own reference test (`tests/buffer_pool_reference.rs`). It is *not*
 //! optimized and allocates freely — its only job is to define the expected
 //! telemetry. The property tests in `tests/engine_equivalence.rs` drive
 //! randomized request mixes (including mid-run resizes and ballooning)

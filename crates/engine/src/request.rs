@@ -116,6 +116,15 @@ impl RequestBuilder {
         Self::default()
     }
 
+    /// Empty builder with room for `n` ops: a generator that knows the
+    /// largest op count of the request kind it builds never regrows the
+    /// op vector.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            ops: Vec::with_capacity(n),
+        }
+    }
+
     /// Appends a CPU burst of `us` core-microseconds.
     pub fn cpu(mut self, us: u64) -> Self {
         self.ops.push(Op::CpuBurst { us });

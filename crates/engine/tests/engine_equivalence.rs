@@ -1,15 +1,19 @@
-//! Property tests: the fast-path [`Engine`] (generational slab, event
-//! wheel, allocation-free dispatch) produces **bit-identical** telemetry to
-//! [`OracleEngine`], the preserved pre-fast-path implementation
-//! (`HashMap` request tables + `BinaryHeap` event queue).
+//! Property tests: the fast-path [`Engine`] (generational slab, arrival
+//! lane beside the event heap, allocation-free dispatch) produces
+//! **bit-identical** telemetry to [`OracleEngine`], the preserved
+//! pre-fast-path implementation (`HashMap` request tables + one
+//! `BinaryHeap` holding arrivals and events alike).
 //!
 //! Every comparison is exact (`IntervalStats: PartialEq` compares `f64`
 //! fields bitwise via `==`): latencies, wait totals, utilization
 //! percentages, counters. Randomized request mixes run through both
 //! engines at several container sizes, across multiple interval
-//! boundaries, and under mid-run resizes and balloon operations.
+//! boundaries, under mid-run resizes and balloon operations, and in
+//! `SimulatorSource`'s shape of submit batches interleaved with
+//! `run_until`.
 
 use dasr_containers::ResourceVector;
+use dasr_engine::bufferpool::CHUNK;
 use dasr_engine::oracle::OracleEngine;
 use dasr_engine::request::{Op, RequestSpec};
 use dasr_engine::{Engine, EngineConfig, IntervalStats, SimTime};
@@ -30,32 +34,63 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// (locks in increasing id order, grants before locks) — same generator as
 /// `tests/invariants.rs`.
 fn arb_spec() -> impl Strategy<Value = RequestSpec> {
-    prop::collection::vec(arb_op(), 1..10).prop_map(|mut ops| {
-        let mut lock_ids: Vec<u32> = ops
-            .iter()
-            .filter_map(|op| match op {
-                Op::LockAcquire { lock, .. } => Some(*lock),
-                _ => None,
-            })
-            .collect();
-        lock_ids.sort_unstable();
-        lock_ids.dedup();
-        let mut next = 0;
-        let mut seen = std::collections::HashSet::new();
-        for op in ops.iter_mut() {
-            if let Op::LockAcquire { lock, .. } = op {
-                while next < lock_ids.len() && seen.contains(&lock_ids[next]) {
-                    next += 1;
-                }
-                if next < lock_ids.len() {
-                    *lock = lock_ids[next];
-                    seen.insert(lock_ids[next]);
-                }
+    prop::collection::vec(arb_op(), 1..10).prop_map(disciplined)
+}
+
+/// Bends `ops` to the deadlock-avoidance discipline.
+fn disciplined(mut ops: Vec<Op>) -> RequestSpec {
+    let mut lock_ids: Vec<u32> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::LockAcquire { lock, .. } => Some(*lock),
+            _ => None,
+        })
+        .collect();
+    lock_ids.sort_unstable();
+    lock_ids.dedup();
+    let mut next = 0;
+    let mut seen = std::collections::HashSet::new();
+    for op in ops.iter_mut() {
+        if let Op::LockAcquire { lock, .. } = op {
+            while next < lock_ids.len() && seen.contains(&lock_ids[next]) {
+                next += 1;
+            }
+            if next < lock_ids.len() {
+                *lock = lock_ids[next];
+                seen.insert(lock_ids[next]);
             }
         }
-        ops.sort_by_key(|op| !matches!(op, Op::MemoryGrant { .. }));
-        RequestSpec::new(ops)
-    })
+    }
+    ops.sort_by_key(|op| !matches!(op, Op::MemoryGrant { .. }));
+    RequestSpec::new(ops)
+}
+
+/// Arrival and duration grid of the lane test, in µs: the disk's 500 µs
+/// base latency is on it, so completions land on arrival times often.
+const GRID_US: u64 = 500;
+/// One submit batch spans this many grid steps (60 ms).
+const BATCH_SLOTS: u64 = 120;
+
+/// Ops with CPU bursts and think times on the grid and page ids over six
+/// buffer-pool chunks plus a few sparse ones.
+fn arb_grid_op() -> impl Strategy<Value = Op> {
+    let pages = 6 * CHUNK as u64;
+    prop_oneof![
+        (1u64..20).prop_map(|k| Op::CpuBurst { us: k * GRID_US }),
+        (0u64..pages, any::<bool>()).prop_map(|(page, write)| Op::PageAccess { page, write }),
+        (0u64..8, any::<bool>()).prop_map(|(k, write)| Op::PageAccess {
+            page: k << 30,
+            write
+        }),
+        (1u32..8_192).prop_map(|bytes| Op::LogWrite { bytes }),
+        (0u32..4, any::<bool>()).prop_map(|(lock, exclusive)| Op::LockAcquire { lock, exclusive }),
+        (1u32..32).prop_map(|mb| Op::MemoryGrant { mb }),
+        (1u64..20).prop_map(|k| Op::Think { us: k * GRID_US }),
+    ]
+}
+
+fn arb_grid_spec() -> impl Strategy<Value = RequestSpec> {
+    prop::collection::vec(arb_grid_op(), 1..10).prop_map(disciplined)
 }
 
 /// A handful of container shapes from tiny (memory-starved, low IOPS) to
@@ -189,5 +224,56 @@ proptest! {
         oracle.run_until(SimTime::from_secs(600));
         let s = assert_intervals_equal(&mut fast, &mut oracle);
         prop_assert_eq!(s.outstanding, 0);
+    }
+
+    /// The arrival lane merged with the event heap, fed in
+    /// `SimulatorSource`'s shape: submit batches interleaved with
+    /// `run_until` and `end_interval`, arrival times on a coarse grid so
+    /// they tie with completions queued both before and after the batch,
+    /// one submit per batch earlier than the lane's last, a small
+    /// `max_outstanding` so arrivals are rejected, and pages over several
+    /// buffer-pool chunks.
+    #[test]
+    fn lane_batches_with_ties_and_rejections_are_bit_identical(
+        batches in prop::collection::vec(
+            (prop::collection::vec((0u64..BATCH_SLOTS, arb_grid_spec()), 2..12), 0usize..16),
+            1..8,
+        ),
+        max_outstanding in 2usize..8,
+        prewarm_pages in 0u64..3 * CHUNK as u64,
+    ) {
+        let cfg = EngineConfig {
+            max_outstanding,
+            ..EngineConfig::default()
+        };
+        let container = ResourceVector::new(1.0, 8.0, 200.0, 10.0);
+        let mut fast = Engine::new(cfg, container);
+        let mut oracle = OracleEngine::new(cfg, container);
+        fast.prewarm(prewarm_pages);
+        oracle.prewarm(prewarm_pages);
+        let batch_us = BATCH_SLOTS * GRID_US;
+        for (k, (mut arrivals, late)) in batches.into_iter().enumerate() {
+            let start = k as u64 * batch_us;
+            // Time order, except one arrival submitted last although it
+            // is not the latest.
+            arrivals.sort_by_key(|&(slot, _)| slot);
+            let late = arrivals.remove(late % (arrivals.len() - 1));
+            arrivals.push(late);
+            for (slot, spec) in arrivals {
+                let at = SimTime::from_micros(start + slot * GRID_US);
+                fast.submit_at(at, spec.clone());
+                oracle.submit_at(at, spec);
+            }
+            for end in [start + batch_us / 2, start + batch_us] {
+                fast.run_until(SimTime::from_micros(end));
+                oracle.run_until(SimTime::from_micros(end));
+                assert_intervals_equal(&mut fast, &mut oracle);
+            }
+        }
+        fast.run_until(SimTime::from_secs(600));
+        oracle.run_until(SimTime::from_secs(600));
+        let s = assert_intervals_equal(&mut fast, &mut oracle);
+        prop_assert_eq!(s.outstanding, 0);
+        prop_assert_eq!(fast.outstanding(), oracle.outstanding());
     }
 }

@@ -123,7 +123,15 @@ impl Workload for CpuIoWorkload {
 
     fn next_request(&mut self, rng: &mut StdRng) -> RequestSpec {
         let kind = weighted_index(rng, &self.cfg.mix);
-        let mut b = RequestBuilder::new();
+        let pages = self.cfg.pages_per_request as usize;
+        // The optional grant plus the kind's largest op count (arms below).
+        let max_ops = 1 + match kind {
+            0 => 1 + pages / 4,
+            1 => pages * 2 + 1,
+            2 => 1 + pages / 2 + 1,
+            _ => 1 + pages + 1,
+        };
+        let mut b = RequestBuilder::with_capacity(max_ops);
         if rng.gen_bool(self.cfg.grant_prob) {
             b = b.grant(self.cfg.grant_mb);
         }
@@ -254,6 +262,23 @@ mod tests {
             })
             .count();
         assert!((400..600).contains(&with_grant), "{with_grant}");
+    }
+
+    /// Each kind's builder is pre-sized to its largest op count; a
+    /// request that outgrew it would carry a regrown, doubled capacity.
+    #[test]
+    fn op_vectors_are_presized_to_their_kind() {
+        let mut w = CpuIoWorkload::new(CpuIoConfig {
+            grant_prob: 0.5,
+            ..CpuIoConfig::default()
+        });
+        let mut r = rng();
+        // pages_per_request = 16: kinds hold 5, 33, 10 and 18 ops at most,
+        // plus one for the grant.
+        for _ in 0..5_000 {
+            let cap = w.next_request(&mut r).ops.capacity();
+            assert!([6, 34, 11, 19].contains(&cap), "capacity {cap}");
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl Ds2Workload {
 
     fn browse(&self, rng: &mut StdRng) -> RequestSpec {
         // Catalog search: CPU for matching plus a batch of reads, some cold.
-        let mut b = RequestBuilder::new().cpu(self.cpu(rng, 8_000.0));
+        let mut b = RequestBuilder::with_capacity(17).cpu(self.cpu(rng, 8_000.0));
         for _ in 0..rng.gen_range(8..=16) {
             b = b.read(self.hotspot.sample(rng));
         }
@@ -90,7 +90,7 @@ impl Ds2Workload {
     }
 
     fn login(&self, rng: &mut StdRng) -> RequestSpec {
-        RequestBuilder::new()
+        RequestBuilder::with_capacity(6)
             .cpu(self.cpu(rng, 3_000.0))
             .read(self.hotspot.sample(rng))
             .read(self.hotspot.sample(rng))
@@ -102,7 +102,8 @@ impl Ds2Workload {
 
     fn purchase(&self, rng: &mut StdRng) -> RequestSpec {
         let lock = rng.gen_range(0..self.cfg.inventory_locks);
-        let mut b = RequestBuilder::new()
+        // Lock, CPU, think, up to 8 reads, 2 writes, log.
+        let mut b = RequestBuilder::with_capacity(14)
             .lock(lock, true)
             .cpu(self.cpu(rng, 5_000.0))
             // Payment-gateway round trip while holding the inventory lock.
@@ -197,6 +198,18 @@ mod tests {
         }
         let frac = cold as f64 / total as f64;
         assert!((0.15..0.25).contains(&frac), "cold fraction {frac}");
+    }
+
+    /// Each kind's builder is pre-sized to its largest op count; a
+    /// request that outgrew it would carry a regrown, doubled capacity.
+    #[test]
+    fn op_vectors_are_presized_to_their_kind() {
+        let mut w = Ds2Workload::new(Ds2Config::default());
+        let mut r = rng();
+        for _ in 0..5_000 {
+            let cap = w.next_request(&mut r).ops.capacity();
+            assert!([17, 6, 14].contains(&cap), "capacity {cap}");
+        }
     }
 
     #[test]

@@ -104,7 +104,8 @@ impl TpccWorkload {
     }
 
     fn new_order(&self, rng: &mut StdRng) -> RequestSpec {
-        let mut b = RequestBuilder::new()
+        // Lock, CPU, think, up to 15 × (read, write), CPU, log.
+        let mut b = RequestBuilder::with_capacity(35)
             .lock(self.district_lock(rng), true)
             .cpu(self.cpu(rng, 4_000.0))
             .think(self.round_trip(rng));
@@ -117,7 +118,7 @@ impl TpccWorkload {
     }
 
     fn payment(&self, rng: &mut StdRng) -> RequestSpec {
-        RequestBuilder::new()
+        RequestBuilder::with_capacity(8)
             .lock(self.warehouse_lock(rng), true)
             .cpu(self.cpu(rng, 1_500.0))
             .read(self.hotspot.sample(rng))
@@ -130,7 +131,7 @@ impl TpccWorkload {
     }
 
     fn order_status(&self, rng: &mut StdRng) -> RequestSpec {
-        let mut b = RequestBuilder::new().cpu(self.cpu(rng, 1_500.0));
+        let mut b = RequestBuilder::with_capacity(9).cpu(self.cpu(rng, 1_500.0));
         for _ in 0..8 {
             b = b.read(self.hotspot.sample(rng));
         }
@@ -138,7 +139,7 @@ impl TpccWorkload {
     }
 
     fn delivery(&self, rng: &mut StdRng) -> RequestSpec {
-        let mut b = RequestBuilder::new()
+        let mut b = RequestBuilder::with_capacity(15)
             .lock(self.district_lock(rng), true)
             .cpu(self.cpu(rng, 3_000.0));
         for _ in 0..12 {
@@ -148,7 +149,7 @@ impl TpccWorkload {
     }
 
     fn stock_level(&self, rng: &mut StdRng) -> RequestSpec {
-        let mut b = RequestBuilder::new().cpu(self.cpu(rng, 6_000.0));
+        let mut b = RequestBuilder::with_capacity(31).cpu(self.cpu(rng, 6_000.0));
         for _ in 0..30 {
             b = b.read(self.hotspot.sample(rng));
         }
@@ -267,6 +268,18 @@ mod tests {
             .map(|_| small.payment(&mut r2).total_cpu_us())
             .sum();
         assert!(s * 5 < b, "scaled CPU {s} should be well below {b}");
+    }
+
+    /// Each kind's builder is pre-sized to its largest op count; a
+    /// request that outgrew it would carry a regrown, doubled capacity.
+    #[test]
+    fn op_vectors_are_presized_to_their_kind() {
+        let mut w = TpccWorkload::new(TpccConfig::default());
+        let mut r = rng();
+        for _ in 0..5_000 {
+            let cap = w.next_request(&mut r).ops.capacity();
+            assert!([35, 8, 9, 15, 31].contains(&cap), "capacity {cap}");
+        }
     }
 
     #[test]
