@@ -2,29 +2,24 @@
 //!
 //! The store's job is to keep up with a fleet sweep: `run_fleet_summary`
 //! streams events through a `StoreSink` while tenants execute, so append
-//! cost is on the fleet's critical path. The acceptance bar CI gates on
-//! is **< 5 µs per appended record** including framing, batching and the
-//! (amortized) flush — measured here as `store_append_1k`, one iteration
-//! = 1000 event appends + one explicit flush.
+//! cost is on the fleet's critical path. `store_append_1k` times one
+//! iteration of 1000 event appends + one explicit flush, framing,
+//! batching and the (amortized) flush included.
 //!
 //! Read-side benches cover the two query shapes the paper's analyses
 //! use — a time-windowed scan (sparse index pruning) and a whole-run
 //! rule-fire aggregation — plus the streaming cursor over the same
-//! window (`store_scan_stream_100k`, no result materialization). All
-//! run against the default (v2) format; CI gates the collected scan at
-//! ≥2× and `store_fire_counts_100k` at ≥5× the v1-era baselines
-//! recorded in `BENCH_store.json`.
+//! window (`store_scan_stream_100k`, no result materialization).
 //!
-//! `store_compress_bytes_per_tenant_day` is a size, not a latency: a
-//! small fleet-day is streamed through a `StoreSink` exactly like
-//! `examples/store_query.rs` and the on-disk bytes are divided by the
-//! tenant count. The value lands in the JSON's `ns_per_iter` field
-//! (the shim has only one value slot); the bench name carries the
-//! unit. CI gates it at ≤ 1.7 KiB/tenant-day.
+//! After the timed benches, a small fleet-day is streamed through a
+//! `StoreSink` exactly like `examples/store_query.rs` and its on-disk
+//! bytes per tenant-day are printed.
 //!
 //! With `DASR_BENCH_JSON` set, the vendored criterion shim appends one
 //! `{"bench": …, "ns_per_iter": …}` line per benchmark — CI publishes
-//! them as `BENCH_store.json` and gates the rows above.
+//! them as `BENCH_store.json`, an ungated trajectory. The end-to-end
+//! benchmark's `store_archive` workload is the store's performance
+//! contract.
 
 use criterion::{black_box, Criterion};
 use dasr_core::obs::{EventKind, RunEvent};
@@ -34,7 +29,6 @@ use dasr_store::codec::BatchEncoder;
 use dasr_store::{Query, RecordPayload, RunMeta, Store, StoredRecord, WriterConfig};
 use dasr_telemetry::LatencyGoal;
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
-use std::io::Write as _;
 
 /// Records per append iteration.
 const APPENDS: u64 = 1_000;
@@ -230,30 +224,6 @@ fn measure_compression() -> f64 {
     stats.bytes as f64 / COMPRESS_TENANTS as f64
 }
 
-/// Appends extra non-latency rows (sizes) to `DASR_BENCH_JSON` in the
-/// same line format the criterion shim uses.
-fn emit_extra_json(lines: &[(&str, f64)]) {
-    let Ok(path) = std::env::var("DASR_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let Ok(mut file) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-    else {
-        return;
-    };
-    for (bench, value) in lines {
-        let _ = writeln!(
-            file,
-            "{{\"bench\":\"{bench}\",\"ns_per_iter\":{value:.1},\"iters\":1}}"
-        );
-    }
-}
-
 fn main() {
     let mut c = Criterion::default();
     bench_store(&mut c);
@@ -263,18 +233,14 @@ fn main() {
         .find(|m| m.id.contains("store_append_1k"))
     {
         let per_record_us = m.ns_per_iter / APPENDS as f64 / 1_000.0;
-        println!(
-            "append cost: {per_record_us:.3} µs/record \
-             (acceptance bar <5 µs; CI gates BENCH_store.json on this)"
-        );
+        println!("append cost: {per_record_us:.3} µs/record");
     }
     c.emit_json();
 
     let bytes_per_tenant_day = measure_compression();
     println!(
         "on-disk cost: {:.2} KiB per tenant-day of notable events \
-         ({COMPRESS_TENANTS} tenants x {MINUTES} min; gate <= 1.7 KiB)",
+         ({COMPRESS_TENANTS} tenants x {MINUTES} min)",
         bytes_per_tenant_day / 1024.0
     );
-    emit_extra_json(&[("store_compress_bytes_per_tenant_day", bytes_per_tenant_day)]);
 }

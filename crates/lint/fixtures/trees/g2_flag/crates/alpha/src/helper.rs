@@ -1,5 +1,5 @@
-//! The allocating helper: no marker of its own, so the token rule (A1)
-//! stays silent — only the graph pass sees the transitive violation.
+//! The allocating helper: no marker of its own, so its allocation is
+//! flagged only where the marked fn calls it.
 
 pub fn build(x: u32) -> u32 {
     let v: Vec<u32> = Vec::with_capacity(x as usize);

@@ -195,7 +195,7 @@ impl SymbolGraph {
         let mut alloc: Vec<bool> = self
             .nodes
             .iter()
-            .map(|n| n.item.facts.alloc.is_some())
+            .map(|n| !n.item.alloc_sites.is_empty())
             .collect();
         let mut work: Vec<usize> = (0..self.nodes.len()).filter(|&n| alloc[n]).collect();
         while let Some(n) = work.pop() {
@@ -220,7 +220,7 @@ impl SymbolGraph {
         for _ in 0..8 {
             chain.push(self.nodes[cur].item.qualified.join("::"));
             seen[cur] = true;
-            if self.nodes[cur].item.facts.alloc.is_some() {
+            if !self.nodes[cur].item.alloc_sites.is_empty() {
                 break;
             }
             let next = self.callees[cur]

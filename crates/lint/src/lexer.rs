@@ -58,7 +58,7 @@ impl Tok {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
     /// A `no-alloc` marker: the next `fn` at or below this line must not
-    /// allocate (rule A1 scans its body).
+    /// allocate, itself or through a callee (rule G2).
     NoAlloc {
         /// Line of the marker comment.
         line: u32,

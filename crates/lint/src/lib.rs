@@ -15,14 +15,13 @@
 //!    deterministic modules, **D3** no ambient randomness outside
 //!    tests, **R1** no `String` fields stored in trace/event/metric
 //!    types, **F1** no NaN-unsafe float ordering outside the stats
-//!    kernels, **A1** no allocation under a `no-alloc` marker, **W1**
-//!    malformed waivers — plus the item parser ([`parser`]) that
-//!    extracts functions, calls, and `use` aliases.
+//!    kernels, **W1** malformed waivers — plus the item parser
+//!    ([`parser`]) that extracts functions, calls, and `use` aliases.
 //! 2. **Workspace graph** (sequential, deterministic): the approximate
 //!    call graph ([`graph`]) and the propagation passes ([`passes`]) —
 //!    **G1** transitive determinism taint from `entry(G1)` functions,
-//!    **G2** transitive allocation under `no-alloc` markers, **G3**
-//!    panic paths from `entry(G3)` functions.
+//!    **G2** allocation under `no-alloc` markers, in the marked body or
+//!    through any callee, **G3** panic paths from `entry(G3)` functions.
 //!
 //! File parsing fans out across threads, but findings are merged and
 //! sorted in (path, line, rule) order — reports are byte-identical at
@@ -166,16 +165,7 @@ struct FileUnit {
 fn analyze_file(rel: &str, src: String, scope: Scope) -> FileUnit {
     let lexed = lexer::lex(&src);
     let in_test = rules::test_mask(&lexed.tokens);
-    let marker_lines: Vec<u32> = lexed
-        .directives
-        .iter()
-        .filter_map(|d| match d {
-            Directive::NoAlloc { line } => Some(*line),
-            _ => None,
-        })
-        .collect();
-    let no_alloc = rules::no_alloc_mask(&lexed.tokens, &marker_lines);
-    let raw = rules::scan(&lexed.tokens, &in_test, &no_alloc, scope);
+    let raw = rules::scan(&lexed.tokens, &in_test, scope);
 
     let mut unit = FileUnit {
         rel: rel.to_string(),

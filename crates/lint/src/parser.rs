@@ -4,8 +4,8 @@
 //! `syn`, no crates.io — and recovers just enough structure for the
 //! graph passes: every function item with a module-qualified path, the
 //! call sites inside its body, its per-function facts (wall clock,
-//! ambient rng, map iteration, allocation, panic sites), and the file's
-//! `use` aliases for cross-crate call resolution.
+//! ambient rng, map iteration, panic sites), its allocation sites, and
+//! the file's `use` aliases for cross-crate call resolution.
 //!
 //! The parser is a single forward walk over the tokens with a context
 //! stack (`mod` / `impl` / `trait` / `fn` / plain block). It does not
@@ -59,8 +59,6 @@ pub struct FnFacts {
     pub rng: Option<Fact>,
     /// `HashMap`/`HashSet` iteration without a sorted adapter.
     pub map_iter: Option<Fact>,
-    /// Allocation site (rule A1's definition).
-    pub alloc: Option<Fact>,
     /// `.unwrap()` / `.expect(..)` sites.
     pub unwraps: Option<Fact>,
     /// Index-expression sites.
@@ -84,6 +82,10 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     /// Seed facts.
     pub facts: FnFacts,
+    /// Line of every direct allocation site in the body, in source
+    /// order (rule G2 flags each one in a `no-alloc` fn, and seeds its
+    /// transitive closure from them).
+    pub alloc_sites: Vec<u32>,
     /// Carries a `// dasr-lint: no-alloc` marker (rule G2 applies).
     pub no_alloc: bool,
     /// Graph rules this function is an entry point for (`entry(G1)`…).
@@ -207,7 +209,13 @@ pub fn parse_tokens(
                     continue;
                 }
             }
-            Kind::Ident(s) if (s == "impl" || s == "trait") && !in_test[i] => {
+            // Inside a fn signature, `impl Trait` names an argument or
+            // return type, not an impl block.
+            Kind::Ident(s)
+                if (s == "impl" || s == "trait")
+                    && !in_test[i]
+                    && !matches!(pending, Pending::Fn { .. }) =>
+            {
                 if let Some((name, next)) = impl_type_name(tokens, i) {
                     pending = Pending::Type(name);
                     i = next;
@@ -257,6 +265,7 @@ pub fn parse_tokens(
                                 is_method,
                                 calls: Vec::new(),
                                 facts: FnFacts::default(),
+                                alloc_sites: Vec::new(),
                                 no_alloc: false,
                                 entries: Vec::new(),
                             });
@@ -628,12 +637,13 @@ fn attach_facts(out: &mut ParsedFile, tokens: &[Tok], in_test: &[bool], owner: &
         let Some(Some(idx)) = owner.get(f.tok) else {
             continue;
         };
-        let facts = &mut out.fns[*idx].facts;
+        let item = &mut out.fns[*idx];
+        let facts = &mut item.facts;
         match f.rule {
             LintRule::D1WallClock => bump(&mut facts.wallclock, f.line),
             LintRule::D3AmbientRandomness => bump(&mut facts.rng, f.line),
             LintRule::D2MapIteration => bump(&mut facts.map_iter, f.line),
-            LintRule::G2AllocReachability => bump(&mut facts.alloc, f.line),
+            LintRule::G2AllocReachability => item.alloc_sites.push(f.line),
             _ => {}
         }
     }
@@ -753,7 +763,7 @@ mod tests {
         assert!(p.fns[0].facts.wallclock.is_none());
         let f = &p.fns[1].facts;
         assert!(f.wallclock.is_some());
-        assert!(f.alloc.is_some());
+        assert_eq!(p.fns[1].alloc_sites, vec![5]);
         assert_eq!(f.unwraps.map(|x| x.count), Some(1));
         assert_eq!(f.indexing.map(|x| x.count), Some(1));
     }
@@ -779,7 +789,7 @@ mod tests {
             fn hot() {}
             // dasr-lint: entry(G1, G3)
             fn decide() {}
-            // dasr-lint: entry(A1)
+            // dasr-lint: entry(D1)
             fn bad_rule() {}
         "#;
         let p = parse(src);
@@ -788,7 +798,7 @@ mod tests {
             p.fns[1].entries,
             vec![LintRule::G1TransitiveTaint, LintRule::G3PanicPath]
         );
-        // entry(A1) is not a graph rule — reported, not attached.
+        // entry(D1) is not a graph rule — reported, not attached.
         assert!(p.fns[2].entries.is_empty());
         assert_eq!(p.bad_entries.len(), 1);
     }

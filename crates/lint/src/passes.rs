@@ -1,5 +1,5 @@
 //! Phase-2 graph passes: G1 determinism taint, G2 no-alloc
-//! reachability, G3 panic-path audit.
+//! (direct and reachable allocation), G3 panic-path audit.
 //!
 //! Each pass walks the [`crate::graph::SymbolGraph`] built from the
 //! whole file set and emits findings *at the offending source line*
@@ -77,10 +77,11 @@ fn g1_determinism_taint(g: &SymbolGraph, out: &mut Vec<GraphFinding>) {
     }
 }
 
-/// G2: for every `no-alloc`-marked function, each call edge whose
-/// callee set contains a transitively allocating function is a
-/// finding at the call line, with the allocation chain as witness.
-/// Direct allocation in the marked body stays rule A1's job.
+/// G2: for every `no-alloc`-marked function, each allocation site in
+/// its own body is a finding at the site's line, and each call edge
+/// whose callee set contains a transitively allocating function is a
+/// finding at the call line, with the allocation chain as witness. A
+/// line carries at most one finding per marked function.
 fn g2_alloc_reachability(g: &SymbolGraph, out: &mut Vec<GraphFinding>) {
     let alloc = g.transitive_alloc();
     for id in 0..g.nodes.len() {
@@ -89,6 +90,18 @@ fn g2_alloc_reachability(g: &SymbolGraph, out: &mut Vec<GraphFinding>) {
             continue;
         }
         let mut flagged_lines: Vec<u32> = Vec::new();
+        for &line in &node.item.alloc_sites {
+            if flagged_lines.contains(&line) {
+                continue;
+            }
+            flagged_lines.push(line);
+            out.push(GraphFinding {
+                file: node.file,
+                line,
+                rule: LintRule::G2AllocReachability,
+                detail: format!("no-alloc fn `{}` allocates in its own body", g.qname(id)),
+            });
+        }
         for (site, call) in node.item.calls.iter().enumerate() {
             let Some(&bad) = g.call_targets[id][site].iter().find(|&&t| alloc[t]) else {
                 continue;
@@ -198,6 +211,18 @@ mod tests {
         assert_eq!(g2.len(), 1);
         assert_eq!(g2[0].line, 4);
         assert!(g2[0].detail.contains("dasr_a::cold::grow"));
+    }
+
+    #[test]
+    fn no_alloc_marker_covers_only_next_fn() {
+        let src = "// dasr-lint: no-alloc\nfn hot(&mut self) {\n    self.scratch.push(1);\n}\nfn cold(&mut self) {\n    let v: Vec<u32> = Vec::new();\n}\n";
+        let (_, f) = run(&[("crates/a/src/lib.rs", src)]);
+        assert!(f.is_empty(), "{f:?}");
+        let bad = "// dasr-lint: no-alloc\nfn hot(&mut self) {\n    let msg = format!(\"late {}\", 1);\n}\n";
+        let (_, f) = run(&[("crates/a/src/lib.rs", bad)]);
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].line), (LintRule::G2AllocReachability, 3));
+        assert!(f[0].detail.contains("dasr_a::hot"));
     }
 
     #[test]

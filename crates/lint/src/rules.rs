@@ -29,8 +29,6 @@ pub enum LintRule {
     /// F1 — NaN-unsafe ordering: `partial_cmp(..).unwrap()`/`.expect()`
     /// outside the all-finite-guarded stats kernels.
     F1NanUnsafeOrder,
-    /// A1 — allocation in a `// dasr-lint: no-alloc` function body.
-    A1AllocInNoAlloc,
     /// W1 — malformed waiver: unknown rule, missing/empty `reason`, or
     /// an unparseable `dasr-lint:` directive. Never waivable.
     W1MalformedWaiver,
@@ -39,10 +37,11 @@ pub enum LintRule {
     /// iteration and is *reachable* (over the approximate call graph)
     /// from a `// dasr-lint: entry(G1)` entry point.
     G1TransitiveTaint,
-    /// G2 — transitive allocation under a `no-alloc` marker: the marked
-    /// function calls (directly or through any chain of workspace
-    /// functions) something that allocates. Flagged at the first call
-    /// edge out of the marked function.
+    /// G2 — allocation under a `no-alloc` marker: the marked function
+    /// allocates itself (flagged at each allocation site) or calls,
+    /// directly or through any chain of workspace functions, something
+    /// that allocates (flagged at the call edge out of the marked
+    /// function).
     G2AllocReachability,
     /// G3 — panic path: a function containing `unwrap`/`expect` or
     /// indexing reachable from a `// dasr-lint: entry(G3)` entry point
@@ -53,7 +52,7 @@ pub enum LintRule {
 
 impl LintRule {
     /// Number of rules.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every rule, in stable wire order (new rules append, nothing
     /// renumbers).
@@ -63,7 +62,6 @@ impl LintRule {
         LintRule::D3AmbientRandomness,
         LintRule::R1StoredText,
         LintRule::F1NanUnsafeOrder,
-        LintRule::A1AllocInNoAlloc,
         LintRule::W1MalformedWaiver,
         LintRule::G1TransitiveTaint,
         LintRule::G2AllocReachability,
@@ -78,7 +76,6 @@ impl LintRule {
             LintRule::D3AmbientRandomness => "D3",
             LintRule::R1StoredText => "R1",
             LintRule::F1NanUnsafeOrder => "F1",
-            LintRule::A1AllocInNoAlloc => "A1",
             LintRule::W1MalformedWaiver => "W1",
             LintRule::G1TransitiveTaint => "G1",
             LintRule::G2AllocReachability => "G2",
@@ -94,7 +91,6 @@ impl LintRule {
             LintRule::D3AmbientRandomness => "D3-ambient-randomness",
             LintRule::R1StoredText => "R1-stored-text",
             LintRule::F1NanUnsafeOrder => "F1-nan-unsafe-order",
-            LintRule::A1AllocInNoAlloc => "A1-alloc-in-no-alloc",
             LintRule::W1MalformedWaiver => "W1-malformed-waiver",
             LintRule::G1TransitiveTaint => "G1-transitive-taint",
             LintRule::G2AllocReachability => "G2-alloc-reachability",
@@ -110,13 +106,12 @@ impl LintRule {
             LintRule::D3AmbientRandomness => "ambient randomness outside test code",
             LintRule::R1StoredText => "String field stored in a trace/event/metric type",
             LintRule::F1NanUnsafeOrder => "partial_cmp(..).unwrap()/expect() float ordering",
-            LintRule::A1AllocInNoAlloc => "allocation inside a no-alloc function",
             LintRule::W1MalformedWaiver => "malformed dasr-lint directive or waiver",
             LintRule::G1TransitiveTaint => {
                 "nondeterministic source reachable from a deterministic entry point"
             }
             LintRule::G2AllocReachability => {
-                "no-alloc function calls a transitively allocating helper"
+                "no-alloc function allocates, directly or through a callee"
             }
             LintRule::G3PanicPath => "unwrap/expect/indexing reachable from an audited entry point",
         }
@@ -157,12 +152,6 @@ impl LintRule {
                  breaks the total-order contract (UB-adjacent ordering bugs). Use \
                  total_cmp, or the all-finite-guarded stats kernels."
             }
-            LintRule::A1AllocInNoAlloc => {
-                "A `// dasr-lint: no-alloc` marker promises the function body \
-                 performs no heap allocation: no collect/to_vec/to_string/clone \
-                 calls, no vec!/format! macros, no Vec/String/Box constructors. \
-                 Hot dispatch paths use caller-owned scratch instead."
-            }
             LintRule::W1MalformedWaiver => {
                 "A waiver without a reason is a suppressed finding nobody can \
                  audit. Every allow(...) must parse, name real rules, and carry a \
@@ -179,12 +168,14 @@ impl LintRule {
                  codec). The finding sits on the offending line, not the entry."
             }
             LintRule::G2AllocReachability => {
-                "A `no-alloc` marker used to mean only the marked body was \
-                 scanned (rule A1). G2 makes the marker transitive: the whole \
-                 workspace callee closure must be allocation-free. The finding is \
-                 emitted at the first call edge out of the marked function whose \
-                 callee (or anything it transitively calls) allocates, with the \
-                 offending chain in the detail."
+                "A `// dasr-lint: no-alloc` marker promises the function performs \
+                 no heap allocation, itself or through anything it calls: no \
+                 collect/to_vec/to_string/clone calls, no vec!/format! macros, no \
+                 Vec/String/Box constructors. Hot dispatch paths use caller-owned \
+                 scratch instead. G2 flags every allocation site in the marked \
+                 body at its own line, and every call edge out of the marked \
+                 function whose callee (or anything it transitively calls) \
+                 allocates, with the offending chain in the detail."
             }
             LintRule::G3PanicPath => {
                 "Engine dispatch and store read paths must not panic on untrusted \
@@ -215,9 +206,6 @@ impl LintRule {
                 "// dasr-lint: allow(R1) reason=\"interned label id, rendered elsewhere\""
             }
             LintRule::F1NanUnsafeOrder => "fix: a.total_cmp(&b) — no waiver needed",
-            LintRule::A1AllocInNoAlloc => {
-                "// dasr-lint: allow(A1) reason=\"cold error branch, never on the hot path\""
-            }
             LintRule::W1MalformedWaiver => "not waivable: fix the directive instead",
             LintRule::G1TransitiveTaint => {
                 "// dasr-lint: allow(G1) reason=\"diagnostic counter, excluded from replay\""
@@ -305,10 +293,10 @@ pub const R1_PROTECTED_TYPES: &[&str] = &[
     "StoreStats",
 ];
 
-/// Identifiers forbidden inside a `no-alloc` body (rule A1). `format`
+/// Method names that allocate (rule G2's allocation facts). `format`
 /// and `vec` are only flagged as macro invocations (followed by `!`);
 /// `Vec`/`String`/`Box` only as constructor paths.
-const A1_FORBIDDEN_CALLS: &[&str] = &["collect", "to_vec", "to_string", "to_owned", "clone"];
+const ALLOC_CALLS: &[&str] = &["collect", "to_vec", "to_string", "to_owned", "clone"];
 
 /// Map methods whose call on a `HashMap`/`HashSet` receiver is
 /// order-sensitive (rule D2).
@@ -324,12 +312,11 @@ const D2_ITER_METHODS: &[&str] = &[
     "into_values",
 ];
 
-/// Runs every applicable detection pass over a token stream.
+/// Runs every applicable token-level detection pass over a token stream.
 ///
-/// `in_test[i]` / `no_alloc[i]` mark tokens inside `#[cfg(test)]`/
-/// `#[test]` items and inside `no-alloc` function bodies respectively
-/// (see [`test_mask`] and [`no_alloc_mask`]).
-pub fn scan(tokens: &[Tok], in_test: &[bool], no_alloc: &[bool], scope: Scope) -> Vec<RawFinding> {
+/// `in_test[i]` marks tokens inside `#[cfg(test)]`/`#[test]` items (see
+/// [`test_mask`]).
+pub fn scan(tokens: &[Tok], in_test: &[bool], scope: Scope) -> Vec<RawFinding> {
     let mut out = Vec::new();
     scan_d1(tokens, in_test, scope, &mut out);
     if scope.deterministic {
@@ -339,7 +326,6 @@ pub fn scan(tokens: &[Tok], in_test: &[bool], no_alloc: &[bool], scope: Scope) -
     scan_d3(tokens, in_test, &mut out);
     scan_r1(tokens, in_test, &mut out);
     scan_f1(tokens, in_test, scope, &mut out);
-    scan_a1(tokens, no_alloc, &mut out);
     out.sort_by_key(|f| (f.line, f.rule));
     out
 }
@@ -437,29 +423,6 @@ fn match_brace(tokens: &[Tok], open: usize) -> usize {
         }
     }
     tokens.len().saturating_sub(1)
-}
-
-/// Marks tokens inside function bodies annotated `// dasr-lint:
-/// no-alloc`. The marker applies to the first `fn` at or below its
-/// line.
-pub fn no_alloc_mask(tokens: &[Tok], marker_lines: &[u32]) -> Vec<bool> {
-    let mut mask = vec![false; tokens.len()];
-    for &line in marker_lines {
-        let Some(fn_idx) = tokens
-            .iter()
-            .position(|t| t.line >= line && t.is_ident("fn"))
-        else {
-            continue;
-        };
-        let Some(open) = item_body(tokens, fn_idx) else {
-            continue;
-        };
-        let close = match_brace(tokens, open);
-        for flag in mask.iter_mut().take(close + 1).skip(open) {
-            *flag = true;
-        }
-    }
-    mask
 }
 
 fn is_path_sep(tokens: &[Tok], i: usize) -> bool {
@@ -787,13 +750,13 @@ fn scan_f1(tokens: &[Tok], in_test: &[bool], scope: Scope, out: &mut Vec<RawFind
 /// Whether the token at `i` is an allocation site: allocating calls
 /// (`collect`, `clone`, `to_vec`, …), allocating macros (`vec!`,
 /// `format!`), and allocating constructors (`Vec::new`, `String::from`,
-/// `Box::new`). Shared by rule A1 (marked bodies only) and the graph
-/// phase's per-function allocation facts (every body).
-pub(crate) fn alloc_hit(tokens: &[Tok], i: usize) -> bool {
+/// `Box::new`): the raw material of the graph phase's per-function
+/// allocation facts.
+fn alloc_hit(tokens: &[Tok], i: usize) -> bool {
     let Some(name) = tokens[i].ident() else {
         return false;
     };
-    if A1_FORBIDDEN_CALLS.contains(&name) {
+    if ALLOC_CALLS.contains(&name) {
         // Require call position to spare field names like `clone`.
         tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
             || (tokens.get(i + 1).is_some_and(|t| t.is_punct(':')) && is_path_sep(tokens, i + 1))
@@ -807,19 +770,6 @@ pub(crate) fn alloc_hit(tokens: &[Tok], i: usize) -> bool {
                 .is_some_and(|m| matches!(m, "new" | "with_capacity" | "from" | "from_iter"))
     } else {
         false
-    }
-}
-
-/// A1: allocation inside a `no-alloc` body.
-fn scan_a1(tokens: &[Tok], no_alloc: &[bool], out: &mut Vec<RawFinding>) {
-    for i in 0..tokens.len() {
-        if no_alloc[i] && alloc_hit(tokens, i) {
-            out.push(RawFinding {
-                rule: LintRule::A1AllocInNoAlloc,
-                line: tokens[i].line,
-                tok: i,
-            });
-        }
     }
 }
 
@@ -915,16 +865,7 @@ mod tests {
     fn scan_src(src: &str, scope: Scope) -> Vec<RawFinding> {
         let lexed = lex(src);
         let in_test = test_mask(&lexed.tokens);
-        let markers: Vec<u32> = lexed
-            .directives
-            .iter()
-            .filter_map(|d| match d {
-                crate::lexer::Directive::NoAlloc { line } => Some(*line),
-                _ => None,
-            })
-            .collect();
-        let no_alloc = no_alloc_mask(&lexed.tokens, &markers);
-        scan(&lexed.tokens, &in_test, &no_alloc, scope)
+        scan(&lexed.tokens, &in_test, scope)
     }
 
     #[test]
@@ -1008,28 +949,5 @@ mod tests {
             }
         "#;
         assert!(scan_src(chained, Scope::strict()).is_empty());
-    }
-
-    #[test]
-    fn no_alloc_marker_covers_only_next_fn() {
-        let src = r#"
-            // dasr-lint: no-alloc
-            fn hot(&mut self) {
-                self.scratch.push(1);
-            }
-            fn cold(&mut self) {
-                let v: Vec<u32> = Vec::new();
-            }
-        "#;
-        assert!(scan_src(src, Scope::strict()).is_empty());
-        let bad = r#"
-            // dasr-lint: no-alloc
-            fn hot(&mut self) {
-                let msg = format!("late {}", 1);
-            }
-        "#;
-        let hits = scan_src(bad, Scope::strict());
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, LintRule::A1AllocInNoAlloc);
     }
 }

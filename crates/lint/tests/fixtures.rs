@@ -72,14 +72,6 @@ fn f1_fixtures() {
 }
 
 #[test]
-fn a1_fixtures() {
-    let flagged = active_rules(&lint_fixture("a1_flag.rs"));
-    assert!(flagged.iter().all(|&r| r == LintRule::A1AllocInNoAlloc));
-    assert_eq!(flagged.len(), 3, "format! + to_vec + Vec::new");
-    assert!(lint_fixture("a1_pass.rs").is_empty());
-}
-
-#[test]
 fn waiver_fixtures() {
     // Malformed waivers: each is a W1, and the unwaived D1 stays active.
     let findings = lint_fixture("waiver_flag.rs");
@@ -116,14 +108,12 @@ fn deny_all_exit_codes() {
         ("d3_flag.rs", true),
         ("r1_flag.rs", true),
         ("f1_flag.rs", true),
-        ("a1_flag.rs", true),
         ("waiver_flag.rs", true),
         ("d1_pass.rs", false),
         ("d2_pass.rs", false),
         ("d3_pass.rs", false),
         ("r1_pass.rs", false),
         ("f1_pass.rs", false),
-        ("a1_pass.rs", false),
         ("waiver_pass.rs", false),
     ] {
         let status = std::process::Command::new(env!("CARGO_BIN_EXE_dasr-lint"))

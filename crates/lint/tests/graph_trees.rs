@@ -6,7 +6,9 @@
 //! (`crates/<name>/src/*.rs`) analyzed with [`lint_tree`], exercising
 //! the shapes the resolver must handle: a diamond call graph, a
 //! cross-crate path call, a cross-module call under a `no-alloc`
-//! marker, and the trait-method (untyped receiver) approximation.
+//! marker, allocation in the marked body itself, the trait-method
+//! (untyped receiver) approximation, and fns with `impl Trait` in their
+//! signatures.
 
 use dasr_lint::rules::LintRule;
 use dasr_lint::{lint_tree, WorkspaceLint};
@@ -80,6 +82,29 @@ fn g2_clean_transitive_set_passes() {
 }
 
 #[test]
+fn g2_direct_alloc_in_the_marked_fn_is_flagged_at_each_site() {
+    let ws = tree("g2_direct");
+    let g2 = active_of(&ws, LintRule::G2AllocReachability);
+    // `format!`, `to_vec` and `Vec::new` in the marked `pump`, each at its
+    // own line; the unmarked `new` allocates too, and stays silent.
+    let lines: Vec<&str> = g2
+        .iter()
+        .map(|f| f.split(' ').next().unwrap_or(""))
+        .collect();
+    assert_eq!(
+        lines,
+        [
+            "crates/alpha/src/lib.rs:18",
+            "crates/alpha/src/lib.rs:19",
+            "crates/alpha/src/lib.rs:20"
+        ],
+        "{g2:?}"
+    );
+    assert!(g2.iter().all(|f| f.contains("Pump::pump")), "{g2:?}");
+    assert_eq!(ws.active_count(), 3, "{:?}", ws.findings);
+}
+
+#[test]
 fn g3_trait_method_union_reaches_every_impl() {
     let ws = tree("g3_flag");
     let g3 = active_of(&ws, LintRule::G3PanicPath);
@@ -97,6 +122,30 @@ fn g3_off_path_panics_stay_silent() {
     let ws = tree("g3_pass");
     assert_eq!(ws.active_count(), 0, "{:?}", ws.findings);
     assert_eq!(ws.entry_fns, 1);
+}
+
+#[test]
+fn g3_reaches_fns_with_impl_trait_in_their_signature() {
+    let ws = tree("g3_impl_arg_flag");
+    let g3 = active_of(&ws, LintRule::G3PanicPath);
+    // `with_impl(.., f: impl FnMut(u32))` indexes, `evens(..) -> impl
+    // Iterator` expects: both are reached from the entry.
+    assert_eq!(g3.len(), 2, "{g3:?}");
+    assert!(
+        g3[0].contains("crates/alpha/src/lib.rs:16") && g3[0].contains("with_impl"),
+        "{g3:?}"
+    );
+    assert!(
+        g3[1].contains("crates/alpha/src/lib.rs:20") && g3[1].contains("evens"),
+        "{g3:?}"
+    );
+}
+
+#[test]
+fn g3_impl_trait_fns_on_a_clean_path_stay_silent() {
+    let ws = tree("g3_impl_arg_pass");
+    assert_eq!(ws.active_count(), 0, "{:?}", ws.findings);
+    assert_eq!(ws.graph_fns, 4, "every fn is a graph node");
 }
 
 /// The acceptance bar for the parallel per-file phase: the serialized

@@ -1,11 +1,10 @@
-//! The v2 batch codec: LEB128 varints, delta-encoded ids, per-batch
-//! float dictionary.
+//! The batch codec (record format v2): LEB128 varints, delta-encoded
+//! ids, per-batch float dictionary.
 //!
-//! v1 frames (see [`record`](crate::record)) are fixed-layout: every
-//! event costs 47 bytes on the wire no matter what it says. The v2
-//! encoding keeps the exact same *information* — floats still travel as
-//! raw IEEE-754 bits, so nothing is lossy — but spends bytes only where
-//! the data varies:
+//! A fixed-layout frame would spend the same bytes on every event no
+//! matter what it says. This encoding keeps every bit of *information* —
+//! floats travel as raw IEEE-754 bits, so nothing is lossy — but spends
+//! bytes only where the data varies:
 //!
 //! * **LEB128 varints** for every integer field: small values (rungs,
 //!   deny reasons, per-interval counts) cost one byte instead of eight.

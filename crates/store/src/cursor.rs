@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use crate::codec::BatchDecoder;
 use crate::index::{IndexEntry, SegmentIndex};
 use crate::record::{etag_of, Cursor, RecordPayload, RunId, StoredRecord};
-use crate::segment::{self, Batch, FormatVersion};
+use crate::segment::{self, Batch};
 use crate::store::StoreError;
 use dasr_core::runner::ordered::ordered_shards;
 
@@ -217,7 +217,7 @@ where
             read_frame(&mut file, offset, len, buf)?;
             buf.as_slice()
         };
-        Batch::parse_exact(frame, offset, idx.version)?
+        Batch::parse_exact(frame, offset)?
             .visit(|rec| {
                 if query.matches_record(rec) {
                     fold(acc, rec);
@@ -318,7 +318,6 @@ pub struct RecordCursor {
     file: Option<File>,
     /// Reusable frame buffer — the cursor's only per-batch storage.
     buf: Vec<u8>,
-    version: FormatVersion,
     decoder: BatchDecoder,
     /// Payload byte length of the loaded batch (payload = `buf[8..8+len]`).
     payload_len: usize,
@@ -340,7 +339,6 @@ impl RecordCursor {
             entry: 0,
             file: None,
             buf: Vec::new(),
-            version: FormatVersion::V2,
             decoder: BatchDecoder::new(),
             payload_len: 0,
             at: 0,
@@ -373,10 +371,9 @@ impl RecordCursor {
                 let batch = frame_of(idx, i)
                     .and_then(|(offset, len)| {
                         read_frame(file, offset, len, &mut self.buf)?;
-                        Batch::parse_exact(&self.buf, offset, idx.version)
+                        Batch::parse_exact(&self.buf, offset)
                     })
                     .map_err(|e| format!("segment {}: {e}", name()))?;
-                self.version = idx.version;
                 self.payload_len = batch.payload.len();
                 self.remaining = batch.n_records;
                 self.at = 0;
@@ -392,15 +389,9 @@ impl RecordCursor {
     /// Decodes the next record of the loaded batch.
     fn decode_one(&mut self) -> Result<StoredRecord, String> {
         let payload = &self.buf[8..8 + self.payload_len];
-        let (rec, used) = match self.version {
-            FormatVersion::V1 => StoredRecord::decode(&payload[self.at..])?,
-            FormatVersion::V2 => {
-                let mut c = Cursor::new(&payload[self.at..]);
-                let rec = self.decoder.decode_next(&mut c)?;
-                (rec, c.pos())
-            }
-        };
-        self.at += used;
+        let mut c = Cursor::new(&payload[self.at..]);
+        let rec = self.decoder.decode_next(&mut c)?;
+        self.at += c.pos();
         self.remaining -= 1;
         if self.remaining == 0 && self.at != self.payload_len {
             return Err(format!(

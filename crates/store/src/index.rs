@@ -48,7 +48,7 @@
 
 use crate::crc::crc32;
 use crate::record::{etag, etag_of, RecordPayload, StoredRecord};
-use crate::segment::{self, FormatVersion};
+use crate::segment;
 use dasr_core::obs::{BalloonPhase, DenyReason, EventKind};
 
 /// First eight bytes of every index sidecar.
@@ -270,9 +270,6 @@ impl IndexEntry {
 pub struct SegmentIndex {
     /// The segment this index describes.
     pub segment_id: u32,
-    /// The segment's record-payload format (mirrored from its header so
-    /// readers can plan a query without opening the segment file).
-    pub version: FormatVersion,
     /// Segment byte length the entries cover (staleness check: a sidecar
     /// whose `seg_bytes` differs from the recovered segment is rebuilt).
     pub seg_bytes: u64,
@@ -286,11 +283,10 @@ impl SegmentIndex {
         format!("seg-{id:06}.idx")
     }
 
-    /// An empty index for a fresh (header-only, hence v2) segment.
+    /// An empty index for a fresh (header-only) segment.
     pub fn fresh(segment_id: u32) -> Self {
         Self {
             segment_id,
-            version: FormatVersion::V2,
             seg_bytes: segment::HEADER_LEN as u64,
             entries: Vec::new(),
         }
@@ -324,7 +320,7 @@ impl SegmentIndex {
         out.extend_from_slice(&self.segment_id.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.seg_bytes.to_le_bytes());
-        out.extend_from_slice(&self.version.wire().to_le_bytes());
+        out.extend_from_slice(&segment::VERSION.to_le_bytes());
         out.extend_from_slice(&[0u8; 6]);
         for e in &self.entries {
             out.extend_from_slice(&e.offset.to_le_bytes());
@@ -362,7 +358,7 @@ impl SegmentIndex {
         let seg_bytes = u64::from_le_bytes([
             bytes[16], bytes[17], bytes[18], bytes[19], bytes[20], bytes[21], bytes[22], bytes[23],
         ]);
-        let version = FormatVersion::from_wire(u16::from_le_bytes([bytes[24], bytes[25]]))?;
+        segment::check_version(u16::from_le_bytes([bytes[24], bytes[25]]))?;
         let body_len = n_entries * ENTRY_LEN;
         if bytes.len() != HEADER_LEN + body_len + 4 {
             return Err(format!(
@@ -413,7 +409,6 @@ impl SegmentIndex {
         }
         let idx = Self {
             segment_id,
-            version,
             seg_bytes,
             entries,
         };
@@ -474,7 +469,6 @@ impl SegmentIndex {
         }
         Ok(Self {
             segment_id: scan.segment_id,
-            version: scan.version,
             seg_bytes: scan.valid_len,
             entries,
         })
@@ -613,7 +607,6 @@ mod tests {
         // The tally survives the sidecar wire format.
         let idx = SegmentIndex {
             segment_id: 3,
-            version: FormatVersion::V2,
             seg_bytes: 999,
             entries: vec![e],
         };
@@ -625,7 +618,6 @@ mod tests {
     fn sidecar_round_trips() {
         let idx = SegmentIndex {
             segment_id: 3,
-            version: FormatVersion::V2,
             seg_bytes: 4096,
             entries: vec![
                 IndexEntry::from_records(16, &[rec(0, 5)]),
@@ -644,7 +636,6 @@ mod tests {
     fn corrupt_sidecars_are_rejected() {
         let idx = SegmentIndex {
             segment_id: 1,
-            version: FormatVersion::V1,
             seg_bytes: 100,
             entries: vec![IndexEntry::from_records(16, &[rec(0, 1)])],
         };
@@ -659,19 +650,28 @@ mod tests {
         let mut bad = bytes;
         bad.truncate(bad.len() - 1);
         assert!(SegmentIndex::from_bytes(&bad).is_err());
-        // A PR-8 (v1-magic) sidecar fails the magic check → rebuilt.
+        // A sidecar of the older layout (`DASRIDX\x01` magic) fails the
+        // magic check → rebuilt.
         let mut old = idx.to_bytes();
         old[7] = 0x01;
         assert!(SegmentIndex::from_bytes(&old)
             .expect_err("old magic")
             .contains("magic"));
+        // The CRC covers the entries only, so a sidecar naming a segment
+        // version this build does not read stays CRC-valid: the version
+        // check alone refuses it, and recovery reads the segment itself.
+        let mut v1 = idx.to_bytes();
+        v1[24] = 1;
+        assert_eq!(
+            SegmentIndex::from_bytes(&v1).expect_err("v1 sidecar"),
+            "unsupported segment version 1"
+        );
     }
 
     #[test]
     fn crc_valid_sidecars_with_impossible_layouts_are_rejected() {
         let good = SegmentIndex {
             segment_id: 1,
-            version: FormatVersion::V2,
             seg_bytes: 200,
             entries: vec![
                 IndexEntry::from_records(16, &[rec(0, 1)]),
@@ -723,7 +723,6 @@ mod tests {
         segment::append_batch(&mut seg, recs.len() as u32, &payload);
         let rebuilt = SegmentIndex::build_from_segment(&seg).expect("rebuilds");
         assert_eq!(rebuilt.segment_id, 5);
-        assert_eq!(rebuilt.version, FormatVersion::V2);
         assert_eq!(rebuilt.seg_bytes, seg.len() as u64);
         assert_eq!(rebuilt.entries, vec![IndexEntry::from_records(16, &recs)]);
     }

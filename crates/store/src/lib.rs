@@ -28,7 +28,7 @@
 //!   archived run back through any policy via the replay machinery;
 //! - [`record`], [`codec`], [`segment`], [`index`], [`writer`],
 //!   [`cursor`] — the layers: bit-exact record codec (delta/varint/
-//!   dictionary v2 framing; fixed-width v1 is decode-only), CRC-framed
+//!   dictionary framing, the one record format), CRC-framed
 //!   batches in numbered segments, sparse per-batch time index with content
 //!   filters and fire tallies, deterministic writer thread, and the
 //!   streaming/parallel read fast path ([`Query`], [`RecordCursor`]).
@@ -67,7 +67,6 @@ pub mod writer;
 
 pub use cursor::{Query, RecordCursor, Shape};
 pub use record::{RecordPayload, RunId, StoredRecord};
-pub use segment::FormatVersion;
 pub use sink::StoreSink;
 pub use source::StoreSource;
 pub use store::{

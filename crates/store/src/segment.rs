@@ -17,15 +17,13 @@
 //! segment  := header batch*
 //! header   := magic "DASRSEG\x01" | segment_id u32 | version u16 | reserved u16
 //! batch    := n_records u32 | payload_len u32 | payload | crc32(payload) u32
-//! payload  := record*      (v1: crate::record fixed frames;
-//!                           v2: crate::codec varint/delta/dict frames)
+//! payload  := record*      (crate::codec varint/delta/dict frames)
 //! ```
 //!
-//! The header's `version` field governs how every batch payload in the
-//! file decodes — segments are **homogeneous**: a store directory may mix
-//! v1 and v2 segments freely, but one file never mixes formats. Writers
-//! emit only [`FormatVersion::V2`]; v1 segments written by earlier builds
-//! remain readable forever (`docs/STORE_FORMAT.md` §11).
+//! The header's `version` field names the record-frame format of every
+//! batch in the file. There is one: [`VERSION`]. A segment carrying any
+//! other value is refused whole, never guessed at
+//! (`docs/STORE_FORMAT.md` §11).
 
 use crate::codec::BatchDecoder;
 use crate::crc::crc32;
@@ -33,52 +31,22 @@ use crate::record::{Cursor, StoredRecord};
 
 /// First eight bytes of every segment file.
 pub const MAGIC: [u8; 8] = *b"DASRSEG\x01";
-/// Header `version` value of the fixed-layout v1 record format.
-pub const VERSION_V1: u16 = 1;
-/// Header `version` value of the varint/delta/dict v2 record format.
-pub const VERSION_V2: u16 = 2;
+/// Header `version` value of the record-frame format (the varint/delta/
+/// dictionary frames of [`crate::codec`]): the only one this build reads
+/// or writes.
+pub const VERSION: u16 = 2;
 /// Segment header length in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Batch frame overhead: 8-byte header plus 4-byte CRC trailer.
 pub const BATCH_OVERHEAD: usize = 12;
 
-/// A segment's record-payload format, as negotiated by the header's
-/// `version` field. See `docs/STORE_FORMAT.md` §11 for the rules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FormatVersion {
-    /// Fixed-layout frames (`rec_len u16` + body); the PR-8 format.
-    /// Decode-only: no writer produces it any more.
-    V1,
-    /// Varint/delta/dictionary frames decoded by [`crate::codec`].
-    V2,
-}
-
-impl FormatVersion {
-    /// The header `version` field value for this format.
-    pub fn wire(self) -> u16 {
-        match self {
-            Self::V1 => VERSION_V1,
-            Self::V2 => VERSION_V2,
-        }
-    }
-
-    /// Parses a header `version` field; unknown values are an error (a
-    /// reader must never guess at an unfamiliar payload format).
-    pub fn from_wire(v: u16) -> Result<Self, String> {
-        match v {
-            VERSION_V1 => Ok(Self::V1),
-            VERSION_V2 => Ok(Self::V2),
-            other => Err(format!("unsupported segment version {other}")),
-        }
-    }
-}
-
-impl std::fmt::Display for FormatVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::V1 => "v1",
-            Self::V2 => "v2",
-        })
+/// Accepts a header `version` field only if it is [`VERSION`]: a reader
+/// never guesses at a record format it does not know.
+pub(crate) fn check_version(version: u16) -> Result<(), String> {
+    if version == VERSION {
+        Ok(())
+    } else {
+        Err(format!("unsupported segment version {version}"))
     }
 }
 
@@ -87,12 +55,12 @@ pub fn file_name(id: u32) -> String {
     format!("seg-{id:06}.dseg")
 }
 
-/// The 16 header bytes of a new segment `id` (always the v2 format).
+/// The 16 header bytes of a new segment `id`.
 pub fn header_bytes(id: u32) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
     h[..8].copy_from_slice(&MAGIC);
     h[8..12].copy_from_slice(&id.to_le_bytes());
-    h[12..14].copy_from_slice(&VERSION_V2.to_le_bytes());
+    h[12..14].copy_from_slice(&VERSION.to_le_bytes());
     h
 }
 
@@ -122,8 +90,6 @@ pub struct Batch<'a> {
     pub n_records: u32,
     /// The checksummed record payload.
     pub payload: &'a [u8],
-    /// Payload format, inherited from the segment header.
-    pub version: FormatVersion,
 }
 
 impl<'a> Batch<'a> {
@@ -134,7 +100,7 @@ impl<'a> Batch<'a> {
     /// in the rest of the file); [`frame_len`](Self::frame_len) says
     /// where the next one starts. `offset` is the frame's position in
     /// its segment, for error messages and [`Batch::offset`].
-    pub fn parse(bytes: &'a [u8], offset: u64, version: FormatVersion) -> Result<Self, String> {
+    pub fn parse(bytes: &'a [u8], offset: u64) -> Result<Self, String> {
         let (Some(n_records), Some(payload_len)) = (u32_at(bytes, 0), u32_at(bytes, 4)) else {
             return Err(format!("batch header truncated at offset {offset}"));
         };
@@ -156,18 +122,13 @@ impl<'a> Batch<'a> {
             offset,
             n_records,
             payload,
-            version,
         })
     }
 
     /// [`parse`](Self::parse) for a frame whose length the index already
     /// fixed: `frame` must hold exactly one batch, no more.
-    pub fn parse_exact(
-        frame: &'a [u8],
-        offset: u64,
-        version: FormatVersion,
-    ) -> Result<Self, String> {
-        let batch = Self::parse(frame, offset, version)?;
+    pub fn parse_exact(frame: &'a [u8], offset: u64) -> Result<Self, String> {
+        let batch = Self::parse(frame, offset)?;
         if batch.frame_len() != frame.len() {
             return Err(format!(
                 "batch at offset {offset} promises {} payload bytes, index allots {}",
@@ -190,36 +151,15 @@ impl<'a> Batch<'a> {
     /// or drop them.
     pub fn visit(&self, mut visit: impl FnMut(&StoredRecord)) -> Result<(), String> {
         let (payload, n_records) = (self.payload, self.n_records);
-        let seen = match self.version {
-            FormatVersion::V1 => {
-                let mut rest = payload;
-                let mut seen = 0u32;
-                while !rest.is_empty() {
-                    let (rec, used) = StoredRecord::decode(rest)?;
-                    visit(&rec);
-                    seen += 1;
-                    rest = rest.get(used..).unwrap_or_default();
-                }
-                seen
-            }
-            FormatVersion::V2 => {
-                let mut dec = BatchDecoder::new();
-                let mut c = Cursor::new(payload);
-                for _ in 0..n_records {
-                    visit(&dec.decode_next(&mut c)?);
-                }
-                if c.pos() != payload.len() {
-                    return Err(format!(
-                        "batch payload has {} trailing bytes after {n_records} records",
-                        payload.len() - c.pos()
-                    ));
-                }
-                n_records
-            }
-        };
-        if seen != n_records {
+        let mut dec = BatchDecoder::new();
+        let mut c = Cursor::new(payload);
+        for _ in 0..n_records {
+            visit(&dec.decode_next(&mut c)?);
+        }
+        if c.pos() != payload.len() {
             return Err(format!(
-                "batch promises {n_records} records, payload holds {seen}"
+                "batch payload has {} trailing bytes after {n_records} records",
+                payload.len() - c.pos()
             ));
         }
         Ok(())
@@ -239,8 +179,6 @@ impl<'a> Batch<'a> {
 pub struct ScanOutcome<'a> {
     /// Segment id from the header.
     pub segment_id: u32,
-    /// Payload format from the header.
-    pub version: FormatVersion,
     /// Every intact batch, in file order.
     pub batches: Vec<Batch<'a>>,
     /// Bytes from the start of the file through the last intact batch —
@@ -269,13 +207,13 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, String> {
     if magic != MAGIC {
         return Err("bad segment magic".to_string());
     }
-    let version = FormatVersion::from_wire(u16::from_le_bytes([*v0, *v1]))?;
+    check_version(u16::from_le_bytes([*v0, *v1]))?;
 
     let mut batches = Vec::new();
     let mut at = HEADER_LEN;
     let mut torn = None;
     while let Some(rest) = bytes.get(at..).filter(|r| !r.is_empty()) {
-        match Batch::parse(rest, at as u64, version) {
+        match Batch::parse(rest, at as u64) {
             Ok(batch) => {
                 at += batch.frame_len();
                 batches.push(batch);
@@ -288,7 +226,6 @@ pub fn scan(bytes: &[u8]) -> Result<ScanOutcome<'_>, String> {
     }
     Ok(ScanOutcome {
         segment_id,
-        version,
         batches,
         valid_len: at as u64,
         torn,
@@ -336,7 +273,6 @@ mod tests {
         let bytes = segment_with(&[&a, &b]);
         let out = scan(&bytes).expect("scans");
         assert_eq!(out.segment_id, 7);
-        assert_eq!(out.version, FormatVersion::V2);
         assert_eq!(out.batches.len(), 2);
         assert!(out.torn.is_none());
         assert_eq!(out.valid_len, bytes.len() as u64);
@@ -378,31 +314,27 @@ mod tests {
         let (first, second) = (scanned.batches[0], scanned.batches[1]);
         let at = first.offset as usize;
         // From the rest of the file: stops at the frame's own end.
-        let got = Batch::parse(&bytes[at..], first.offset, FormatVersion::V2).expect("reads");
+        let got = Batch::parse(&bytes[at..], first.offset).expect("reads");
         assert_eq!(got, first);
         assert_eq!(at + got.frame_len(), second.offset as usize);
         // From an index-sized slice: must fit exactly.
         let frame = &bytes[at..at + got.frame_len()];
         assert_eq!(
-            Batch::parse_exact(frame, first.offset, FormatVersion::V2).expect("fits"),
+            Batch::parse_exact(frame, first.offset).expect("fits"),
             first
         );
-        assert!(
-            Batch::parse_exact(&bytes[at..], first.offset, FormatVersion::V2)
-                .expect_err("slack after the frame")
-                .contains("index allots")
-        );
-        assert!(Batch::parse(&frame[..5], 0, FormatVersion::V2)
+        assert!(Batch::parse_exact(&bytes[at..], first.offset)
+            .expect_err("slack after the frame")
+            .contains("index allots"));
+        assert!(Batch::parse(&frame[..5], 0)
             .expect_err("short header")
             .contains("header truncated"));
-        assert!(
-            Batch::parse(&frame[..frame.len() - 1], 0, FormatVersion::V2)
-                .expect_err("short payload")
-                .contains("truncated")
-        );
+        assert!(Batch::parse(&frame[..frame.len() - 1], 0)
+            .expect_err("short payload")
+            .contains("truncated"));
         let mut corrupt = frame.to_vec();
         corrupt[10] ^= 0x01;
-        assert!(Batch::parse(&corrupt, 0, FormatVersion::V2)
+        assert!(Batch::parse(&corrupt, 0)
             .expect_err("corrupt")
             .contains("CRC"));
     }
@@ -429,7 +361,7 @@ mod tests {
         for claimed in [1u32, 3] {
             let mut frame = Vec::new();
             append_batch(&mut frame, claimed, &payload);
-            let batch = Batch::parse(&frame, 0, FormatVersion::V2).expect("framing is intact");
+            let batch = Batch::parse(&frame, 0).expect("framing is intact");
             assert!(batch.records().is_err(), "claimed {claimed} of 2 records");
         }
     }
@@ -440,19 +372,14 @@ mod tests {
         let mut bytes = header_bytes(1).to_vec();
         bytes[0] = b'X';
         assert!(scan(&bytes).is_err());
-        let mut bytes = header_bytes(1).to_vec();
-        bytes[12] = 9; // version
-        assert!(scan(&bytes)
-            .expect_err("unknown version")
-            .contains("unsupported"));
-    }
-
-    #[test]
-    fn version_wire_round_trips() {
-        for version in [FormatVersion::V1, FormatVersion::V2] {
-            assert_eq!(FormatVersion::from_wire(version.wire()).unwrap(), version);
+        // Any version but the one this build writes, retired v1 included.
+        for version in [0u8, 1, 3, 9] {
+            let mut bytes = header_bytes(1).to_vec();
+            bytes[12] = version;
+            assert_eq!(
+                scan(&bytes).expect_err("unknown version"),
+                format!("unsupported segment version {version}")
+            );
         }
-        assert!(FormatVersion::from_wire(0).is_err());
-        assert!(FormatVersion::from_wire(3).is_err());
     }
 }

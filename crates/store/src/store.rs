@@ -42,7 +42,7 @@ use std::sync::Arc;
 use crate::cursor::{self, Query, RecordCursor, Shape};
 use crate::index::{FireTally, IndexEntry, KindSet, SegmentIndex};
 use crate::record::{etag, RecordPayload, RunId, StoredRecord};
-use crate::segment::{self, FormatVersion};
+use crate::segment;
 use crate::sink::StoreSink;
 use crate::writer::{StoreWriter, WriterConfig, WriterSnapshot};
 use dasr_core::json::{self, Json};
@@ -357,9 +357,13 @@ impl Store {
     /// Opens (creating if needed) the store at `dir` with default writer
     /// knobs, running crash recovery first: torn segment tails are
     /// truncated to the last intact batch, stale index sidecars rebuilt,
-    /// a torn manifest tail line dropped, and an active segment in the
-    /// read-only v1 format sealed with a fresh segment rolled after it —
-    /// see [`recovery_notes`](Self::recovery_notes) for what was done.
+    /// and a torn manifest tail line dropped — see
+    /// [`recovery_notes`](Self::recovery_notes) for what was done.
+    ///
+    /// A segment whose header names a record format other than
+    /// [`segment::VERSION`] is not a torn tail but a file this build
+    /// cannot read: opening fails with [`StoreError::Corrupt`] naming the
+    /// file, before anything in the directory is written.
     ///
     /// # Examples
     ///
@@ -716,8 +720,8 @@ impl Store {
         // The shape mask must admit everything the index tallies count:
         // a batch the window and run filter cover in full is answered by
         // its per-batch `FireTally` and never read, so a whole-run count
-        // is an index walk, not a decode (the ≥5× bar
-        // `store_fire_counts_100k` gates on).
+        // is an index walk, not a decode (`store_fire_counts_100k`
+        // measures it).
         let query = Query {
             intervals: Some(intervals),
             run,
@@ -815,9 +819,7 @@ impl Store {
 
 /// Scans the store directory's segments, truncating torn tails and
 /// rebuilding stale sidecars. Returns one index per segment, id order,
-/// active last — the writer resumes from exactly this state. The active
-/// segment is always a v2 one: a v1 active segment left by an earlier
-/// build is sealed as it stands and a fresh segment rolled after it.
+/// active last — the writer resumes from exactly this state.
 fn recover_segments(
     dir: &Path,
     notes: &mut Vec<RecoveryNote>,
@@ -888,15 +890,6 @@ fn recover_segments(
             });
         }
         indices.push(idx);
-    }
-    if let Some(old) = indices.last().filter(|a| a.version == FormatVersion::V1) {
-        old.write_sidecar(dir)?;
-        let next = old.segment_id + 1;
-        notes.push(RecoveryNote {
-            segment: Some(old.segment_id),
-            detail: format!("sealed active v1 segment; new records go to v2 segment {next}"),
-        });
-        indices.push(create_segment(dir, next)?);
     }
     Ok(indices)
 }

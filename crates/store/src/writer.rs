@@ -129,10 +129,9 @@ impl StoreWriter {
     /// `indices` must hold one entry per existing segment in id order; the
     /// last is the active segment, already truncated to its recovered
     /// length — the writer opens it in append mode and continues from
-    /// there. The writer emits v2 frames only and segments are
-    /// homogeneous, so the active segment must be a v2 one:
-    /// [`Store::open`](crate::Store::open) seals a v1 active segment and
-    /// rolls a v2 segment before spawning the writer.
+    /// there. [`Store::open`](crate::Store::open) refuses a directory
+    /// holding a segment of any other record format before spawning the
+    /// writer, so every segment it appends to is one it can read back.
     pub fn spawn(
         dir: PathBuf,
         cfg: WriterConfig,

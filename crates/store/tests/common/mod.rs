@@ -7,8 +7,7 @@ pub fn spec_text() -> String {
 }
 
 /// Extracts the bytes of the `n`-th `hexdump` fenced block (1-based:
-/// block 1 is the §7 v1 walk, 2 the §7.1 v1 sample, 3 the §7.2 v1 event
-/// shapes, 4 the §10 v2 walk).
+/// block 1 is the §10 worked example).
 pub fn doc_bytes(text: &str, n: usize) -> Vec<u8> {
     let block = text
         .split("```hexdump")

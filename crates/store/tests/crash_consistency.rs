@@ -6,15 +6,11 @@
 //! a segment mid-record, flipping payload bytes, tearing the sidecar —
 //! and assert that `Store::open` (a) succeeds, (b) reports what it did,
 //! and (c) serves exactly the records of every intact batch afterwards.
-//! The durability quantum — the CRC-framed batch — is independent of
-//! the record format inside it, so the scenarios run on what the writer
-//! produces (v2); v1 segments only ever arrive whole, from earlier
-//! builds (`format_compat` covers reading them).
 
 use dasr_core::obs::{EventKind, RunEvent};
 use dasr_store::crc::crc32;
 use dasr_store::index::SegmentIndex;
-use dasr_store::{segment, FormatVersion, RecordPayload, RunId, RunMeta, Store, WriterConfig};
+use dasr_store::{segment, RecordPayload, RunId, RunMeta, Store, WriterConfig};
 use std::path::PathBuf;
 
 const BATCH: usize = 4;
@@ -67,7 +63,6 @@ fn truncation_mid_record_recovers_to_the_last_complete_batch() {
     // records.
     let scan = segment::scan(&full).expect("clean scan");
     assert_eq!(scan.batches.len(), 3);
-    assert_eq!(scan.version, FormatVersion::V2);
     let last_start = scan.batches[2].offset as usize;
     for cut in [last_start + 1, last_start + 9, full.len() - 1] {
         std::fs::write(&seg, &full[..cut]).expect("tear");
@@ -144,11 +139,10 @@ fn stale_or_torn_sidecars_are_rebuilt_from_the_segment() {
     assert_eq!(store.run_records(run).expect("query").len(), 10);
     store.close().expect("close");
     // Closing refreshed the active segment's sidecar; it parses
-    // again and remembers the segment's format.
+    // again.
     let repaired = std::fs::read(&idx_path).expect("sidecar rewritten");
     let parsed = SegmentIndex::from_bytes(&repaired).expect("parses");
     assert_eq!(parsed.records(), 10);
-    assert_eq!(parsed.version, FormatVersion::V2);
 
     // Missing sidecar entirely: same outcome.
     std::fs::remove_file(&idx_path).expect("drop sidecar");

@@ -1,22 +1,21 @@
-//! Cross-format compatibility: v1 segments stay readable forever, new
-//! records are always written as v2, and a directory mixing both formats
-//! is fully queryable.
+//! The store reads and writes one record format. Every record shape
+//! round-trips through it bit for bit, and a directory holding a segment
+//! of any other format is refused whole, before a byte of it changes.
 //!
-//! No code can write v1 any more, so the v1 side comes from the
-//! normative spec: the `docs/STORE_FORMAT.md` §7 hex dumps are written
-//! out as segment files and opened as a store.
+//! The refused directories are built from the retired v1 format: a
+//! segment header with version 1, as written by builds that predate the
+//! current format, around a CRC-valid batch of fixed-width v1 frames.
 
 use dasr_core::obs::{BalloonPhase, DenyReason, EventKind, RunEvent};
 use dasr_core::SampleRecord;
 use dasr_store::codec::BatchEncoder;
+use dasr_store::index::{IndexEntry, SegmentIndex};
 use dasr_store::{
-    segment, FormatVersion, RecordPayload, RunId, RunMeta, Store, StoredRecord, WriterConfig,
+    segment, RecordPayload, RunId, RunMeta, Store, StoreError, StoredRecord, WriterConfig,
 };
 use dasr_telemetry::{ProbeStatus, TelemetrySample};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-mod common;
-use common::{doc_bytes, spec_text};
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dasr-compat-{tag}-{}", std::process::id()));
@@ -112,40 +111,6 @@ fn generated_payloads(n: u64) -> Vec<RecordPayload> {
         .collect()
 }
 
-/// A directory holding the spec's first `n` v1 dumps as segments
-/// `0..n` (the dumps carry those ids in their headers), and nothing else:
-/// no sidecars, no manifest — what a reader must cope with.
-fn v1_era_dir(tag: &str, n: usize) -> PathBuf {
-    let dir = fresh_dir(tag);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let spec = spec_text();
-    for id in 0..n {
-        std::fs::write(
-            dir.join(segment::file_name(id as u32)),
-            doc_bytes(&spec, id + 1),
-        )
-        .expect("plant v1 segment");
-    }
-    dir
-}
-
-/// The format version in each segment file's header, by segment id.
-fn header_versions(dir: &Path) -> Vec<u16> {
-    let mut names: Vec<_> = std::fs::read_dir(dir)
-        .expect("read dir")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "dseg"))
-        .collect();
-    names.sort();
-    names
-        .iter()
-        .map(|p| {
-            let bytes = std::fs::read(p).expect("read");
-            u16::from_le_bytes([bytes[12], bytes[13]])
-        })
-        .collect()
-}
-
 /// A record's bits, NaN payloads included (`PartialEq` on `f64` cannot
 /// compare those): its v2 encoding from a fresh encoder state.
 fn canonical_bits(rec: &StoredRecord) -> Vec<u8> {
@@ -192,135 +157,123 @@ fn every_record_shape_round_trips_through_the_store() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// A directory last written by a v1-era build — here the §7 worked
-/// example as `seg-000000.dseg` — opened by today's writer: the old
-/// records read back, the v1 segment is sealed untouched, new records
-/// land in a v2 `seg-000001`, and every query spans both.
-#[test]
-fn a_v1_era_store_takes_v2_appends_and_queries_span_both() {
-    let dir = v1_era_dir("upgrade", 1);
-    let v1_bytes = std::fs::read(dir.join(segment::file_name(0))).expect("planted");
+/// The two events of the retired format's worked example: run 0,
+/// tenant 0, an `IntervalStart` at interval 0 and a `ResizeIssued`
+/// 1 → 2 at interval 1.
+fn v1_records() -> [StoredRecord; 2] {
+    let event = |interval, kind| StoredRecord {
+        run: RunId(0),
+        payload: RecordPayload::Event(RunEvent {
+            tenant: Some(0),
+            interval,
+            kind,
+        }),
+    };
+    [
+        event(0, EventKind::IntervalStart),
+        event(
+            1,
+            EventKind::ResizeIssued {
+                from_rung: 1,
+                to_rung: 2,
+            },
+        ),
+    ]
+}
 
-    let mut store = Store::open(&dir).expect("open");
-    assert!(
-        store
-            .recovery_notes()
-            .iter()
-            .any(|n| n.segment == Some(0) && n.detail.contains("sealed active v1")),
-        "notes: {:?}",
-        store.recovery_notes()
-    );
-    let old = store.run_records(RunId(0)).expect("v1 run");
-    let old_events: Vec<(u64, EventKind)> = old
-        .iter()
-        .map(|r| match r.payload {
-            RecordPayload::Event(ev) => (ev.interval, ev.kind),
-            RecordPayload::Sample(_) => panic!("§7 holds events only"),
+/// Segment 0 in the retired v1 format, holding [`v1_records`]: a
+/// version-1 header and one CRC-valid batch of two fixed-width event
+/// frames (`rec_len u16 | run u32 | kind u8 | tenant u64 | interval u64
+/// | etag u8 | flags u8 | a u64 | b u64 | c u64`).
+fn v1_segment() -> Vec<u8> {
+    let frame = |interval: u64, etag: u8, a: u64, b: u64| {
+        let mut f = 47u16.to_le_bytes().to_vec();
+        f.extend_from_slice(&0u32.to_le_bytes());
+        f.push(1);
+        f.extend_from_slice(&0u64.to_le_bytes());
+        f.extend_from_slice(&interval.to_le_bytes());
+        f.extend_from_slice(&[etag, 0]);
+        for operand in [a, b, 0] {
+            f.extend_from_slice(&operand.to_le_bytes());
+        }
+        f
+    };
+    let mut payload = frame(0, 0, 0, 0);
+    payload.extend(frame(1, 2, 1, 2));
+    let mut bytes = segment::header_bytes(0).to_vec();
+    bytes[12..14].copy_from_slice(&1u16.to_le_bytes());
+    segment::append_batch(&mut bytes, 2, &payload);
+    bytes
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn snapshot(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .map(|e| {
+            let path = e.expect("entry").path();
+            let name = path
+                .file_name()
+                .expect("name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&path).expect("read file"))
         })
-        .collect();
-    assert_eq!(
-        old_events,
-        [
-            (0, EventKind::IntervalStart),
-            (
-                1,
-                EventKind::ResizeIssued {
-                    from_rung: 1,
-                    to_rung: 2
-                }
-            ),
-        ]
-    );
+        .collect()
+}
 
-    // The orphaned v1 records hold run 0; a new run must not alias it.
-    let run = store.begin_run(RunMeta::new("auto", "cpuio", "compat", 2));
-    assert!(run.0 > 0);
-    let payloads = generated_payloads(150);
-    for p in &payloads {
-        store.append(run, *p).expect("append");
+/// Opens `dir`, which must be refused as corrupt for its v1 segment 0,
+/// and checks that nothing in the directory was created, changed or
+/// removed.
+fn assert_refused_untouched(dir: &Path) {
+    let before = snapshot(dir);
+    match Store::open(dir) {
+        Err(StoreError::Corrupt(msg)) => assert!(
+            msg.contains("seg-000000.dseg") && msg.contains("unsupported segment version 1"),
+            "the error must name the file and its version: {msg}"
+        ),
+        Err(other) => panic!("expected StoreError::Corrupt, got {other}"),
+        Ok(_) => panic!("a directory holding a v1 segment must not open"),
     }
-    store.end_run(run).expect("commit");
+    assert_eq!(snapshot(dir), before, "refusing must not touch a file");
+}
 
-    // Both eras are visible through every query shape.
-    assert_eq!(store.scan_range(0..u64::MAX).expect("scan").len(), 152);
-    assert_eq!(store.run_records(RunId(0)).expect("v1 run").len(), 2);
-    assert_eq!(store.run_records(run).expect("v2 run").len(), 150);
-    let streamed: Vec<StoredRecord> = store
-        .cursor(dasr_store::Query::default())
-        .expect("cursor")
-        .collect::<Result<_, _>>()
-        .expect("stream");
-    assert_eq!(streamed.len(), 152);
-    let v1_fires = store
-        .fire_counts(Some(RunId(0)), 0..u64::MAX)
-        .expect("fires");
-    assert_eq!((v1_fires.interval_starts, v1_fires.resizes_issued), (1, 1));
-    let all_fires = store.fire_counts(None, 0..u64::MAX).expect("fires");
-    assert!(all_fires.total_fires() > v1_fires.total_fires());
-    store.close().expect("close");
-
-    // On disk: the v1 segment is byte-for-byte what it was, and the new
-    // records are a v2 segment 1.
-    assert_eq!(
-        std::fs::read(dir.join(segment::file_name(0))).expect("seg 0"),
-        v1_bytes
-    );
-    assert_eq!(header_versions(&dir), [1, 2]);
-    let seg1 = std::fs::read(dir.join(segment::file_name(1))).expect("seg 1");
-    let scan = segment::scan(&seg1).expect("scans");
-    assert_eq!(scan.version, FormatVersion::V2);
-    assert_eq!(scan.batches.iter().map(|b| b.n_records).sum::<u32>(), 150);
-
-    // The upgrade happened once: the next open has nothing to do.
-    let store = Store::open(&dir).expect("clean reopen");
-    assert!(store.recovery_notes().is_empty());
-    assert_eq!(store.scan_range(0..u64::MAX).expect("scan").len(), 152);
-    store.close().expect("close");
+/// A directory last written by a v1-era build, its v1 segment still
+/// the active one: the store neither seals nor appends after it.
+#[test]
+fn an_active_v1_segment_is_refused_untouched() {
+    let dir = fresh_dir("v1-active");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join(segment::file_name(0)), v1_segment()).expect("plant v1 segment");
+    assert_refused_untouched(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// All three §7 dumps as a three-segment v1 directory with no sidecars:
-/// the sealed ones get their sidecars rebuilt, the active one is sealed,
-/// and samples, events and fire tallies all come back from v1 bytes.
+/// A sealed v1 segment whose sidecar matches it in every field, its
+/// version 1 included, followed by a healthy active segment: the sidecar
+/// is not trusted in place of the segment, and the segment is refused.
 #[test]
-fn a_multi_segment_v1_directory_is_fully_queryable() {
-    let dir = v1_era_dir("v1-only", 3);
-    let mut store = Store::open(&dir).expect("open");
-    for threads in [1, 4] {
-        store.set_read_threads(threads);
-        assert_eq!(store.scan_range(0..u64::MAX).expect("scan").len(), 15);
-        let samples = store.run_samples(RunId(3), Some(9)).expect("samples");
-        assert_eq!(samples.len(), 1);
-        assert_eq!(samples[0].sample.interval, 77);
-        assert_eq!(samples[0].sample.latency_ms, Some(41.25));
-        assert_eq!(store.tenant_events(RunId(42), 6).expect("events").len(), 1);
-        // A covered window is answered from the rebuilt index tallies,
-        // a straddling one by decoding v1 frames; both must agree with
-        // the twelve documented events.
-        let covered = store
-            .fire_counts(Some(RunId(42)), 0..u64::MAX)
-            .expect("fires");
-        assert_eq!(covered.total_fires(), 9);
-        assert_eq!(covered.interval_starts, 1);
-        let straddling = store
-            .fire_counts(Some(RunId(42)), 1003..1006)
-            .expect("fires");
-        assert_eq!(
-            (
-                straddling.resizes_issued,
-                straddling.denied_cooldown,
-                straddling.denied_budget
-            ),
-            (1, 1, 1)
-        );
-    }
-    let next = store.begin_run(RunMeta::new("auto", "cpuio", "compat", 3));
-    assert_eq!(
-        next,
-        RunId(43),
-        "run ids continue past the v1 high-water mark"
-    );
-    store.close().expect("close");
-    assert_eq!(header_versions(&dir), [1, 1, 1, 2]);
+fn a_sealed_v1_segment_with_a_v1_sidecar_is_refused_untouched() {
+    let dir = fresh_dir("v1-sealed");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let seg0 = v1_segment();
+    let mut index = SegmentIndex::fresh(0);
+    index.seg_bytes = seg0.len() as u64;
+    index.entries = vec![IndexEntry::from_records(
+        segment::HEADER_LEN as u64,
+        &v1_records(),
+    )];
+    // The sidecar CRC covers the entries only, so patching the header's
+    // `seg_version` field leaves the sidecar CRC-valid.
+    let mut sidecar = index.to_bytes();
+    sidecar[24..26].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(dir.join(segment::file_name(0)), &seg0).expect("plant v1 segment");
+    std::fs::write(dir.join(SegmentIndex::file_name(0)), sidecar).expect("plant v1 sidecar");
+    std::fs::write(dir.join(segment::file_name(1)), segment::header_bytes(1))
+        .expect("plant v2 segment");
+    SegmentIndex::fresh(1)
+        .write_sidecar(&dir)
+        .expect("plant v2 sidecar");
+    assert_refused_untouched(&dir);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
