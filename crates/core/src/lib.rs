@@ -26,18 +26,19 @@
 //!   online scaler), **Max**, **Peak**, **Avg** (offline static) and
 //!   **Trace** (offline demand-hugging schedule);
 //! - [`runner`] — the closed loop: telemetry + policy + billing, one
-//!   decision per billing interval, producing a [`report::RunReport`]. The
-//!   loop is generic over the `dasr_telemetry` source/actuator seam with
-//!   the engine plugged in as [`runner::source::SimulatorSource`] (pinned
-//!   bit-identical to the frozen [`runner::oracle::OracleLoop`]);
+//!   decision per billing interval, producing a [`report::RunReport`].
+//!   One interval is one [`runner::Controller::step`]; a cloned controller
+//!   is a snapshot. The drivers over it are generic over the
+//!   `dasr_telemetry` source/actuator seam with the engine plugged in as
+//!   [`runner::source::SimulatorSource`] (pinned bit-identical to the
+//!   frozen [`runner::oracle::OracleLoop`]);
 //!   [`runner::fleet`] runs N independent tenant loops across a sharded
 //!   worker pool with bit-identical results regardless of thread or shard
 //!   count, in full (O(tenants)) or streaming-summary (O(shards)) memory
 //!   mode ([`runner::shard`]);
-//! - [`mod@replay`] — record a run's per-interval samples and feed
-//!   them back through any policy ([`replay::ReplaySource`]): exact
-//!   same-policy round trips, counterfactual policy A/B over recorded
-//!   fleets;
+//! - [`mod@replay`] — record a run's per-interval samples and step them
+//!   back through any policy: exact same-policy round trips,
+//!   counterfactual policy A/B over recorded fleets;
 //! - [`report`] — per-interval timelines and whole-run summaries (cost per
 //!   interval, 95th-percentile latency, resize counts);
 //! - [`obs`] — the **fleet observability layer**: a metrics registry
@@ -80,8 +81,7 @@ pub use policy::{
     SchedulePolicy, StaticPolicy, UtilPolicy,
 };
 pub use replay::{
-    record_run, replay, replay_with, RecordingHeader, RecordingSource, ReplayDiff, ReplaySource,
-    RunRecording, SampleRecord,
+    record_run, replay, RecordingHeader, ReplayDiff, ReplaySource, RunRecording, SampleRecord,
 };
 pub use report::{IntervalRecord, RunReport};
 pub use rules::{RuleFire, RuleHistogram, RuleId, RuleTable};
@@ -90,6 +90,6 @@ pub use runner::oracle::OracleLoop;
 pub use runner::ordered::ordered_shards;
 pub use runner::shard::{FleetAccumulator, FleetSummary, REQUEST_LATENCY_BOUNDS};
 pub use runner::source::SimulatorSource;
-pub use runner::{ClosedLoop, RunConfig};
+pub use runner::{ClosedLoop, Controller, RunConfig, Step};
 pub use trace::json;
 pub use trace::{BalloonGate, DecisionTrace};

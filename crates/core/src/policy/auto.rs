@@ -78,7 +78,7 @@ impl AutoConfig {
 }
 
 /// The paper's auto-scaling policy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AutoPolicy {
     cfg: AutoConfig,
     estimator: DemandEstimator,

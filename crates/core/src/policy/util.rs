@@ -24,7 +24,7 @@ use dasr_telemetry::categorize::UtilLevel;
 const DOWN_COOLDOWN: u64 = 5;
 
 /// The utilization-only baseline policy.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct UtilPolicy {
     last_resize: Option<u64>,
 }

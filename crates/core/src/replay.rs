@@ -1,11 +1,14 @@
 //! Record and replay closed-loop runs: policy A/B over recorded telemetry.
 //!
-//! A [`RecordingSource`] wraps any [`TelemetrySource`] and captures the
-//! exact per-interval [`TelemetrySample`]s and probe states the loop saw;
-//! a [`ReplaySource`] feeds the capture through *any* policy — the same
-//! one (an exactness check, see below) or a different one (offline policy
-//! A/B over recorded fleets, the RobustScaler-style offline evaluation
-//! named in the roadmap).
+//! [`record_run`] drives the loop's [`Controller`] over the simulator and
+//! keeps the exact per-interval [`TelemetrySample`]s and probe states it
+//! stepped on; [`replay`] steps a fresh controller over that capture
+//! through *any* policy — the same one (an exactness check, see below) or
+//! a different one (offline policy A/B over recorded fleets, the
+//! RobustScaler-style offline evaluation named in the roadmap).
+//! [`ReplaySource`] presents a capture as a [`TelemetrySource`] for the
+//! drivers that take a backend, such as `ClosedLoop::run_source` and the
+//! fleet runner.
 //!
 //! A [`RunRecording`] is an in-memory value. Its one serialized form is
 //! the run store: `dasr_store::Store::append_recording` archives it and
@@ -17,7 +20,8 @@
 //! telemetry manager, budget manager and policies are pure functions of
 //! what they observe. Replaying a recording through the **same** policy
 //! under the same `RunConfig` therefore reproduces the original decision
-//! sequence exactly — identical [`DecisionTrace`]s, rule-fire histogram
+//! sequence exactly — identical
+//! [`DecisionTrace`](crate::trace::DecisionTrace)s, rule-fire histogram
 //! and interval records (`replay_roundtrip` tests pin this). Only the
 //! pooled raw-latency population is absent: recordings carry per-interval
 //! aggregates, not every request's latency, so
@@ -27,23 +31,19 @@
 //!
 //! Replaying through a **different** policy is an open-loop what-if: the
 //! recorded samples reflect the containers the *original* policy chose,
-//! and a diverging decision cannot bend that history — the actuator half
-//! is a [`NullActuator`] (discard) or a
-//! [`CounterfactualActuator`](dasr_telemetry::CounterfactualActuator)
-//! (tally). The comparison is "what would policy B have decided given the
-//! signals A's run produced", which is exactly the offline-evaluation
+//! and a diverging decision cannot bend that history — [`replay`]
+//! discards every command. What the policy would have done is in its
+//! report: `RunReport::resizes` and the `Balloon*` counters of its
+//! registry. The comparison is "what would policy B have decided given
+//! the signals A's run produced", which is exactly the offline-evaluation
 //! question, not a re-simulation; use the simulator for closed-loop
 //! counterfactuals.
 
 use crate::policy::ScalingPolicy;
 use crate::report::RunReport;
 use crate::runner::source::SimulatorSource;
-use crate::runner::{ClosedLoop, RunConfig};
-use crate::trace::DecisionTrace;
-use dasr_telemetry::{
-    LatencyGoal, NullActuator, ProbeStatus, ResizeActuator, SourcePair, TelemetrySample,
-    TelemetrySource,
-};
+use crate::runner::{ClosedLoop, Controller, RunConfig};
+use dasr_telemetry::{LatencyGoal, ProbeStatus, TelemetrySample, TelemetrySource};
 use dasr_workloads::{Trace, Workload};
 
 /// One recorded interval: the sample the loop observed plus the probe
@@ -89,89 +89,10 @@ impl RunRecording {
     }
 }
 
-/// A [`TelemetrySource`] decorator that captures everything crossing the
-/// seam — the samples and probe states — while delegating to the wrapped
-/// backend. Wrap a [`SimulatorSource`] in one to record a run as it
-/// happens (see [`record_run`]).
-pub struct RecordingSource<S> {
-    inner: S,
-    records: Vec<SampleRecord>,
-}
-
-impl<S> RecordingSource<S> {
-    /// Wraps `inner`, capturing into an empty record buffer.
-    pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            records: Vec::new(),
-        }
-    }
-
-    /// The captured records, consuming the recorder.
-    pub fn into_records(self) -> Vec<SampleRecord> {
-        self.records
-    }
-}
-
-impl<S: TelemetrySource> TelemetrySource for RecordingSource<S> {
-    fn intervals(&self) -> usize {
-        self.inner.intervals()
-    }
-
-    fn workload_name(&self) -> &str {
-        self.inner.workload_name()
-    }
-
-    fn trace_name(&self) -> &str {
-        self.inner.trace_name()
-    }
-
-    fn observe_interval(&mut self, interval: u64, goal: LatencyGoal) -> TelemetrySample {
-        let sample = self.inner.observe_interval(interval, goal);
-        self.records.push(SampleRecord {
-            tenant: None,
-            sample,
-            probe: self.inner.probe(),
-        });
-        sample
-    }
-
-    // dasr-lint: no-alloc
-    fn interval_latencies_ms(&self) -> &[f64] {
-        self.inner.interval_latencies_ms()
-    }
-
-    // dasr-lint: no-alloc
-    fn probe(&self) -> ProbeStatus {
-        self.inner.probe()
-    }
-}
-
-impl<S: ResizeActuator> ResizeActuator for RecordingSource<S> {
-    // dasr-lint: no-alloc
-    fn apply_resources(&mut self, resources: dasr_containers::ResourceVector) {
-        self.inner.apply_resources(resources);
-    }
-
-    // dasr-lint: no-alloc
-    fn start_balloon(&mut self, target_mb: f64) {
-        self.inner.start_balloon(target_mb);
-    }
-
-    // dasr-lint: no-alloc
-    fn abort_balloon(&mut self) {
-        self.inner.abort_balloon();
-    }
-
-    // dasr-lint: no-alloc
-    fn commit_balloon(&mut self) {
-        self.inner.commit_balloon();
-    }
-}
-
 /// Feeds a [`RunRecording`] back through the closed loop as its
-/// [`TelemetrySource`]. Pair with an actuator via
-/// [`SourcePair`] — see [`replay`] / [`replay_with`].
+/// [`TelemetrySource`]. Pair it with an actuator through
+/// [`SourcePair`](dasr_telemetry::SourcePair), usually the discarding
+/// [`NullActuator`](dasr_telemetry::NullActuator).
 pub struct ReplaySource {
     header: RecordingHeader,
     records: Vec<SampleRecord>,
@@ -186,11 +107,6 @@ impl ReplaySource {
             records: recording.records,
             cursor: 0,
         }
-    }
-
-    /// The recording's header.
-    pub fn header(&self) -> &RecordingHeader {
-        &self.header
     }
 }
 
@@ -228,16 +144,23 @@ impl TelemetrySource for ReplaySource {
 }
 
 /// Runs `policy` on the simulator exactly like `ClosedLoop::run` while
-/// capturing the run as a [`RunRecording`]. The report is bit-identical to
-/// an unrecorded run (the decorator only clones what crosses the seam).
+/// keeping every sample and probe state the controller steps on as a
+/// [`RunRecording`]. The report is bit-identical to an unrecorded run.
 pub fn record_run<W: Workload>(
     cfg: &RunConfig,
     trace: &Trace,
     workload: W,
     policy: &mut dyn ScalingPolicy,
 ) -> (RunReport, RunRecording) {
-    let mut backend = RecordingSource::new(SimulatorSource::new(cfg, trace, workload));
-    let report = ClosedLoop::run_source(cfg, &mut backend, policy);
+    let mut backend = SimulatorSource::new(cfg, trace, workload);
+    let mut records = Vec::with_capacity(backend.intervals());
+    let report = ClosedLoop::drive(cfg, &mut backend, policy, |sample, probe| {
+        records.push(SampleRecord {
+            tenant: None,
+            sample,
+            probe,
+        })
+    });
     let recording = RunRecording {
         header: RecordingHeader {
             policy: report.policy.clone(),
@@ -245,37 +168,26 @@ pub fn record_run<W: Workload>(
             trace: report.trace.clone(),
             seed: cfg.seed,
         },
-        records: backend.into_records(),
+        records,
     };
     (report, recording)
 }
 
-/// Replays `recording` through `policy` with commands discarded
-/// ([`NullActuator`]) — the pure offline evaluation. `cfg` supplies the
-/// catalog, knobs and telemetry configuration, which must match the
-/// recorded run's for exact same-policy fidelity (see module docs).
+/// Replays `recording` through `policy` with its commands discarded — the
+/// pure offline evaluation. `cfg` supplies the catalog, knobs and
+/// telemetry configuration, which must match the recorded run's for exact
+/// same-policy fidelity (see module docs).
 pub fn replay(
     cfg: &RunConfig,
     recording: RunRecording,
     policy: &mut dyn ScalingPolicy,
 ) -> RunReport {
-    replay_with(cfg, recording, policy, NullActuator).0
-}
-
-/// Replays `recording` through `policy` with commands delivered to
-/// `actuator` (e.g. a
-/// [`CounterfactualActuator`](dasr_telemetry::CounterfactualActuator) to
-/// tally what the policy would have done); returns the report and the
-/// actuator.
-pub fn replay_with<A: ResizeActuator>(
-    cfg: &RunConfig,
-    recording: RunRecording,
-    policy: &mut dyn ScalingPolicy,
-    actuator: A,
-) -> (RunReport, A) {
-    let mut backend = SourcePair::new(ReplaySource::new(recording), actuator);
-    let report = ClosedLoop::run_source(cfg, &mut backend, policy);
-    (report, backend.actuator)
+    let mut controller = Controller::new(cfg, recording.records.len());
+    for rec in &recording.records {
+        controller.step(policy, rec.sample, rec.probe);
+    }
+    let header = &recording.header;
+    controller.finish(policy, &header.workload, &header.trace, Vec::new())
 }
 
 /// A decision-level comparison of two runs over the same interval count —
@@ -337,12 +249,6 @@ impl std::fmt::Display for ReplayDiff {
             ),
         }
     }
-}
-
-/// The decision-trace sequence of a report (borrowed, interval order) —
-/// the object replay fidelity is defined over.
-pub fn decision_traces(report: &RunReport) -> Vec<&DecisionTrace> {
-    report.intervals.iter().map(|r| &r.trace).collect()
 }
 
 #[cfg(test)]

@@ -2,13 +2,21 @@
 //! decision per billing interval — generic over where the telemetry comes
 //! from and where the resize commands go.
 //!
-//! The loop body in [`ClosedLoop::run_source`] is written against the
-//! [`TelemetrySource`]/[`ResizeActuator`] seam from `dasr_telemetry`:
-//! [`source::SimulatorSource`] plugs the discrete-event engine in (the
-//! classic [`ClosedLoop::run`] entry point is now a thin wrapper over it,
-//! pinned bit-identical to the frozen [`oracle::OracleLoop`] by the
-//! `loop_equivalence` tests), and `crate::replay::ReplaySource` feeds a
-//! recorded run back through any policy.
+//! One interval of the loop is [`Controller::step`]: the interval's
+//! [`TelemetrySample`] and probe state in, the commands for the backend
+//! out. The controller owns everything the loop carries from one interval
+//! to the next, and is `Clone`, so a clone taken together with the policy
+//! is a snapshot that steps on exactly as the original would. Drivers own
+//! the iteration:
+//!
+//! - [`ClosedLoop::run_source`] steps over any backend behind the
+//!   [`TelemetrySource`]/[`ResizeActuator`] seam from `dasr_telemetry`;
+//!   [`source::SimulatorSource`] plugs the discrete-event engine in (the
+//!   classic [`ClosedLoop::run`] entry point), pinned bit-identical to the
+//!   frozen [`oracle::OracleLoop`] by the `loop_equivalence` tests;
+//! - `crate::replay::record_run` steps over the simulator and keeps every
+//!   sample and probe it passes in; `crate::replay::replay` steps over
+//!   such a recording with the commands discarded.
 //!
 //! [`fleet`] scales the loop out: N independent tenants across a sharded
 //! worker pool with bit-identical results regardless of thread or shard
@@ -29,7 +37,8 @@ use crate::report::{IntervalRecord, RunReport};
 use dasr_containers::{Catalog, Container, ContainerId, ResourceKind, ResourceVector};
 use dasr_engine::EngineConfig;
 use dasr_telemetry::{
-    LatencyGoal, ResizeActuator, TelemetryConfig, TelemetryManager, TelemetrySource,
+    LatencyGoal, ProbeStatus, ResizeActuator, TelemetryConfig, TelemetryManager, TelemetrySample,
+    TelemetrySource,
 };
 use dasr_workloads::{Trace, Workload};
 
@@ -95,6 +104,203 @@ impl RunConfig {
     }
 }
 
+/// The commands one [`Controller::step`] leaves for its driver to apply:
+/// the balloon command first, then the resize.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Step {
+    /// The policy's balloon command (§4.3).
+    pub balloon: BalloonCommand,
+    /// The new container's allocation, when the decision resized.
+    pub resize: Option<ResourceVector>,
+}
+
+/// One tenant's closed loop, one interval at a time: the telemetry
+/// manager, the budget, the current container, the observability
+/// registry and the report rows.
+///
+/// The policy stays outside, so a clone of the controller taken together
+/// with a clone of the policy is a snapshot: stepped over the same
+/// samples, it produces what the original would have.
+#[derive(Debug, Clone)]
+pub struct Controller<'a> {
+    catalog: &'a Catalog,
+    tm: TelemetryManager,
+    budget: Option<BudgetManager>,
+    current: Container,
+    obs: RunObservability,
+    intervals: Vec<IntervalRecord>,
+    resizes: u64,
+    rejected_total: u64,
+}
+
+impl<'a> Controller<'a> {
+    /// A controller for a run of `intervals` billing intervals (the budget
+    /// period, §5).
+    ///
+    /// Reads `cfg.catalog`, `cfg.telemetry`, `cfg.knobs`,
+    /// `cfg.budget_strategy`, `cfg.initial` and `cfg.obs`; the
+    /// engine-specific fields (`engine`, `prewarm_pages`, `seed`) belong to
+    /// [`SimulatorSource::new`].
+    pub fn new(cfg: &'a RunConfig, intervals: usize) -> Self {
+        let catalog = &cfg.catalog;
+        let mut telemetry_cfg = cfg.telemetry;
+        telemetry_cfg.latency_goal = cfg.knobs.latency_goal;
+        Self {
+            catalog,
+            tm: TelemetryManager::new(telemetry_cfg),
+            budget: cfg.knobs.budget.map(|b| {
+                BudgetManager::new(
+                    b,
+                    intervals as u64,
+                    catalog.min_cost(),
+                    catalog.max_cost(),
+                    cfg.budget_strategy,
+                )
+            }),
+            current: cfg.initial_container(),
+            obs: RunObservability::new(cfg.obs.verbosity),
+            intervals: Vec::with_capacity(intervals),
+            resizes: 0,
+            rejected_total: 0,
+        }
+    }
+
+    /// The latency statistic a source aggregates each interval with
+    /// ([`TelemetrySource::observe_interval`]'s `goal`).
+    pub fn goal(&self) -> LatencyGoal {
+        // The aggregation statistic even without a goal: p95 (paper §7
+        // reports 95th percentiles).
+        self.tm
+            .config()
+            .latency_goal
+            .unwrap_or(LatencyGoal::P95(f64::INFINITY))
+    }
+
+    /// Runs one billing interval: turns `sample` into signals, bills the
+    /// interval that just ran, lets `policy` pick the next interval's
+    /// container given the balloon `probe` state the interval ended with
+    /// (read before any command is applied), and records the interval.
+    // dasr-lint: entry(G1)
+    pub fn step(
+        &mut self,
+        policy: &mut dyn ScalingPolicy,
+        sample: TelemetrySample,
+        probe: ProbeStatus,
+    ) -> Step {
+        let catalog = self.catalog;
+        self.rejected_total += sample.rejected;
+        let wait_pct = {
+            let mut out = [0.0; dasr_engine::WAIT_CLASSES.len()];
+            for class in dasr_engine::WAIT_CLASSES {
+                out[class.index()] = sample.wait_pct(class);
+            }
+            out
+        };
+        let allocated = self.current.resources;
+        let used = ResourceVector::new(
+            sample.util(ResourceKind::Cpu) / 100.0 * allocated.cpu_cores,
+            sample.mem_used_mb,
+            sample.util(ResourceKind::DiskIo) / 100.0 * allocated.disk_iops,
+            sample.util(ResourceKind::LogIo) / 100.0 * allocated.log_mbps,
+        );
+        // §3 signal computation, timed (wall-clock; the timer section
+        // is excluded from the determinism contract).
+        // dasr-lint: allow(D1, G1) reason="obs timer: wall-clock durations feed TimerId::SignalsNs only, which PartialEq and the determinism contract exclude"
+        let t0 = std::time::Instant::now();
+        let signals = self.tm.observe(sample);
+        self.obs
+            .metrics
+            .observe_ns(TimerId::SignalsNs, t0.elapsed().as_nanos() as u64);
+
+        // Bill the interval that just ran.
+        let cost = self.current.cost;
+        if let Some(b) = self.budget.as_mut() {
+            let ok = b.charge(cost);
+            debug_assert!(ok, "policy selected an unaffordable container");
+        }
+
+        let budget = self.budget.as_ref();
+        let ctx = PolicyContext {
+            signals: &signals,
+            current: &self.current,
+            catalog,
+            available_budget: budget.map(|b| b.available()),
+            balloon: probe,
+        };
+        // dasr-lint: allow(D1, G1) reason="obs timer: wall-clock durations feed TimerId::DecideNs only, which PartialEq and the determinism contract exclude"
+        let t0 = std::time::Instant::now();
+        let decision = policy.decide(&ctx);
+        self.obs
+            .metrics
+            .observe_ns(TimerId::DecideNs, t0.elapsed().as_nanos() as u64);
+
+        let target = catalog
+            .get(decision.target)
+            .expect("policy picked an unknown container");
+        let resized = decision.target != self.current.id;
+        self.obs.record_interval(IntervalObservation {
+            trace: &decision.trace,
+            latency_ms: sample.latency_ms,
+            completed: sample.completed,
+            rejected: sample.rejected,
+            from_rung: self.current.rung,
+            to_rung: target.rung,
+            budget_headroom_pct: budget.map(|b| b.remaining() / b.budget() * 100.0),
+        });
+        self.intervals.push(IntervalRecord {
+            minute: self.intervals.len() as u64,
+            container: self.current.id,
+            rung: self.current.rung,
+            cost,
+            allocated,
+            used,
+            latency_ms: sample.latency_ms,
+            completed: sample.completed,
+            rejected: sample.rejected,
+            wait_pct,
+            mem_used_mb: sample.mem_used_mb,
+            resized,
+            trace: decision.trace,
+        });
+
+        let resize = resized.then(|| {
+            self.current = target.clone();
+            self.resizes += 1;
+            self.current.resources
+        });
+        Step {
+            balloon: decision.balloon,
+            resize,
+        }
+    }
+
+    /// Closes the run: records the end-of-run gauges and assembles the
+    /// report. `all_latencies_ms` is the pooled per-request latency
+    /// population, empty when the source keeps none.
+    pub fn finish(
+        mut self,
+        policy: &dyn ScalingPolicy,
+        workload: &str,
+        trace: &str,
+        all_latencies_ms: Vec<f64>,
+    ) -> RunReport {
+        self.obs.finish(
+            self.current.rung,
+            self.budget.as_ref().map(BudgetManager::remaining),
+        );
+        RunReport {
+            policy: policy.name().to_string(),
+            workload: workload.to_string(),
+            trace: trace.to_string(),
+            intervals: self.intervals,
+            all_latencies_ms,
+            resizes: self.resizes,
+            rejected_total: self.rejected_total,
+            obs: self.obs,
+        }
+    }
+}
+
 /// The closed-loop experiment driver.
 pub struct ClosedLoop;
 
@@ -121,168 +327,57 @@ impl ClosedLoop {
         Self::run_source(cfg, &mut backend, policy)
     }
 
-    /// Runs `policy` against any telemetry backend: one decision per
-    /// interval produced by `backend`, with the policy's commands sent back
-    /// through the backend's [`ResizeActuator`] half.
+    /// Runs `policy` against any telemetry backend: one [`Controller::step`]
+    /// per interval produced by `backend`, with the step's commands sent
+    /// back through the backend's [`ResizeActuator`] half.
     ///
-    /// The loop only reads `cfg.catalog`, `cfg.telemetry`, `cfg.knobs`,
-    /// `cfg.budget_strategy`, `cfg.initial` and `cfg.obs`; the
-    /// engine-specific fields (`engine`, `prewarm_pages`, `seed`) belong to
-    /// [`SimulatorSource::new`]. Determinism: given a backend whose sample
-    /// sequence is a pure function of its inputs (the trait contract) and a
-    /// deterministic policy, every output — report, metrics registry, event
-    /// stream — is bit-identical across runs.
+    /// Determinism: given a backend whose sample sequence is a pure
+    /// function of its inputs (the trait contract) and a deterministic
+    /// policy, every output — report, metrics registry, event stream — is
+    /// bit-identical across runs.
     pub fn run_source<B: TelemetrySource + ResizeActuator>(
         cfg: &RunConfig,
         backend: &mut B,
         policy: &mut dyn ScalingPolicy,
     ) -> RunReport {
-        let catalog = &cfg.catalog;
+        Self::drive(cfg, backend, policy, |_, _| {})
+    }
+
+    /// [`ClosedLoop::run_source`], showing `tap` each interval's sample
+    /// and probe state before the controller steps on them.
+    pub(crate) fn drive<B: TelemetrySource + ResizeActuator>(
+        cfg: &RunConfig,
+        backend: &mut B,
+        policy: &mut dyn ScalingPolicy,
+        mut tap: impl FnMut(TelemetrySample, ProbeStatus),
+    ) -> RunReport {
         let minutes = backend.intervals();
-        let mut current = cfg.initial_container();
-
-        let mut telemetry_cfg = cfg.telemetry;
-        telemetry_cfg.latency_goal = cfg.knobs.latency_goal;
-        let mut tm = TelemetryManager::new(telemetry_cfg);
-        // The aggregation statistic even without a goal: p95 (paper §7
-        // reports 95th percentiles).
-        let goal_stat = cfg
-            .knobs
-            .latency_goal
-            .unwrap_or(LatencyGoal::P95(f64::INFINITY));
-
-        let mut budget = cfg.knobs.budget.map(|b| {
-            BudgetManager::new(
-                b,
-                minutes as u64,
-                catalog.min_cost(),
-                catalog.max_cost(),
-                cfg.budget_strategy,
-            )
-        });
-
-        let workload_name = backend.workload_name().to_string();
-        let trace_name = backend.trace_name().to_string();
-
-        let mut intervals = Vec::with_capacity(minutes);
+        let mut controller = Controller::new(cfg, minutes);
         let mut all_latencies = Vec::new();
-        let mut resizes = 0u64;
-        let mut rejected_total = 0u64;
-        let mut obs = RunObservability::new(cfg.obs.verbosity);
-
         for minute in 0..minutes {
-            let sample = backend.observe_interval(minute as u64, goal_stat);
-            rejected_total += sample.rejected;
+            let sample = backend.observe_interval(minute as u64, controller.goal());
             all_latencies.extend_from_slice(backend.interval_latencies_ms());
             // Read before actuation: the probe state the §4.3 controller
             // sees is the one the interval ended with.
-            let balloon_status = backend.probe();
-
-            let latency_ms = sample.latency_ms;
-            let completed = sample.completed;
-            let rejected = sample.rejected;
-            let mem_used_mb = sample.mem_used_mb;
-            let wait_pct = {
-                let mut out = [0.0; dasr_engine::WAIT_CLASSES.len()];
-                for class in dasr_engine::WAIT_CLASSES {
-                    out[class.index()] = sample.wait_pct(class);
-                }
-                out
-            };
-            let used = ResourceVector::new(
-                sample.util(ResourceKind::Cpu) / 100.0 * current.resources.cpu_cores,
-                sample.mem_used_mb,
-                sample.util(ResourceKind::DiskIo) / 100.0 * current.resources.disk_iops,
-                sample.util(ResourceKind::LogIo) / 100.0 * current.resources.log_mbps,
-            );
-            // §3 signal computation, timed (wall-clock; the timer section
-            // is excluded from the determinism contract).
-            // dasr-lint: allow(D1) reason="obs timer: wall-clock durations feed TimerId::SignalsNs only, which PartialEq and the determinism contract exclude"
-            let t0 = std::time::Instant::now();
-            let signals = tm.observe(sample);
-            obs.metrics
-                .observe_ns(TimerId::SignalsNs, t0.elapsed().as_nanos() as u64);
-
-            // Bill the interval that just ran.
-            let cost = current.cost;
-            if let Some(b) = budget.as_mut() {
-                let ok = b.charge(cost);
-                debug_assert!(ok, "policy selected an unaffordable container");
-            }
-
-            let ctx = PolicyContext {
-                signals: &signals,
-                current: &current,
-                catalog,
-                available_budget: budget.as_ref().map(|b| b.available()),
-                balloon: balloon_status,
-            };
-            // dasr-lint: allow(D1) reason="obs timer: wall-clock durations feed TimerId::DecideNs only, which PartialEq and the determinism contract exclude"
-            let t0 = std::time::Instant::now();
-            let decision = policy.decide(&ctx);
-            obs.metrics
-                .observe_ns(TimerId::DecideNs, t0.elapsed().as_nanos() as u64);
-
-            match decision.balloon {
+            let probe = backend.probe();
+            tap(sample, probe);
+            let step = controller.step(policy, sample, probe);
+            match step.balloon {
                 BalloonCommand::None => {}
                 BalloonCommand::Start { target_mb } => backend.start_balloon(target_mb),
                 BalloonCommand::Abort => backend.abort_balloon(),
                 BalloonCommand::Commit => backend.commit_balloon(),
             }
-
-            let resized = decision.target != current.id;
-            let target = decision.target;
-            let target_rung = catalog
-                .get(target)
-                .expect("policy picked an unknown container")
-                .rung;
-            obs.record_interval(IntervalObservation {
-                trace: &decision.trace,
-                latency_ms,
-                completed,
-                rejected,
-                from_rung: current.rung,
-                to_rung: target_rung,
-                budget_headroom_pct: budget.as_ref().map(|b| b.remaining() / b.budget() * 100.0),
-            });
-            intervals.push(IntervalRecord {
-                minute: minute as u64,
-                container: current.id,
-                rung: current.rung,
-                cost,
-                allocated: current.resources,
-                used,
-                latency_ms,
-                completed,
-                rejected,
-                wait_pct,
-                mem_used_mb,
-                resized,
-                trace: decision.trace,
-            });
-
-            if resized {
-                current = catalog
-                    .get(target)
-                    .expect("policy picked an unknown container")
-                    .clone();
-                backend.apply_resources(current.resources);
-                resizes += 1;
+            if let Some(resources) = step.resize {
+                backend.apply_resources(resources);
             }
         }
-
-        obs.finish(current.rung, budget.as_ref().map(BudgetManager::remaining));
-
-        RunReport {
-            policy: policy.name().to_string(),
-            workload: workload_name,
-            trace: trace_name,
-            intervals,
-            all_latencies_ms: all_latencies,
-            resizes,
-            rejected_total,
-            obs,
-        }
+        controller.finish(
+            policy,
+            backend.workload_name(),
+            backend.trace_name(),
+            all_latencies,
+        )
     }
 }
 

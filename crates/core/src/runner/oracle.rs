@@ -2,15 +2,17 @@
 //!
 //! [`OracleLoop::run`] is the loop body exactly as it stood before the
 //! `TelemetrySource`/`ResizeActuator` seam was cut through
-//! [`ClosedLoop`](super::ClosedLoop): it drives `dasr_engine::Engine`
-//! directly, with no trait in between. It exists for two jobs and must not
-//! be "improved":
+//! [`ClosedLoop`](super::ClosedLoop) and the body became
+//! [`Controller::step`](super::Controller::step): it drives
+//! `dasr_engine::Engine` directly, with no trait in between. It exists for
+//! two jobs and must not be "improved":
 //!
-//! - the `loop_equivalence` integration tests pin the generic loop to this
-//!   one — bit-identical `RunReport`s, metrics registries and event JSONL —
-//!   the same way PR 4 pinned the indexed engine to `OracleEngine`;
-//! - the `micro_loop` bench measures the seam's dispatch overhead against
-//!   these direct calls (the `< 2%` acceptance bar in `BENCH_loop.json`).
+//! - the `loop_equivalence` integration tests pin the controller and its
+//!   drivers to this loop — bit-identical `RunReport`s, metrics registries
+//!   and event JSONL — the same way `engine_equivalence` pins the indexed
+//!   engine to `OracleEngine`;
+//! - the `micro_loop` bench times the same run through both, an ungated
+//!   diagnostic of what the seam and the controller cost.
 //!
 //! Any behavioral edit here *widens* the oracle instead of catching a
 //! regression, so the only acceptable changes are ones that keep this file

@@ -5,9 +5,10 @@
 //! `dasr_core::replay` module docs), so a replayed `AutoPolicy` must fire
 //! the same rules, choose the same containers and emit the identical
 //! `DecisionTrace` for every interval — asserted here on the trace
-//! sequence, the trace JSONL bytes and the rule-fire histogram. A second
-//! policy replayed over the same recording exercises the counterfactual
-//! actuator path.
+//! sequence, the trace JSONL bytes and the rule-fire histogram, for a
+//! budgeted Auto run and for one that probes with the §4.3 balloon. A
+//! second policy replayed over the same recording exercises the
+//! counterfactual path.
 //!
 //! These are the *in-memory* replay claims. A recording's one serialized
 //! form is the run store; that a recording written to disk and read back
@@ -15,9 +16,9 @@
 //! `store_replay_roundtrip.rs`.
 
 use dasr_core::{
-    record_run, replay, replay_with, AutoPolicy, ReplayDiff, RunConfig, TenantKnobs, UtilPolicy,
+    record_run, replay, AutoPolicy, CounterId, ReplayDiff, RunConfig, TenantKnobs, UtilPolicy,
 };
-use dasr_telemetry::{CounterfactualActuator, LatencyGoal};
+use dasr_telemetry::LatencyGoal;
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 
 fn workload() -> CpuIoWorkload {
@@ -42,37 +43,59 @@ fn bursty_trace(minutes: usize) -> Trace {
     Trace::new("bursty", demand)
 }
 
+/// A §4.3 balloon scenario: a low, steady workload whose warm pool (≈ 2 GB)
+/// is above 90 % of the next-smaller container's memory, so every memory
+/// shrink must first be proved by a probe, and the recorded probe column
+/// is not all `Inactive`.
+fn balloon_scenario() -> (RunConfig, Trace) {
+    let cfg = RunConfig {
+        knobs: TenantKnobs::none().with_latency_goal(LatencyGoal::P95(5_000.0)),
+        seed: 0xB411,
+        prewarm_pages: 220_000,
+        ..RunConfig::default()
+    };
+    (cfg, Trace::new("quiet", vec![4.0; 40]))
+}
+
 #[test]
 fn same_policy_replay_reproduces_decision_traces_and_rule_fires() {
-    let cfg = cfg();
-    let trace = bursty_trace(14);
-    let mut rec_policy = AutoPolicy::with_knobs(cfg.knobs);
-    let (original, recording) = record_run(&cfg, &trace, workload(), &mut rec_policy);
-    assert!(original.resizes > 0, "the scenario actually scaled");
+    let (balloon_cfg, quiet) = balloon_scenario();
+    for (cfg, trace, probes) in [(cfg(), bursty_trace(14), false), (balloon_cfg, quiet, true)] {
+        let mut rec_policy = AutoPolicy::with_knobs(cfg.knobs);
+        let (original, recording) = record_run(&cfg, &trace, workload(), &mut rec_policy);
+        if probes {
+            assert!(
+                original.obs.metrics.counter(CounterId::BalloonStarts) > 0,
+                "the scenario actually probed"
+            );
+        } else {
+            assert!(original.resizes > 0, "the scenario actually scaled");
+        }
 
-    let mut replay_policy = AutoPolicy::with_knobs(cfg.knobs);
-    let replayed = replay(&cfg, recording, &mut replay_policy);
+        let mut replay_policy = AutoPolicy::with_knobs(cfg.knobs);
+        let replayed = replay(&cfg, recording, &mut replay_policy);
 
-    let original_traces: Vec<_> = original.intervals.iter().map(|r| &r.trace).collect();
-    let replayed_traces: Vec<_> = replayed.intervals.iter().map(|r| &r.trace).collect();
-    assert_eq!(
-        replayed_traces, original_traces,
-        "DecisionTrace sequence diverged under replay"
-    );
-    assert_eq!(
-        replayed.traces_jsonl(),
-        original.traces_jsonl(),
-        "trace JSONL bytes diverged under replay"
-    );
-    assert_eq!(
-        replayed.rule_histogram(),
-        original.rule_histogram(),
-        "rule-fire histogram diverged under replay"
-    );
-    assert_eq!(replayed.intervals, original.intervals);
-    assert_eq!(replayed.resizes, original.resizes);
-    assert_eq!(replayed.rejected_total, original.rejected_total);
-    assert!(ReplayDiff::between(&original, &replayed).identical());
+        let original_traces: Vec<_> = original.intervals.iter().map(|r| &r.trace).collect();
+        let replayed_traces: Vec<_> = replayed.intervals.iter().map(|r| &r.trace).collect();
+        assert_eq!(
+            replayed_traces, original_traces,
+            "DecisionTrace sequence diverged under replay"
+        );
+        assert_eq!(
+            replayed.traces_jsonl(),
+            original.traces_jsonl(),
+            "trace JSONL bytes diverged under replay"
+        );
+        assert_eq!(
+            replayed.rule_histogram(),
+            original.rule_histogram(),
+            "rule-fire histogram diverged under replay"
+        );
+        assert_eq!(replayed.intervals, original.intervals);
+        assert_eq!(replayed.resizes, original.resizes);
+        assert_eq!(replayed.rejected_total, original.rejected_total);
+        assert!(ReplayDiff::between(&original, &replayed).identical());
+    }
 }
 
 #[test]
@@ -97,15 +120,8 @@ fn counterfactual_policy_ab_over_one_recording() {
     let (original, recording) = record_run(&cfg, &trace, workload(), &mut auto);
 
     let mut util = UtilPolicy::default();
-    let (counterfactual, actuator) = replay_with(
-        &cfg,
-        recording,
-        &mut util,
-        CounterfactualActuator::default(),
-    );
+    let counterfactual = replay(&cfg, recording, &mut util);
 
-    // The ledger tallies exactly the divergent run's commands.
-    assert_eq!(actuator.resizes, counterfactual.resizes);
     let diff = ReplayDiff::between(&original, &counterfactual);
     assert_eq!(diff.intervals, original.intervals.len());
     assert_eq!(diff.resizes_a, original.resizes);

@@ -164,8 +164,8 @@ impl LintRule {
                  call graph, seeds taint at every direct wall-clock / ambient-rng \
                  / map-iteration use, propagates it caller-ward to a fixpoint, and \
                  flags every tainted source line reachable from a function marked \
-                 `// dasr-lint: entry(G1)` (policy decide, fleet folds, store \
-                 codec). The finding sits on the offending line, not the entry."
+                 `// dasr-lint: entry(G1)` (loop step, policy decide, fleet \
+                 folds, store codec). The finding sits on the offending line, not the entry."
             }
             LintRule::G2AllocReachability => {
                 "A `// dasr-lint: no-alloc` marker promises the function performs \

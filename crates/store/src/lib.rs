@@ -12,20 +12,19 @@
 //!  run_fleet_summary ──events──▶ StoreSink ─┐          ┌─▶ scan_range
 //!  record_run ───────samples──▶ Store ──────┤ writer   │   tenant_events
 //!                                           ├─thread──▶│   fire_counts
-//!  (batch-buffered, CRC-framed,             │          │   load_recording
-//!   deterministic flush — DESIGN.md §16)    ▼          └─▶ StoreSource ──▶ replay
+//!  (batch-buffered, CRC-framed,             │          └─▶ load_recording ──▶ replay
+//!   deterministic flush — DESIGN.md §16)    ▼
 //!                                     seg-NNNNNN.dseg
 //!                                     seg-NNNNNN.idx
 //!                                     manifest.jsonl
 //! ```
 //!
 //! - [`Store`] — open/recover a store directory, append records under
-//!   runs, commit runs to the manifest, query everything back;
+//!   runs, commit runs to the manifest, query everything back —
+//!   [`Store::load_recording`] returns an archived run ready for
+//!   [`replay`](dasr_core::replay::replay) through any policy;
 //! - [`StoreSink`] — an [`EventSink`](dasr_core::obs::EventSink): stream
 //!   a fleet run's events straight to disk;
-//! - [`StoreSource`] — a
-//!   [`TelemetrySource`](dasr_telemetry::TelemetrySource): feed an
-//!   archived run back through any policy via the replay machinery;
 //! - [`record`], [`codec`], [`segment`], [`index`], [`writer`],
 //!   [`cursor`] — the layers: bit-exact record codec (delta/varint/
 //!   dictionary framing, the one record format), CRC-framed
@@ -61,14 +60,12 @@ pub mod index;
 pub mod record;
 pub mod segment;
 pub mod sink;
-pub mod source;
 pub mod store;
 pub mod writer;
 
 pub use cursor::{Query, RecordCursor, Shape};
 pub use record::{RecordPayload, RunId, StoredRecord};
 pub use sink::StoreSink;
-pub use source::StoreSource;
 pub use store::{
     FireCounts, RecoveryNote, RunManifest, RunMeta, Store, StoreError, StoreStats, MANIFEST_FILE,
 };

@@ -1204,6 +1204,58 @@ mod tests {
     }
 
     #[test]
+    fn load_recording_returns_committed_runs_only() {
+        use dasr_telemetry::{ProbeStatus, TelemetrySample};
+
+        let sample = |interval: u64| SampleRecord {
+            tenant: Some(0),
+            sample: TelemetrySample {
+                interval,
+                util_pct: [50.0, 10.0, 5.0, 1.0],
+                wait_ms: [0.5; 7],
+                latency_ms: Some(12.0 + interval as f64),
+                avg_latency_ms: Some(11.0),
+                completed: 100,
+                arrivals: 100,
+                rejected: 0,
+                mem_used_mb: 512.0,
+                mem_capacity_mb: 1024.0,
+                disk_reads_per_sec: 3.5,
+            },
+            probe: ProbeStatus::Inactive,
+        };
+        let dir = fresh_dir("load-recording");
+        let mut store = Store::open(&dir).expect("open");
+        let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 42));
+        for i in 0..3 {
+            store
+                .append(run, RecordPayload::Sample(sample(i)))
+                .expect("append");
+        }
+        store.end_run(run).expect("commit");
+        let open = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 43));
+        store
+            .append(open, RecordPayload::Sample(sample(0)))
+            .expect("append");
+
+        let recording = store.load_recording(run, Some(0)).expect("loads");
+        assert_eq!(recording.header.policy, "auto");
+        assert_eq!(recording.header.seed, 42);
+        assert_eq!(recording.records.len(), 3);
+        assert_eq!(recording.records[1], sample(1));
+
+        // Absent or uncommitted runs refuse to load.
+        for refused in [RunId(7), open] {
+            assert!(matches!(
+                store.load_recording(refused, None),
+                Err(StoreError::UnknownRun(_))
+            ));
+        }
+        store.close().expect("close");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
     fn segment_names_parse_strictly() {
         assert_eq!(parse_segment_name("seg-000042.dseg"), Some(42));
         assert_eq!(parse_segment_name("seg-000042.idx"), None);

@@ -4,8 +4,8 @@
 //!    lands in the store byte-identical to the buffered
 //!    `FleetReport::events_jsonl` dump of the same fleet.
 //! 2. **Replay fidelity** — per-tenant recordings archived in the store
-//!    and loaded back through [`StoreSource`]/`ReplaySource` drive the
-//!    closed loop to an event stream byte-identical to the live run's.
+//!    and loaded back with `Store::load_recording` drive the closed loop
+//!    to an event stream byte-identical to the live run's.
 //!
 //! Both comparisons are on rendered JSONL text: equality there means the
 //! stored floats round-tripped bit-exactly (JSON rendering is a pure
@@ -13,7 +13,7 @@
 
 use dasr_core::replay::record_run;
 use dasr_core::{tenant_seed, AutoPolicy, FleetRunner, RunConfig, TenantKnobs, TenantSpec};
-use dasr_store::{RecordPayload, RunMeta, Store, StoreSource, WriterConfig};
+use dasr_store::{RecordPayload, RunMeta, Store, WriterConfig};
 use dasr_telemetry::{LatencyGoal, NullActuator, SourcePair};
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 use std::path::PathBuf;
@@ -152,13 +152,12 @@ fn archived_recordings_replay_to_the_live_event_stream_byte_for_byte() {
     let manifest = store.end_run(run).expect("commit");
     assert_eq!(manifest.samples, (TENANTS * MINUTES) as u64);
 
-    // The seam adapter presents the archived run as a TelemetrySource…
+    // The archived run comes back as a recording…
     {
-        use dasr_telemetry::TelemetrySource as _;
-        let src = StoreSource::open(&store, run, Some(0)).expect("loads");
-        assert_eq!(src.header().policy, "auto");
-        assert_eq!(src.header().seed, FLEET_SEED);
-        assert_eq!(src.intervals(), MINUTES);
+        let recording = store.load_recording(run, Some(0)).expect("loads");
+        assert_eq!(recording.header.policy, "auto");
+        assert_eq!(recording.header.seed, FLEET_SEED);
+        assert_eq!(recording.records.len(), MINUTES);
     }
 
     // …and the whole fleet loop runs from the archived telemetry.

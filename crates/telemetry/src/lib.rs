@@ -42,7 +42,5 @@ pub use categorize::{LatencyVerdict, ResourceCategories, UtilLevel, WaitPctLevel
 pub use counters::{LatencyGoal, TelemetrySample};
 pub use manager::{TelemetryConfig, TelemetryManager};
 pub use signals::{LatencySignals, ResourceSignals, SignalSet};
-pub use source::{
-    CounterfactualActuator, NullActuator, ProbeStatus, ResizeActuator, SourcePair, TelemetrySource,
-};
+pub use source::{NullActuator, ProbeStatus, ResizeActuator, SourcePair, TelemetrySource};
 pub use thresholds::{ThresholdConfig, WaitThresholds};

@@ -16,8 +16,6 @@ use dasr_stats::{
 /// Telemetry-manager tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryConfig {
-    /// Samples retained for analysis.
-    pub window_cap: usize,
     /// Samples medianed for the level signals (robust aggregation, §3.1).
     pub smoothing_window: usize,
     /// Samples fed to the Theil–Sen trend detector (§3.2.1).
@@ -45,7 +43,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
-            window_cap: 60,
             smoothing_window: 3,
             trend_window: 10,
             corr_window: 15,
@@ -60,7 +57,7 @@ impl Default for TelemetryConfig {
 
 /// Reusable buffers threaded through the per-interval signal computation so
 /// the steady-state hot path allocates nothing.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SignalScratch {
     median: Vec<f64>,
     spearman: SpearmanScratch,
@@ -70,7 +67,7 @@ struct SignalScratch {
 /// Sliding-window state of one series the trend and correlation signals
 /// read, updated once per sample so that a window slide costs O(window)
 /// (DESIGN.md §9).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SeriesState {
     trend: SlidingTheilSen,
     ranks: SlidingRanks,
@@ -80,8 +77,8 @@ impl SeriesState {
     fn new(cfg: &TelemetryConfig) -> Self {
         let estimator = TheilSen::new().with_alpha(cfg.trend_alpha);
         Self {
-            trend: SlidingTheilSen::new(estimator, cfg.trend_window.min(cfg.window_cap)),
-            ranks: SlidingRanks::new(cfg.corr_window.min(cfg.window_cap)),
+            trend: SlidingTheilSen::new(estimator, cfg.trend_window),
+            ranks: SlidingRanks::new(cfg.corr_window),
         }
     }
 
@@ -108,9 +105,12 @@ impl SeriesState {
 }
 
 /// Transforms raw interval telemetry into [`SignalSet`]s.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TelemetryManager {
     cfg: TelemetryConfig,
+    /// The last `smoothing_window` samples: the level signals' medians and
+    /// `latest()` are all that read it; trends and correlations slide in
+    /// the series states.
     window: SampleWindow,
     /// Utilization series, by resource.
     util: [SeriesState; RESOURCE_KINDS.len()],
@@ -124,7 +124,7 @@ impl TelemetryManager {
     /// Creates a manager.
     pub fn new(cfg: TelemetryConfig) -> Self {
         Self {
-            window: SampleWindow::new(cfg.window_cap),
+            window: SampleWindow::new(cfg.smoothing_window.max(1)),
             util: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
             wait: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
             latency: SeriesState::new(&cfg),

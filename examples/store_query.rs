@@ -20,10 +20,8 @@ use dasr::core::{
     TenantSpec,
 };
 use dasr::store::record::etag;
-use dasr::store::{
-    Query, RecordPayload, RunMeta, Shape, Store, StoreSource, StoredRecord, WriterConfig,
-};
-use dasr::telemetry::{LatencyGoal, TelemetrySource as _};
+use dasr::store::{Query, RecordPayload, RunMeta, Shape, Store, StoredRecord, WriterConfig};
+use dasr::telemetry::LatencyGoal;
 use dasr::workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 use std::collections::BTreeSet;
 
@@ -182,16 +180,17 @@ fn main() {
     }
     store.end_run(archive).expect("commit");
 
-    let src = StoreSource::open(&store, archive, Some(0)).expect("load archived run");
+    let loaded = store
+        .load_recording(archive, Some(0))
+        .expect("load archived run");
     println!("-- Replay from the store --");
     println!(
         "archived {archive}: policy={} seed={} intervals={}",
-        src.header().policy,
-        src.header().seed,
-        src.intervals()
+        loaded.header.policy,
+        loaded.header.seed,
+        loaded.records.len()
     );
     let t0 = &tenants[0];
-    let loaded = store.load_recording(archive, Some(0)).expect("recording");
     let mut policy = AutoPolicy::with_knobs(t0.cfg.knobs);
     let replayed = replay(&t0.cfg, loaded, &mut policy);
     let diff = ReplayDiff::between(t0_live.as_ref().expect("tenant 0 ran"), &replayed);
