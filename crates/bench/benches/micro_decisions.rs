@@ -154,14 +154,10 @@ fn bench_decisions(c: &mut Criterion) {
             resources: *resources,
             latency: *latency,
             lock_wait_pct: 12.0,
-            latch_wait_pct: 1.0,
-            other_wait_pct: 2.0,
-            total_wait_ms: 900.0,
             mem_used_mb: 3_000.0,
             mem_capacity_mb: 3_482.0,
             disk_reads_per_sec: 50.0,
             completed: 5_000,
-            rejected: 0,
         };
         let trace = DecisionTrace::from_signals(&signals, dasr_containers::ContainerId(2));
         b.iter(|| black_box(trace.to_json_line()))

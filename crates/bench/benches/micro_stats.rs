@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks for the robust-statistics substrate:
-//! Theil–Sen vs OLS (the paper's chosen vs rejected trend estimator),
-//! Spearman, medians and the P² streaming quantile.
+//! Theil–Sen, Spearman and medians.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dasr_stats::{median, ols_fit, spearman, P2Quantile, TheilSen};
+use dasr_stats::{median, spearman, TheilSen};
 
 fn series(n: usize) -> (Vec<f64>, Vec<f64>) {
     let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
@@ -22,9 +21,6 @@ fn bench_trends(c: &mut Criterion) {
             let est = TheilSen::new();
             b.iter(|| black_box(est.trend(black_box(&x), black_box(&y))))
         });
-        g.bench_function(format!("ols_n{n}"), |b| {
-            b.iter(|| black_box(ols_fit(black_box(&x), black_box(&y))))
-        });
     }
     g.finish();
 }
@@ -36,17 +32,6 @@ fn bench_correlation_and_aggregates(c: &mut Criterion) {
     });
     c.bench_function("median_n60", |b| {
         b.iter(|| black_box(median(black_box(&y))))
-    });
-    c.bench_function("p2_quantile_update_x1000", |b| {
-        b.iter(|| {
-            let mut p = P2Quantile::new(0.95);
-            for &v in &y {
-                for k in 0..17 {
-                    p.update(v + k as f64);
-                }
-            }
-            black_box(p.value())
-        })
     });
 }
 

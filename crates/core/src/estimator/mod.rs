@@ -227,14 +227,10 @@ pub(crate) mod tests_support {
                 trend: Trend::None,
             },
             lock_wait_pct: 5.0,
-            latch_wait_pct: 0.0,
-            other_wait_pct: 5.0,
-            total_wait_ms: 1_000.0,
             mem_used_mb: 500.0,
             mem_capacity_mb: 1_000.0,
             disk_reads_per_sec: 10.0,
             completed: 1_000,
-            rejected: 0,
         }
     }
 
@@ -282,14 +278,10 @@ mod tests {
                 trend: Trend::None,
             },
             lock_wait_pct: 5.0,
-            latch_wait_pct: 0.0,
-            other_wait_pct: 5.0,
-            total_wait_ms: 1_000.0,
             mem_used_mb: 500.0,
             mem_capacity_mb: 1_000.0,
             disk_reads_per_sec: 10.0,
             completed: 1_000,
-            rejected: 0,
         }
     }
 

@@ -12,7 +12,6 @@
 use crate::population::TenantPopulation;
 use crate::INTERVAL_MINUTES;
 use dasr_containers::Catalog;
-use dasr_stats::Cdf;
 
 /// Aggregate change-event statistics over a population.
 #[derive(Debug, Clone)]
@@ -103,14 +102,14 @@ impl ChangeAnalysis {
         }
     }
 
-    /// CDF of inter-event intervals (Figure 2(a)).
-    pub fn iei_cdf(&self) -> Cdf {
-        Cdf::new(self.iei_minutes.clone())
-    }
-
-    /// Fraction of change events within `minutes` of the previous change.
+    /// Fraction of change events within `minutes` of the previous change
+    /// (one point of Figure 2(a)'s CDF).
     pub fn iei_fraction_within(&self, minutes: f64) -> f64 {
-        self.iei_cdf().fraction_at_or_below(minutes)
+        if self.iei_minutes.is_empty() {
+            return 0.0;
+        }
+        let c = self.iei_minutes.iter().filter(|&&v| v <= minutes).count();
+        c as f64 / self.iei_minutes.len() as f64
     }
 
     /// Fraction of tenants averaging at least `n` change events per day

@@ -245,7 +245,7 @@ impl SymbolGraph {
 /// APIs. A `.push(..)` or `.get(..)` receiver is almost always a `Vec`
 /// or a slice, and resolving it to every workspace method of the same
 /// name floods the graph with impossible edges (e.g. `Vec::push` →
-/// `SampleWindow::push`). These names never resolve — a documented
+/// `SlidingTheilSen::push`). These names never resolve — a documented
 /// under-approximation; direct facts in the real callee still fire via
 /// the token rules and non-shadowed call chains.
 const STD_SHADOWED_METHODS: &[&str] = &[

@@ -11,11 +11,8 @@
 //!
 //! - [`quantile`] — medians and percentiles (breakdown point 50% for the
 //!   median), both nearest-rank and linearly interpolated;
-//! - [`robust`] — trimmed means, MAD, robust summaries;
 //! - [`theil_sen()`] — the Theil–Sen slope estimator (breakdown point 29%) with
 //!   the paper's α-sign-agreement trend-acceptance test (§3.2.1);
-//! - [`ols`] — ordinary least squares with R², the *rejected* baseline the
-//!   paper compares against (breakdown point 0);
 //! - [`rank`] / [`spearman()`] — average-rank computation and Spearman's ρ
 //!   (§3.2.2), robust to outliers because values are first mapped to ranks;
 //! - [`pearson()`] — Pearson correlation (used internally by Spearman);
@@ -23,11 +20,6 @@
 //!   correlation over a sliding window at O(window) per sample, returning
 //!   the batch kernels' results bit for bit (the telemetry manager's
 //!   per-interval path);
-//! - [`ewma`] — exponentially weighted moving averages;
-//! - [`histogram`] — fixed-bin histograms and empirical CDFs used by the
-//!   figure-reproduction benches;
-//! - [`online`] — streaming quantile estimation (P² algorithm) for
-//!   constant-memory robust aggregation of fine-grained samples;
 //! - [`exact`] — error-free `f64` accumulation ([`ExactSum`], Shewchuk
 //!   expansions): grouping- and order-independent sums, the numerical
 //!   backbone of the fleet scheduler's sharded monoid merge;
@@ -41,32 +33,22 @@
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
-pub mod ewma;
 pub mod exact;
-pub mod histogram;
-pub mod ols;
-pub mod online;
 pub mod pearson;
 pub mod quantile;
 pub mod rank;
 mod ring;
-pub mod robust;
 pub mod spearman;
 pub mod theil_sen;
 pub mod token_bucket;
 
-pub use ewma::Ewma;
 pub use exact::ExactSum;
-pub use histogram::{Cdf, Histogram};
-pub use ols::{ols_fit, OlsFit};
-pub use online::P2Quantile;
 pub use pearson::{pearson, pearson_of_finite};
 pub use quantile::{
     median, median_in, median_of_mut, percentile, percentile_in, percentile_interpolated,
     percentile_interpolated_in,
 };
 pub use rank::{average_ranks, average_ranks_in};
-pub use robust::{mad, trimmed_mean};
 pub use spearman::{spearman, spearman_in, SlidingRanks, SpearmanScratch};
 pub use theil_sen::{theil_sen, SlidingTheilSen, TheilSen, Trend, TrendDirection, TrendScratch};
 pub use token_bucket::TokenBucket;

@@ -66,21 +66,6 @@ fn collect_finite_into(values: &[f64], scratch: &mut Vec<f64>) {
     scratch.extend(values.iter().copied().filter(|v| v.is_finite()));
 }
 
-/// Nearest-rank percentile over an already sorted slice of finite values.
-///
-/// # Panics
-/// Panics if `sorted` is empty.
-pub fn nearest_rank_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    let p = p.clamp(0.0, 100.0);
-    if p == 0.0 {
-        return sorted[0];
-    }
-    let n = sorted.len() as f64;
-    let rank = (p / 100.0 * n).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// Returns the linearly interpolated `p`-th percentile (`0.0 ..= 100.0`).
 ///
 /// Uses the `(n - 1) * p` convention (NumPy's default). Returns `None` for an
@@ -127,24 +112,6 @@ fn interpolated_select(values: &mut [f64], p: f64) -> f64 {
         let hi_v = right.iter().copied().fold(f64::INFINITY, f64::min);
         let frac = idx - lo as f64;
         lo_v * (1.0 - frac) + hi_v * frac
-    }
-}
-
-/// Interpolated percentile over an already sorted slice of finite values.
-///
-/// # Panics
-/// Panics if `sorted` is empty.
-pub fn interpolated_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    let p = p.clamp(0.0, 100.0);
-    let idx = (sorted.len() - 1) as f64 * p / 100.0;
-    let lo = idx.floor() as usize;
-    let hi = idx.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = idx - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 
@@ -279,6 +246,30 @@ mod tests {
         let v = [1.0, 2.0, 3.0];
         assert_eq!(percentile(&v, -5.0), Some(1.0));
         assert_eq!(percentile(&v, 250.0), Some(3.0));
+    }
+
+    /// Nearest-rank percentile over a sorted slice: the sort-based
+    /// definition the selection kernels replaced.
+    fn nearest_rank_sorted(sorted: &[f64], p: f64) -> f64 {
+        let p = p.clamp(0.0, 100.0);
+        if p == 0.0 {
+            return sorted[0];
+        }
+        let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    /// Interpolated percentile over a sorted slice, likewise.
+    fn interpolated_sorted(sorted: &[f64], p: f64) -> f64 {
+        let p = p.clamp(0.0, 100.0);
+        let idx = (sorted.len() - 1) as f64 * p / 100.0;
+        let (lo, hi) = (idx.floor() as usize, idx.ceil() as usize);
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = idx - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
     }
 
     #[test]

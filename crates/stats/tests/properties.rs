@@ -2,8 +2,8 @@
 
 use dasr_stats::{
     average_ranks, median, pearson, percentile, percentile_interpolated, spearman, spearman_in,
-    theil_sen, Cdf, ExactSum, P2Quantile, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen,
-    TokenBucket, Trend, TrendDirection, TrendScratch,
+    theil_sen, ExactSum, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, TokenBucket,
+    Trend, TrendDirection, TrendScratch,
 };
 use proptest::prelude::*;
 
@@ -239,30 +239,6 @@ proptest! {
         }
         prop_assert!(spent <= depth + n * rate + 1e-6);
         prop_assert!(b.available() <= depth + 1e-9);
-    }
-
-    /// P² estimates stay within the observed sample range.
-    #[test]
-    fn p2_within_range(v in finite_vec(500), q in 0.01..0.99f64) {
-        let mut p = P2Quantile::new(q);
-        for &x in &v {
-            p.update(x);
-        }
-        let est = p.value().unwrap();
-        let lo = v.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(est >= lo - 1e-9 && est <= hi + 1e-9, "{est} outside [{lo}, {hi}]");
-    }
-
-    /// CDF fraction is monotone and hits 1.0 at the max.
-    #[test]
-    fn cdf_monotone(v in finite_vec(200), probe in -1.0e6..1.0e6f64) {
-        let c = Cdf::new(v.clone());
-        let max = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!((c.fraction_at_or_below(max) - 1.0).abs() < 1e-12);
-        let f1 = c.fraction_at_or_below(probe);
-        let f2 = c.fraction_at_or_below(probe + 1.0);
-        prop_assert!(f1 <= f2);
     }
 
     /// ExactSum is bit-identical for any grouping of the same inputs —

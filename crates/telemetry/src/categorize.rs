@@ -124,7 +124,7 @@ pub fn categorize_util(cfg: &ThresholdConfig, util_pct: f64) -> UtilLevel {
     }
 }
 
-/// Categorizes a wait magnitude (ms per interval) against `thresholds`.
+/// Categorizes a wait magnitude against `thresholds` (same unit).
 pub fn categorize_wait_ms(thresholds: &WaitThresholds, wait_ms: f64) -> WaitTimeLevel {
     if wait_ms >= thresholds.high_ms {
         WaitTimeLevel::High

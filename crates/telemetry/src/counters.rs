@@ -119,6 +119,13 @@ impl TelemetrySample {
         self.wait_ms[class.index()]
     }
 
+    /// Wait ms of one class per completed request: the throughput-invariant
+    /// magnitude the wait signals categorize (see `ThresholdConfig::default`).
+    /// An idle interval divides by one.
+    pub fn wait_per_request(&self, class: WaitClass) -> f64 {
+        self.wait(class) / self.completed.max(1) as f64
+    }
+
     /// Total wait ms across classes, including `Other`.
     pub fn total_wait_ms(&self) -> f64 {
         self.wait_ms.iter().sum()
@@ -219,6 +226,15 @@ mod tests {
         assert_eq!(s.wait_pct(WaitClass::Cpu), 25.0);
         assert_eq!(s.wait_pct(WaitClass::Lock), 75.0);
         assert_eq!(s.wait_pct(WaitClass::DiskIo), 0.0);
+    }
+
+    #[test]
+    fn wait_per_request_uses_completed_floor() {
+        let mut s =
+            TelemetrySample::from_interval(0, &stats_with(vec![1.0; 4]), LatencyGoal::Average(1.0));
+        assert_eq!(s.wait_per_request(WaitClass::Cpu), 500.0);
+        s.completed = 0; // idle interval: divide by max(1)
+        assert_eq!(s.wait_per_request(WaitClass::Cpu), 2_000.0);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! 1. **Raw signals** (§3.1) — latency (average or 95th percentile, per the
 //!    tenant's goal), per-resource utilization (robust medians over
-//!    windows), and per-class wait statistics, both *magnitude* (wait ms)
-//!    and *percentage* (share of total waits);
+//!    windows), and per-resource wait statistics, both *magnitude* (wait ms
+//!    per completed request) and *percentage* (share of resource waits),
+//!    plus the lock share of waits;
 //! 2. **Derived signals** (§3.2) — Theil–Sen trends accepted only with
 //!    ≥70% slope-sign agreement, and Spearman rank correlations between
 //!    latency and each resource's utilization/waits;
@@ -36,7 +37,6 @@ pub mod manager;
 pub mod signals;
 pub mod source;
 pub mod thresholds;
-pub mod window;
 
 pub use categorize::{LatencyVerdict, ResourceCategories, UtilLevel, WaitPctLevel, WaitTimeLevel};
 pub use counters::{LatencyGoal, TelemetrySample};

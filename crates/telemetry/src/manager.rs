@@ -6,8 +6,7 @@ use crate::categorize::{
 use crate::counters::{LatencyGoal, TelemetrySample};
 use crate::signals::{wait_class_for, LatencySignals, ResourceSignals, SignalSet};
 use crate::thresholds::ThresholdConfig;
-use crate::window::SampleWindow;
-use dasr_containers::{ResourceKind, RESOURCE_KINDS};
+use dasr_containers::RESOURCE_KINDS;
 use dasr_engine::WaitClass;
 use dasr_stats::{
     median_in, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, Trend, TrendScratch,
@@ -31,11 +30,6 @@ pub struct TelemetryConfig {
     pub trend_min_relative_change: f64,
     /// Thresholds for categorization (§4.1).
     pub thresholds: ThresholdConfig,
-    /// Normalize wait magnitudes to ms per completed request before
-    /// categorization and trend detection (throughput-invariant signals;
-    /// see `ThresholdConfig::default`). The fleet analyses use absolute
-    /// magnitudes instead.
-    pub waits_per_request: bool,
     /// The tenant's latency goal, if any (§2.3).
     pub latency_goal: Option<LatencyGoal>,
 }
@@ -49,7 +43,6 @@ impl Default for TelemetryConfig {
             trend_alpha: 0.70,
             trend_min_relative_change: 0.10,
             thresholds: ThresholdConfig::default(),
-            waits_per_request: true,
             latency_goal: None,
         }
     }
@@ -59,9 +52,35 @@ impl Default for TelemetryConfig {
 /// the steady-state hot path allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct SignalScratch {
+    /// One level series gathered from the retained samples.
+    series: Vec<f64>,
     median: Vec<f64>,
     spearman: SpearmanScratch,
     trend: TrendScratch,
+}
+
+/// The level channels of one sample, derived once when it arrives.
+#[derive(Debug, Clone, Copy)]
+struct Levels {
+    util: [f64; RESOURCE_KINDS.len()],
+    /// Wait ms per completed request.
+    wait: [f64; RESOURCE_KINDS.len()],
+    wait_pct: [f64; RESOURCE_KINDS.len()],
+    lock_pct: f64,
+    /// NaN for an idle interval, which the robust statistics ignore.
+    latency: f64,
+}
+
+impl Levels {
+    fn of(sample: &TelemetrySample) -> Self {
+        Self {
+            util: RESOURCE_KINDS.map(|kind| sample.util(kind)),
+            wait: RESOURCE_KINDS.map(|kind| sample.wait_per_request(wait_class_for(kind))),
+            wait_pct: RESOURCE_KINDS.map(|kind| sample.wait_pct(wait_class_for(kind))),
+            lock_pct: sample.wait_pct(WaitClass::Lock),
+            latency: sample.latency_ms.unwrap_or(f64::NAN),
+        }
+    }
 }
 
 /// Sliding-window state of one series the trend and correlation signals
@@ -108,13 +127,16 @@ impl SeriesState {
 #[derive(Debug, Clone)]
 pub struct TelemetryManager {
     cfg: TelemetryConfig,
-    /// The last `smoothing_window` samples: the level signals' medians and
-    /// `latest()` are all that read it; trends and correlations slide in
-    /// the series states.
-    window: SampleWindow,
+    /// The newest sample, whose raw fields pass through to the signal set.
+    latest: Option<TelemetrySample>,
+    /// The level channels of the last `smoothing_window` samples (at least
+    /// one), oldest first: all the level medians read; trends and
+    /// correlations slide in the series states. A plain `Vec`: evicting
+    /// from its front costs O(smoothing_window), as each median does.
+    recent: Vec<Levels>,
     /// Utilization series, by resource.
     util: [SeriesState; RESOURCE_KINDS.len()],
-    /// Wait-magnitude series (per `waits_per_request`), by resource.
+    /// Wait ms per completed request, by resource.
     wait: [SeriesState; RESOURCE_KINDS.len()],
     latency: SeriesState,
     scratch: SignalScratch,
@@ -124,7 +146,8 @@ impl TelemetryManager {
     /// Creates a manager.
     pub fn new(cfg: TelemetryConfig) -> Self {
         Self {
-            window: SampleWindow::new(cfg.smoothing_window.max(1)),
+            latest: None,
+            recent: Vec::with_capacity(cfg.smoothing_window.max(1)),
             util: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
             wait: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
             latency: SeriesState::new(&cfg),
@@ -145,149 +168,106 @@ impl TelemetryManager {
 
     /// Ingests one interval's sample and returns the refreshed signal set.
     pub fn observe(&mut self, sample: TelemetrySample) -> SignalSet {
-        let Self {
-            cfg,
-            window,
-            util,
-            wait,
-            latency,
-            ..
-        } = self;
-        window.push(sample);
-        // The sliding kernels take each series' newest value as the window
-        // stored it, so both see the same bits.
-        let newest = |series: &[f64]| series[series.len() - 1];
-        for kind in RESOURCE_KINDS {
-            util[kind.index()].push(newest(window.util_series(kind, 1)));
-            wait[kind.index()].push(newest(wait_series(cfg, window, wait_class_for(kind), 1)));
+        let levels = Levels::of(&sample);
+        if self.recent.len() == self.cfg.smoothing_window.max(1) {
+            self.recent.remove(0);
         }
-        latency.push(newest(window.latency_series(1)));
+        self.recent.push(levels);
+        self.latest = Some(sample);
+        for kind in RESOURCE_KINDS {
+            self.util[kind.index()].push(levels.util[kind.index()]);
+            self.wait[kind.index()].push(levels.wait[kind.index()]);
+        }
+        self.latency.push(levels.latency);
         self.signals()
     }
 
-    /// Computes the signal set from the current window.
+    /// Computes the signal set from the retained samples and series states.
     ///
-    /// Takes `&mut self` only for the internal scratch buffers: the window
-    /// is not modified and repeated calls return identical results.
+    /// Takes `&mut self` only for the internal scratch buffers: no state
+    /// moves and repeated calls return identical results.
     ///
     /// # Panics
     /// Panics if no sample has been observed yet.
     pub fn signals(&mut self) -> SignalSet {
         let Self {
             cfg,
-            window,
+            latest,
+            recent,
             util,
             wait,
             latency,
             scratch,
         } = self;
-        let latest = window.latest().expect("signals() before any observe()");
+        let latest = latest.expect("signals() before any observe()");
         let smoothing = cfg.smoothing_window;
+        // The latency series is ranked once per sample, not once per pairing.
+        let latency_ranks = &latency.ranks;
 
         let resources: [ResourceSignals; RESOURCE_KINDS.len()] = RESOURCE_KINDS.map(|kind| {
-            let (util, wait) = (&util[kind.index()], &wait[kind.index()]);
-            resource_signals(cfg, window, scratch, kind, util, wait, &latency.ranks)
+            let i = kind.index();
+            let thresholds = cfg.thresholds.waits_for(kind);
+            let util_pct = level(recent, smoothing, scratch, |l| l.util[i]).unwrap_or(0.0);
+            let wait_ms = level(recent, smoothing, scratch, |l| l.wait[i]).unwrap_or(0.0);
+            let wait_pct = level(recent, smoothing, scratch, |l| l.wait_pct[i]).unwrap_or(0.0);
+            let (util, wait) = (&util[i], &wait[i]);
+            ResourceSignals {
+                kind,
+                util_pct,
+                util_level: categorize_util(&cfg.thresholds, util_pct),
+                wait_ms,
+                wait_level: categorize_wait_ms(thresholds, wait_ms),
+                wait_pct,
+                wait_pct_level: categorize_wait_pct(thresholds, wait_pct),
+                util_trend: util.material_trend(cfg, scratch),
+                wait_trend: wait.material_trend(cfg, scratch),
+                corr_latency_wait: latency_ranks.spearman_in(&wait.ranks, &mut scratch.spearman),
+                corr_latency_util: latency_ranks.spearman_in(&util.ranks, &mut scratch.spearman),
+            }
         });
-
-        let observed_ms =
-            median_in(window.latency_series(smoothing), &mut scratch.median).or(latest.latency_ms);
+        let lock_wait_pct = level(recent, smoothing, scratch, |l| l.lock_pct).unwrap_or(0.0);
+        let observed_ms = level(recent, smoothing, scratch, |l| l.latency).or(latest.latency_ms);
         let goal_ms = cfg.latency_goal.map(|g| g.target_ms());
-        let latency = LatencySignals {
-            observed_ms,
-            goal_ms,
-            verdict: categorize_latency(observed_ms, goal_ms),
-            trend: latency.material_trend(cfg, scratch),
-        };
 
         SignalSet {
             interval: latest.interval,
             resources,
-            latency,
-            lock_wait_pct: median_wait_pct(window, scratch, WaitClass::Lock, smoothing),
-            latch_wait_pct: median_wait_pct(window, scratch, WaitClass::Latch, smoothing),
-            other_wait_pct: median_wait_pct(window, scratch, WaitClass::Other, smoothing),
-            total_wait_ms: latest.total_wait_ms(),
+            latency: LatencySignals {
+                observed_ms,
+                goal_ms,
+                verdict: categorize_latency(observed_ms, goal_ms),
+                trend: latency.material_trend(cfg, scratch),
+            },
+            lock_wait_pct,
             mem_used_mb: latest.mem_used_mb,
             mem_capacity_mb: latest.mem_capacity_mb,
             disk_reads_per_sec: latest.disk_reads_per_sec,
             completed: latest.completed,
-            rejected: latest.rejected,
         }
     }
 }
 
-fn median_wait_pct(
-    window: &SampleWindow,
+/// Median of one level signal over the last `smoothing` retained samples,
+/// oldest first.
+fn level(
+    recent: &[Levels],
+    smoothing: usize,
     scratch: &mut SignalScratch,
-    class: WaitClass,
-    n: usize,
-) -> f64 {
-    median_in(window.wait_pct_series(class, n), &mut scratch.median).unwrap_or(0.0)
-}
-
-/// The wait-magnitude series of `class` per the configured normalization —
-/// a zero-copy window view either way.
-fn wait_series<'w>(
-    cfg: &TelemetryConfig,
-    window: &'w SampleWindow,
-    class: WaitClass,
-    n: usize,
-) -> &'w [f64] {
-    if cfg.waits_per_request {
-        window.wait_per_request_series(class, n)
-    } else {
-        window.wait_series(class, n)
-    }
-}
-
-fn resource_signals(
-    cfg: &TelemetryConfig,
-    window: &SampleWindow,
-    scratch: &mut SignalScratch,
-    kind: ResourceKind,
-    util: &SeriesState,
-    wait: &SeriesState,
-    latency_ranks: &SlidingRanks,
-) -> ResourceSignals {
-    let class = wait_class_for(kind);
-    let smoothing = cfg.smoothing_window;
-    let thresholds = cfg.thresholds.waits_for(kind);
-
-    let util_pct =
-        median_in(window.util_series(kind, smoothing), &mut scratch.median).unwrap_or(0.0);
-    let wait_ms = median_in(
-        wait_series(cfg, window, class, smoothing),
-        &mut scratch.median,
-    )
-    .unwrap_or(0.0);
-    let wait_pct = median_wait_pct(window, scratch, class, smoothing);
-
-    let util_trend = util.material_trend(cfg, scratch);
-    let wait_trend = wait.material_trend(cfg, scratch);
-
-    // The latency series is ranked once per sample, not once per pairing.
-    let corr_latency_wait = latency_ranks.spearman_in(&wait.ranks, &mut scratch.spearman);
-    let corr_latency_util = latency_ranks.spearman_in(&util.ranks, &mut scratch.spearman);
-
-    ResourceSignals {
-        kind,
-        util_pct,
-        util_level: categorize_util(&cfg.thresholds, util_pct),
-        wait_ms,
-        wait_level: categorize_wait_ms(thresholds, wait_ms),
-        wait_pct,
-        wait_pct_level: categorize_wait_pct(thresholds, wait_pct),
-        util_trend,
-        wait_trend,
-        corr_latency_wait,
-        corr_latency_util,
-    }
+    value: impl Fn(&Levels) -> f64,
+) -> Option<f64> {
+    let k = recent.len().min(smoothing);
+    scratch.series.clear();
+    scratch
+        .series
+        .extend(recent[recent.len() - k..].iter().map(value));
+    median_in(&scratch.series, &mut scratch.median)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::categorize::{LatencyVerdict, UtilLevel, WaitTimeLevel};
+    use dasr_containers::ResourceKind;
 
     fn sample(
         interval: u64,
@@ -404,6 +384,35 @@ mod tests {
         let set = m.observe(sample(2, 100.0, 0.0, 0.0, None));
         assert_eq!(set.resource(ResourceKind::Cpu).util_pct, 12.0);
         assert_eq!(set.resource(ResourceKind::Cpu).util_level, UtilLevel::Low);
+    }
+
+    #[test]
+    fn level_signals_forget_samples_older_than_the_smoothing_window() {
+        let mut m = manager(None);
+        for i in 0..10 {
+            m.observe(sample(i, 90.0, 0.0, 0.0, None));
+        }
+        // Three calm samples push every busy one out of the window.
+        let mut set = m.observe(sample(10, 20.0, 0.0, 0.0, None));
+        for i in 11..13 {
+            set = m.observe(sample(i, 10.0 + i as f64, 0.0, 0.0, None));
+        }
+        assert_eq!(set.interval, 12);
+        assert_eq!(set.resource(ResourceKind::Cpu).util_pct, 21.0);
+        assert_eq!(set.resource(ResourceKind::Cpu).util_level, UtilLevel::Low);
+    }
+
+    #[test]
+    fn idle_latency_is_ignored_by_the_level_median() {
+        let mut m = manager(None);
+        m.observe(sample(0, 10.0, 0.0, 0.0, Some(7.0)));
+        m.observe(sample(1, 10.0, 0.0, 0.0, Some(9.0)));
+        let mut set = m.observe(sample(2, 10.0, 0.0, 0.0, None));
+        assert_eq!(set.latency.observed_ms, Some(8.0));
+        for i in 3..6 {
+            set = m.observe(sample(i, 10.0, 0.0, 0.0, None));
+        }
+        assert_eq!(set.latency.observed_ms, None);
     }
 
     #[test]

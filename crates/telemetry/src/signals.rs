@@ -26,7 +26,7 @@ pub struct ResourceSignals {
     pub util_pct: f64,
     /// Utilization category.
     pub util_level: UtilLevel,
-    /// Median wait ms per interval over the smoothing window.
+    /// Median wait ms per completed request over the smoothing window.
     pub wait_ms: f64,
     /// Wait-magnitude category.
     pub wait_level: WaitTimeLevel,
@@ -36,7 +36,8 @@ pub struct ResourceSignals {
     pub wait_pct_level: WaitPctLevel,
     /// Theil–Sen trend of utilization over the trend window.
     pub util_trend: Trend,
-    /// Theil–Sen trend of wait ms over the trend window.
+    /// Theil–Sen trend of wait ms per completed request over the trend
+    /// window.
     pub wait_trend: Trend,
     /// Spearman ρ between latency and this resource's waits (None when not
     /// computable).
@@ -108,14 +109,8 @@ pub struct SignalSet {
     pub resources: [ResourceSignals; RESOURCE_KINDS.len()],
     /// Latency signals.
     pub latency: LatencySignals,
-    /// Share of total waits attributable to locks, %.
+    /// Median share of resource waits attributable to locks, %.
     pub lock_wait_pct: f64,
-    /// Share of total waits attributable to latches, %.
-    pub latch_wait_pct: f64,
-    /// Share of total waits in the Other class, %.
-    pub other_wait_pct: f64,
-    /// Total wait ms this interval.
-    pub total_wait_ms: f64,
     /// Buffer-pool usage, MB.
     pub mem_used_mb: f64,
     /// Buffer-pool capacity, MB.
@@ -124,8 +119,6 @@ pub struct SignalSet {
     pub disk_reads_per_sec: f64,
     /// Requests completed in the interval.
     pub completed: u64,
-    /// Requests rejected by admission control in the interval.
-    pub rejected: u64,
 }
 
 impl SignalSet {
@@ -232,14 +225,10 @@ mod tests {
                 trend: Trend::None,
             },
             lock_wait_pct: 92.0,
-            latch_wait_pct: 0.0,
-            other_wait_pct: 2.0,
-            total_wait_ms: 1_000.0,
             mem_used_mb: 100.0,
             mem_capacity_mb: 200.0,
             disk_reads_per_sec: 1.0,
             completed: 10,
-            rejected: 0,
         };
         assert!(set.lock_bottleneck(90.0));
         assert!(!set.lock_bottleneck(95.0));

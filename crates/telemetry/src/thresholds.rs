@@ -12,8 +12,9 @@
 use dasr_containers::{ResourceKind, RESOURCE_KINDS};
 use dasr_stats::percentile;
 
-/// Wait-time category boundaries for one resource, in milliseconds per
-/// interval.
+/// Wait-time category boundaries for one resource, in the unit of the wait
+/// signal they categorize: milliseconds per completed request for the
+/// telemetry manager.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaitThresholds {
     /// Waits at or below this are LOW.
@@ -56,34 +57,14 @@ impl Default for ThresholdConfig {
     /// Defaults for the closed-loop telemetry manager, which normalizes
     /// wait magnitudes to **milliseconds per completed request** so the
     /// categories are throughput-invariant (the paper instead re-derives
-    /// absolute thresholds per container size and cluster; normalization is
-    /// the single-knob equivalent). A healthy request waits well under
+    /// absolute thresholds per container size and cluster; normalization
+    /// stands in for that re-derivation). A healthy request waits well under
     /// 2 ms per resource; sustained governor throttling pushes per-request
     /// waits past 25 ms.
     fn default() -> Self {
         let default_wait = WaitThresholds {
             low_ms: 2.0,
             high_ms: 25.0,
-            significant_pct: 40.0,
-        };
-        Self {
-            util_low_pct: 30.0,
-            util_high_pct: 70.0,
-            waits: [default_wait; RESOURCE_KINDS.len()],
-        }
-    }
-}
-
-impl ThresholdConfig {
-    /// Absolute per-5-minute-interval thresholds mirroring the paper's
-    /// published illustrative numbers (§4.1: LOW cut-offs near 20 s, HIGH
-    /// cut-offs of 500–1500 s per 5-minute interval). Used by the
-    /// fleet-wide analyses; services derive the real numbers from their
-    /// own fleet (see `dasr-fleet`).
-    pub fn fleet_absolute() -> Self {
-        let default_wait = WaitThresholds {
-            low_ms: 20_000.0,
-            high_ms: 500_000.0,
             significant_pct: 40.0,
         };
         Self {

@@ -1,7 +1,7 @@
 //! Property test: the [`SignalSet`] `TelemetryManager::observe` returns from
 //! its sliding kernels equals, field by field and float by bits, the one
 //! assembled from the batch kernels (`trend_indexed_in`, `spearman_in`,
-//! `median_in`) over a mirror [`SampleWindow`].
+//! `median_in`) over the tails of every sample observed so far.
 //!
 //! Why it exists: no other test can see the signals diverge. The loop
 //! equivalence suite compares `ClosedLoop` against `OracleLoop`
@@ -18,7 +18,6 @@ use dasr_telemetry::categorize::{
     categorize_latency, categorize_util, categorize_wait_ms, categorize_wait_pct,
 };
 use dasr_telemetry::signals::wait_class_for;
-use dasr_telemetry::window::SampleWindow;
 use dasr_telemetry::{
     LatencyGoal, LatencySignals, ResourceSignals, SignalSet, TelemetryConfig, TelemetryManager,
     TelemetrySample,
@@ -28,11 +27,27 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The batch reference: every signal recomputed from scratch over the
-/// window, as §3 states them.
+/// history, as §3 states them.
 struct BatchSignals {
     cfg: TelemetryConfig,
-    window: SampleWindow,
+    history: Vec<TelemetrySample>,
     kernels: BatchKernels,
+}
+
+/// One channel over the last `n` samples of `history`, oldest first.
+fn series(
+    history: &[TelemetrySample],
+    n: usize,
+    value: impl Fn(&TelemetrySample) -> f64,
+) -> Vec<f64> {
+    history[history.len() - n.min(history.len())..]
+        .iter()
+        .map(value)
+        .collect()
+}
+
+fn latency_of(sample: &TelemetrySample) -> f64 {
+    sample.latency_ms.unwrap_or(f64::NAN)
 }
 
 struct BatchKernels {
@@ -64,13 +79,7 @@ impl BatchKernels {
 impl BatchSignals {
     fn new(cfg: TelemetryConfig) -> Self {
         Self {
-            // Deep enough for every series the batch kernels read.
-            window: SampleWindow::new(
-                cfg.smoothing_window
-                    .max(cfg.trend_window)
-                    .max(cfg.corr_window)
-                    .max(1),
-            ),
+            history: Vec::new(),
             kernels: BatchKernels {
                 estimator: TheilSen::new().with_alpha(cfg.trend_alpha),
                 trend_min_relative_change: cfg.trend_min_relative_change,
@@ -85,33 +94,24 @@ impl BatchSignals {
     fn observe(&mut self, sample: TelemetrySample) -> SignalSet {
         let Self {
             cfg,
-            window,
+            history,
             kernels,
         } = self;
-        window.push(sample);
+        history.push(sample);
+        let h = &history[..];
         let (smoothing, trend, corr) = (cfg.smoothing_window, cfg.trend_window, cfg.corr_window);
-        let wait_series = |class: WaitClass, n: usize| {
-            if cfg.waits_per_request {
-                window.wait_per_request_series(class, n)
-            } else {
-                window.wait_series(class, n)
-            }
-        };
-        let wait_pct = |kernels: &mut BatchKernels, class: WaitClass| {
-            kernels
-                .median(window.wait_pct_series(class, smoothing))
-                .unwrap_or(0.0)
-        };
-        let latency = window.latency_series(corr);
+        let latency = series(h, corr, latency_of);
 
         let resources = RESOURCE_KINDS.map(|kind| {
             let class = wait_class_for(kind);
             let thresholds = cfg.thresholds.waits_for(kind);
-            let util_pct = kernels
-                .median(window.util_series(kind, smoothing))
+            let util = |s: &TelemetrySample| s.util(kind);
+            let wait = |s: &TelemetrySample| s.wait_per_request(class);
+            let util_pct = kernels.median(&series(h, smoothing, util)).unwrap_or(0.0);
+            let wait_ms = kernels.median(&series(h, smoothing, wait)).unwrap_or(0.0);
+            let wait_pct = kernels
+                .median(&series(h, smoothing, |s| s.wait_pct(class)))
                 .unwrap_or(0.0);
-            let wait_ms = kernels.median(wait_series(class, smoothing)).unwrap_or(0.0);
-            let wait_pct = wait_pct(kernels, class);
             ResourceSignals {
                 kind,
                 util_pct,
@@ -120,22 +120,22 @@ impl BatchSignals {
                 wait_level: categorize_wait_ms(thresholds, wait_ms),
                 wait_pct,
                 wait_pct_level: categorize_wait_pct(thresholds, wait_pct),
-                util_trend: kernels.material_trend(window.util_series(kind, trend)),
-                wait_trend: kernels.material_trend(wait_series(class, trend)),
+                util_trend: kernels.material_trend(&series(h, trend, util)),
+                wait_trend: kernels.material_trend(&series(h, trend, wait)),
                 corr_latency_wait: spearman_in(
-                    latency,
-                    wait_series(class, corr),
+                    &latency,
+                    &series(h, corr, wait),
                     &mut kernels.spearman,
                 ),
                 corr_latency_util: spearman_in(
-                    latency,
-                    window.util_series(kind, corr),
+                    &latency,
+                    &series(h, corr, util),
                     &mut kernels.spearman,
                 ),
             }
         });
         let observed_ms = kernels
-            .median(window.latency_series(smoothing))
+            .median(&series(h, smoothing, latency_of))
             .or(sample.latency_ms);
         let goal_ms = cfg.latency_goal.map(|g| g.target_ms());
         SignalSet {
@@ -145,17 +145,15 @@ impl BatchSignals {
                 observed_ms,
                 goal_ms,
                 verdict: categorize_latency(observed_ms, goal_ms),
-                trend: kernels.material_trend(window.latency_series(trend)),
+                trend: kernels.material_trend(&series(h, trend, latency_of)),
             },
-            lock_wait_pct: wait_pct(kernels, WaitClass::Lock),
-            latch_wait_pct: wait_pct(kernels, WaitClass::Latch),
-            other_wait_pct: wait_pct(kernels, WaitClass::Other),
-            total_wait_ms: sample.total_wait_ms(),
+            lock_wait_pct: kernels
+                .median(&series(h, smoothing, |s| s.wait_pct(WaitClass::Lock)))
+                .unwrap_or(0.0),
             mem_used_mb: sample.mem_used_mb,
             mem_capacity_mb: sample.mem_capacity_mb,
             disk_reads_per_sec: sample.disk_reads_per_sec,
             completed: sample.completed,
-            rejected: sample.rejected,
         }
     }
 }
@@ -195,9 +193,6 @@ fn float_fields(set: &SignalSet) -> Vec<(Option<ResourceKind>, &'static str, [u6
         ("latency.goal_ms", opt(set.latency.goal_ms)),
         ("latency.trend", trend(set.latency.trend)),
         ("lock_wait_pct", num(set.lock_wait_pct)),
-        ("latch_wait_pct", num(set.latch_wait_pct)),
-        ("other_wait_pct", num(set.other_wait_pct)),
-        ("total_wait_ms", num(set.total_wait_ms)),
         ("mem_used_mb", num(set.mem_used_mb)),
         ("mem_capacity_mb", num(set.mem_capacity_mb)),
         ("disk_reads_per_sec", num(set.disk_reads_per_sec)),
@@ -225,8 +220,8 @@ fn assert_same(sliding: &SignalSet, batch: &SignalSet) {
         "at interval {at}"
     );
     assert_eq!(
-        (sliding.interval, sliding.completed, sliding.rejected),
-        (batch.interval, batch.completed, batch.rejected)
+        (sliding.interval, sliding.completed),
+        (batch.interval, batch.completed)
     );
 }
 
@@ -246,9 +241,9 @@ fn assert_equivalent(cfg: TelemetryConfig, samples: &[TelemetrySample]) {
     assert_same(&sliding.signals(), &expect);
 }
 
-/// The configurations under test: the default, absolute wait magnitudes,
-/// short and equal trend and correlation windows, a correlation window
-/// shorter than the trend window, and no smoothing.
+/// The configurations under test: the default, no latency goal, short and
+/// equal trend and correlation windows, a correlation window shorter than
+/// the trend window, and no smoothing.
 fn config(variant: usize) -> TelemetryConfig {
     let base = TelemetryConfig {
         latency_goal: Some(LatencyGoal::P95(100.0)),
@@ -257,7 +252,6 @@ fn config(variant: usize) -> TelemetryConfig {
     match variant {
         0 => base,
         1 => TelemetryConfig {
-            waits_per_request: false,
             latency_goal: None,
             ..base
         },
