@@ -1,20 +1,26 @@
 //! Criterion micro-benchmarks for the declarative decision engine: the §4
 //! demand tables and the §6 arbitration table over pre-generated signal
-//! sets, plus decision-trace JSONL serialization. A fleet control plane
+//! sets, decision-trace JSONL serialization, and whole `AutoPolicy::decide`
+//! calls over a fleet-synthesised tenant-day. A fleet control plane
 //! re-evaluates these tables for every tenant every interval, so they must
 //! stay in the nanosecond range.
 //!
 //! With `DASR_BENCH_JSON` set, the vendored criterion shim appends one
-//! `{"bench": …, "ns_per_iter": …}` line per benchmark — CI publishes them
-//! as `BENCH_decisions.json`.
+//! `{"bench": …, "ns_per_iter": …}` line per benchmark; `BENCH_decisions.json`
+//! at the repository root keeps such rows. They are ungated diagnostics:
+//! end-to-end speed is judged by `e2e compare`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dasr_containers::{ResourceKind, RESOURCE_KINDS};
+use dasr_containers::{Catalog, ResourceKind, RESOURCE_KINDS};
+use dasr_core::policy::{AutoPolicy, BalloonStatus, PolicyContext, ScalingPolicy};
 use dasr_core::rules::{EvalCtx, Fact, FactSet, ARBITRATION, HIGH_DEMAND, LOW_DEMAND};
-use dasr_core::{DecisionTrace, EstimatorConfig};
+use dasr_core::{DecisionTrace, EstimatorConfig, TenantKnobs};
+use dasr_engine::{WaitClass, WAIT_CLASSES};
+use dasr_fleet::{TenantPopulation, WaitModel};
 use dasr_stats::{Trend, TrendDirection};
 use dasr_telemetry::categorize::{LatencyVerdict, UtilLevel, WaitPctLevel, WaitTimeLevel};
-use dasr_telemetry::signals::{LatencySignals, ResourceSignals};
+use dasr_telemetry::signals::{wait_class_for, LatencySignals, ResourceSignals, SignalSet};
+use dasr_telemetry::{LatencyGoal, TelemetryConfig, TelemetryManager, TelemetrySample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -107,6 +113,65 @@ fn random_facts(rng: &mut StdRng) -> FactSet {
     })
 }
 
+/// One tenant-day of signal sets: a tenant of the Fig. 2 population
+/// against the container covering its median demand, heavy-tailed waits
+/// from the fleet wait model, latency rising with the hottest resource,
+/// all through the telemetry manager as the loop would see it.
+fn fleet_day_signals(catalog: &Catalog, goal: LatencyGoal) -> Vec<SignalSet> {
+    const MINUTES: usize = 1440;
+    const MINUTES_PER_STEP: usize = 5;
+    let tenant = TenantPopulation::generate_with_len(8, MINUTES / MINUTES_PER_STEP, 0xF1EE7)
+        .tenants
+        .into_iter()
+        .max_by(|a, b| {
+            let peak = |t: &dasr_fleet::TenantTrace| {
+                t.intervals.iter().map(|d| d.cpu_cores).fold(0.0, f64::max)
+            };
+            peak(a).total_cmp(&peak(b))
+        })
+        .expect("non-empty population");
+    let mut by_cpu = tenant.intervals.clone();
+    by_cpu.sort_by(|a, b| a.cpu_cores.total_cmp(&b.cpu_cores));
+    let nominal = catalog.assign_for_utilization(&by_cpu[by_cpu.len() / 2]);
+    let mut rng = StdRng::seed_from_u64(0xDA1_D4A7);
+    let mut models = RESOURCE_KINDS.map(|k| WaitModel::new(k, 0xDA1_D4A7));
+    let mut tm = TelemetryManager::new(TelemetryConfig {
+        latency_goal: Some(goal),
+        ..TelemetryConfig::default()
+    });
+    (0..MINUTES)
+        .map(|m| {
+            let demand = &tenant.intervals[m / MINUTES_PER_STEP];
+            let mut util_pct = [0.0; RESOURCE_KINDS.len()];
+            let mut wait_ms = [0.0; WAIT_CLASSES.len()];
+            for kind in RESOURCE_KINDS {
+                let util = (demand[kind] / nominal.resources[kind] * 100.0).min(100.0);
+                util_pct[kind.index()] = util;
+                wait_ms[wait_class_for(kind).index()] =
+                    models[kind.index()].sample_at(util).wait_ms;
+            }
+            wait_ms[WaitClass::Lock.index()] = rng.gen_range(0.0..5.0);
+            let hottest = util_pct.iter().copied().fold(0.0, f64::max);
+            let pressure = ((hottest - 60.0) / 40.0).max(0.0);
+            let latency = 40.0 * (1.0 + 6.0 * pressure * pressure) * rng.gen_range(0.8..1.25);
+            let requests = (demand.cpu_cores * 180.0).round() as u64;
+            tm.observe(TelemetrySample {
+                interval: m as u64,
+                util_pct,
+                wait_ms,
+                latency_ms: (requests > 0).then_some(latency),
+                avg_latency_ms: (requests > 0).then_some(latency * 0.6),
+                completed: requests,
+                arrivals: requests,
+                rejected: 0,
+                mem_used_mb: demand.memory_mb.min(nominal.resources.memory_mb),
+                mem_capacity_mb: nominal.resources.memory_mb,
+                disk_reads_per_sec: demand[ResourceKind::DiskIo] * 0.5,
+            })
+        })
+        .collect()
+}
+
 fn bench_decisions(c: &mut Criterion) {
     let cfg = EstimatorConfig::default();
     let sets = signal_sets();
@@ -161,6 +226,31 @@ fn bench_decisions(c: &mut Criterion) {
         };
         let trace = DecisionTrace::from_signals(&signals, dasr_containers::ContainerId(2));
         b.iter(|| black_box(trace.to_json_line()))
+    });
+
+    // Whole §6 decisions — estimate, arbitration, gates and the trace —
+    // for one tenant-day, following each decision's target. Reported per
+    // 1440-decision day.
+    let catalog = Catalog::azure_like();
+    let goal = LatencyGoal::P95(100.0);
+    let day = fleet_day_signals(&catalog, goal);
+    let knobs = TenantKnobs::none().with_latency_goal(goal);
+    c.bench_function("auto_decide_fleet_day", |b| {
+        b.iter(|| {
+            let mut policy = AutoPolicy::with_knobs(knobs);
+            let mut current = catalog.iter().find(|c| c.rung == 2).expect("rung 2");
+            for signals in &day {
+                let d = policy.decide(&PolicyContext {
+                    signals,
+                    current,
+                    catalog: &catalog,
+                    available_budget: None,
+                    balloon: BalloonStatus::Inactive,
+                });
+                current = catalog.get(d.target).expect("catalog id");
+            }
+            black_box(current.id)
+        })
     });
 }
 

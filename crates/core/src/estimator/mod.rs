@@ -12,7 +12,8 @@ pub mod rules;
 
 pub use memory::{BalloonConfig, BalloonController};
 
-use crate::rules::{EvalCtx, RuleFire, RuleId, HIGH_DEMAND, LOW_DEMAND};
+use crate::explain::ResourceSet;
+use crate::rules::{EvalCtx, RuleFire, RuleSet, HIGH_DEMAND, LOW_DEMAND};
 use dasr_containers::{ResourceKind, RESOURCE_KINDS};
 use dasr_telemetry::SignalSet;
 
@@ -44,7 +45,7 @@ impl Default for EstimatorConfig {
 }
 
 /// Demand estimate for one resource dimension.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceDemand {
     /// The resource.
     pub kind: ResourceKind,
@@ -54,10 +55,10 @@ pub struct ResourceDemand {
     /// text is rendered from this on demand — see
     /// [`ResourceDemand::rule_text`].
     pub rule: Option<RuleFire>,
-    /// Every rule evaluated for this dimension, in table order (high-demand
-    /// table first, then — for non-memory dimensions without a high fire —
-    /// the low-demand table).
-    pub evaluated: Vec<RuleId>,
+    /// Every rule evaluated for this dimension (high-demand table first,
+    /// then — for non-memory dimensions without a high fire — the
+    /// low-demand table), iterated in the order they were tried.
+    pub evaluated: RuleSet,
 }
 
 impl ResourceDemand {
@@ -69,7 +70,7 @@ impl ResourceDemand {
 }
 
 /// The estimator's output for one decision point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandEstimate {
     /// Per-resource demand (order of `RESOURCE_KINDS`).
     pub demands: [ResourceDemand; RESOURCE_KINDS.len()],
@@ -118,19 +119,23 @@ impl DemandEstimate {
     }
 
     /// Resources with positive demand.
-    pub fn up_resources(&self) -> Vec<ResourceKind> {
-        self.per_resource(|d| (d.step > 0).then_some(d.kind))
-            .into_iter()
-            .flatten()
-            .collect()
+    pub fn up_resources(&self) -> ResourceSet {
+        self.kinds_where(|step| step > 0)
     }
 
     /// Resources with negative demand.
-    pub fn down_resources(&self) -> Vec<ResourceKind> {
-        self.per_resource(|d| (d.step < 0).then_some(d.kind))
-            .into_iter()
-            .flatten()
-            .collect()
+    pub fn down_resources(&self) -> ResourceSet {
+        self.kinds_where(|step| step < 0)
+    }
+
+    fn kinds_where(&self, keep: impl Fn(i8) -> bool) -> ResourceSet {
+        let mut set = ResourceSet::default();
+        for d in &self.demands {
+            if keep(d.step) {
+                set.insert(d.kind);
+            }
+        }
+        set
     }
 
     /// True when every dimension *except memory* has low (negative) demand
@@ -168,6 +173,7 @@ impl DemandEstimator {
     /// be inferred from utilization and waits alone (§4.3) and is instead
     /// confirmed by the [`BalloonController`]. The low-demand table is
     /// therefore skipped for the memory dimension.
+    // dasr-lint: no-alloc
     pub fn estimate(&self, signals: &SignalSet) -> DemandEstimate {
         let demands = RESOURCE_KINDS.map(|kind| {
             let sig = signals.resource(kind);
@@ -175,7 +181,7 @@ impl DemandEstimator {
             let mut eval = HIGH_DEMAND.evaluate(&ctx);
             if eval.fired.is_none() && kind != ResourceKind::Memory {
                 let low = LOW_DEMAND.evaluate(&ctx);
-                eval.evaluated.extend(low.evaluated);
+                eval.evaluated = eval.evaluated.union(low.evaluated);
                 eval.fired = low.fired;
             }
             ResourceDemand {
@@ -469,7 +475,13 @@ mod tests {
         let e = DemandEstimator::default().estimate(&s);
         assert_eq!(e.up_steps(), [1, 0, 0, 0]);
         assert_eq!(e.down_steps(), [0, 0, -2, 0]);
-        assert_eq!(e.up_resources(), vec![ResourceKind::Cpu]);
-        assert_eq!(e.down_resources(), vec![ResourceKind::DiskIo]);
+        assert_eq!(
+            e.up_resources(),
+            ResourceSet::from_iter([ResourceKind::Cpu])
+        );
+        assert_eq!(
+            e.down_resources(),
+            ResourceSet::from_iter([ResourceKind::DiskIo])
+        );
     }
 }

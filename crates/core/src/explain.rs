@@ -6,15 +6,58 @@
 //! size."
 
 use crate::rules::RuleFire;
-use dasr_containers::ResourceKind;
+use dasr_containers::{ResourceKind, RESOURCE_KINDS};
 use std::fmt;
+
+/// A set of resource dimensions as one bit per kind, iterated in
+/// [`RESOURCE_KINDS`] order.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct ResourceSet(u8);
+
+impl ResourceSet {
+    /// Every dimension.
+    pub const ALL: ResourceSet = ResourceSet((1 << RESOURCE_KINDS.len()) - 1);
+
+    /// Adds `kind`.
+    pub fn insert(&mut self, kind: ResourceKind) {
+        self.0 |= 1 << kind.index();
+    }
+
+    /// True when `kind` is in the set.
+    pub fn contains(self, kind: ResourceKind) -> bool {
+        self.0 & (1 << kind.index()) != 0
+    }
+
+    /// The kinds, in [`RESOURCE_KINDS`] order.
+    pub fn iter(self) -> impl Iterator<Item = ResourceKind> {
+        RESOURCE_KINDS
+            .into_iter()
+            .filter(move |&k| self.contains(k))
+    }
+}
+
+impl FromIterator<ResourceKind> for ResourceSet {
+    fn from_iter<I: IntoIterator<Item = ResourceKind>>(kinds: I) -> Self {
+        let mut set = ResourceSet::default();
+        for kind in kinds {
+            set.insert(kind);
+        }
+        set
+    }
+}
+
+impl fmt::Debug for ResourceSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
 
 /// Why the auto-scaler did (or did not) act.
 ///
 /// Every variant is structured data; the prose is produced by the
 /// `Display` impl, so explanation text is always *rendered from* the
 /// decision trace rather than stored in it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Explanation {
     /// Scale-up: a resource bottleneck was detected.
     ScaleUpBottleneck {
@@ -35,7 +78,7 @@ pub enum Explanation {
     /// Scale-down: demand is low for the named resources.
     ScaleDownLowDemand {
         /// Resources with low demand.
-        resources: Vec<ResourceKind>,
+        resources: ResourceSet,
     },
     /// Scale-down: latency is comfortably within the goal, so a smaller
     /// container suffices even though there is resource demand (§2.3).
@@ -66,6 +109,7 @@ pub enum Explanation {
     /// Within the post-resize cooldown window.
     Cooldown,
     /// Nothing to do.
+    #[default]
     NoChange,
 }
 
@@ -178,7 +222,7 @@ mod tests {
     #[test]
     fn low_demand_lists_resources() {
         let e = Explanation::ScaleDownLowDemand {
-            resources: vec![ResourceKind::Cpu, ResourceKind::DiskIo],
+            resources: ResourceSet::from_iter([ResourceKind::Cpu, ResourceKind::DiskIo]),
         };
         let s = e.to_string();
         assert!(s.contains("cpu") && s.contains("disk_io"));

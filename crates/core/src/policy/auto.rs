@@ -23,11 +23,11 @@
 
 use crate::estimator::memory::BalloonAction;
 use crate::estimator::{BalloonConfig, BalloonController, DemandEstimator, EstimatorConfig};
-use crate::explain::Explanation;
+use crate::explain::{Explanation, ResourceSet};
 use crate::knobs::TenantKnobs;
 use crate::policy::{BalloonCommand, PolicyContext, PolicyDecision, ScalingPolicy};
 use crate::rules::{EvalCtx, Fact, FactSet, RuleId, ARBITRATION};
-use crate::trace::{BalloonGate, DecisionTrace};
+use crate::trace::{BalloonGate, DecisionTrace, Explanations};
 use dasr_containers::{Catalog, Container, ResourceKind, RESOURCE_KINDS};
 
 /// Auto-policy tuning.
@@ -166,11 +166,12 @@ impl ScalingPolicy for AutoPolicy {
     }
 
     // dasr-lint: entry(G1)
+    // dasr-lint: no-alloc
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
         let sig = ctx.signals;
         let catalog = ctx.catalog;
         let current = ctx.current;
-        let mut explanations = Vec::new();
+        let mut explanations = Explanations::new();
         let est = self.estimator.estimate(sig);
         let mut trace = DecisionTrace::with_estimate(sig, &est, current.id);
 
@@ -264,7 +265,7 @@ impl ScalingPolicy for AutoPolicy {
 
             // --- Scale-up branch (§6) ----------------------------------------
             RuleId::ScaleUpDemand => {
-                for kind in est.up_resources() {
+                for kind in est.up_resources().iter() {
                     explanations.push(Explanation::ScaleUpBottleneck {
                         resource: kind,
                         rule: est.demand(kind).rule.expect("up demand fired a rule"),
@@ -324,20 +325,20 @@ impl ScalingPolicy for AutoPolicy {
                 // smaller container even with demand (§2.3) — a
                 // whole-container step down, which is what a lockstep catalog
                 // needs when only some dimensions look idle.
-                let mut candidates: Vec<([i8; RESOURCE_KINDS.len()], bool)> = Vec::new();
-                if est.any_down() {
-                    candidates.push((est.down_steps(), false));
-                }
-                if headroom_ok && goal.is_some() && !sig.latency.trend.is_increasing() {
-                    let mut all_down = est.down_steps();
-                    for s in all_down.iter_mut() {
-                        *s = (*s).min(-1);
-                    }
-                    candidates.push((all_down, true));
-                } else if !est.any_down() {
-                    candidates.push(([-1; RESOURCE_KINDS.len()], true));
-                }
-                for (mut steps, from_headroom) in candidates {
+                let demand_based = est.any_down().then(|| (est.down_steps(), false));
+                let whole_step =
+                    if headroom_ok && goal.is_some() && !sig.latency.trend.is_increasing() {
+                        let mut all_down = est.down_steps();
+                        for s in all_down.iter_mut() {
+                            *s = (*s).min(-1);
+                        }
+                        Some((all_down, true))
+                    } else if !est.any_down() {
+                        Some(([-1; RESOURCE_KINDS.len()], true))
+                    } else {
+                        None
+                    };
+                for (mut steps, from_headroom) in [demand_based, whole_step].into_iter().flatten() {
                     // Memory shrinks only with evidence (§4.3): a balloon
                     // commit justifies exactly one rung (the probed target); a
                     // pool that is not even using the target justifies going
@@ -399,7 +400,7 @@ impl ScalingPolicy for AutoPolicy {
                                 });
                             } else {
                                 explanations.push(Explanation::ScaleDownLowDemand {
-                                    resources: RESOURCE_KINDS.to_vec(),
+                                    resources: ResourceSet::ALL,
                                 });
                             }
                         } else {
@@ -426,7 +427,7 @@ impl AutoPolicy {
     /// explanations in the trace, then wraps everything up.
     fn finish(
         mut trace: DecisionTrace,
-        explanations: Vec<Explanation>,
+        explanations: Explanations,
         target: &Container,
         current: &Container,
         balloon: BalloonCommand,
@@ -448,7 +449,7 @@ impl AutoPolicy {
         &mut self,
         ctx: &PolicyContext<'_>,
         mut trace: DecisionTrace,
-        mut explanations: Vec<Explanation>,
+        mut explanations: Explanations,
         balloon: BalloonCommand,
     ) -> PolicyDecision {
         if let Some(b) = ctx.available_budget {

@@ -12,7 +12,7 @@
 //! non-resource bottlenecks, so on a lock-bound workload it keeps scaling
 //! up as long as latency stays bad — the Figure 13 overshoot.
 
-use crate::explain::Explanation;
+use crate::explain::{Explanation, ResourceSet};
 use crate::policy::{BalloonCommand, PolicyContext, PolicyDecision, ScalingPolicy};
 use crate::rules::RuleId;
 use crate::trace::DecisionTrace;
@@ -48,7 +48,7 @@ impl UtilPolicy {
         trace.branch = branch;
         trace.target = target.id;
         trace.grant(ctx.current.rung, target.rung);
-        trace.explanations = vec![explanation];
+        trace.explanations.push(explanation);
         PolicyDecision {
             target: target.id,
             trace,
@@ -63,6 +63,7 @@ impl ScalingPolicy for UtilPolicy {
     }
 
     // dasr-lint: entry(G1)
+    // dasr-lint: no-alloc
     fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
         let sig = ctx.signals;
         let max_level = RESOURCE_KINDS
@@ -129,7 +130,7 @@ impl ScalingPolicy for UtilPolicy {
                         RuleId::ScaleDownDemand,
                         t,
                         Explanation::ScaleDownLowDemand {
-                            resources: RESOURCE_KINDS.to_vec(),
+                            resources: ResourceSet::ALL,
                         },
                     );
                 }

@@ -33,8 +33,11 @@ use std::fmt;
 /// low-demand rules; the second block is the §6 arbitration branches; the
 /// third is the gate rules that annotate a decision (budget, balloon,
 /// emergency, headroom). The discriminant order is the wire order — do not
-/// reorder without bumping the trace format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// reorder without bumping the trace format. [`HIGH_DEMAND`],
+/// [`LOW_DEMAND`] and [`ARBITRATION`] list their rows in this order too,
+/// which is what lets a [`RuleSet`] stand in for an evaluated-rule list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(u8)]
 pub enum RuleId {
     /// §4.2(a) at extreme pressure: everything HIGH/SIGNIFICANT *and*
     /// utilization ≥ `very_high_util_pct` *and* wait share ≥
@@ -71,6 +74,7 @@ pub enum RuleId {
     /// points down — scale down.
     ScaleDownDemand,
     /// §6 fallback branch: no rule fired — keep the current container.
+    #[default]
     HoldSteady,
     /// Gate: latency beyond `emergency_factor × goal` bypassed the
     /// scale-up cooldown.
@@ -120,12 +124,10 @@ impl RuleId {
         RuleId::BalloonConfirmedShrink,
     ];
 
-    /// Dense index (the discriminant), for histogram slots.
-    pub fn index(self) -> usize {
-        RuleId::ALL
-            .iter()
-            .position(|&r| r == self)
-            .expect("RuleId::ALL is total")
+    /// Dense index (the discriminant), for histogram slots and
+    /// [`RuleSet`] bits.
+    pub const fn index(self) -> usize {
+        self as usize
     }
 
     /// Stable wire name used by the JSONL trace format.
@@ -163,6 +165,97 @@ impl RuleId {
 impl fmt::Display for RuleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A set of [`RuleId`]s as one bit per id, iterated in wire order.
+///
+/// An evaluated-rule list is always a prefix of one table, or the
+/// high-demand table followed by a prefix of the low-demand one, and every
+/// table lists its rows in wire order — so the set iterates in exactly the
+/// order the rules were tried.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct RuleSet(u32);
+
+impl RuleSet {
+    /// The empty set.
+    pub const fn new() -> Self {
+        RuleSet(0)
+    }
+
+    /// Adds `id`.
+    pub fn insert(&mut self, id: RuleId) {
+        self.0 |= 1 << id.index();
+    }
+
+    /// Every id in `self` or `other`.
+    pub fn union(self, other: RuleSet) -> RuleSet {
+        RuleSet(self.0 | other.0)
+    }
+
+    /// Number of ids in the set.
+    pub fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// True when the set is empty.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The id latest in wire order — the fired row of an evaluation that
+    /// fired.
+    pub fn last(self) -> Option<RuleId> {
+        self.iter().next_back()
+    }
+
+    /// The ids, in wire order.
+    pub fn iter(self) -> RuleSetIter {
+        RuleSetIter(self.0)
+    }
+}
+
+impl FromIterator<RuleId> for RuleSet {
+    fn from_iter<I: IntoIterator<Item = RuleId>>(ids: I) -> Self {
+        let mut set = RuleSet::new();
+        for id in ids {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+/// Iterator over a [`RuleSet`], in wire order.
+#[derive(Debug, Clone)]
+pub struct RuleSetIter(u32);
+
+impl Iterator for RuleSetIter {
+    type Item = RuleId;
+
+    fn next(&mut self) -> Option<RuleId> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(RuleId::ALL[i])
+    }
+}
+
+impl DoubleEndedIterator for RuleSetIter {
+    fn next_back(&mut self) -> Option<RuleId> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = 31 - self.0.leading_zeros() as usize;
+        self.0 &= !(1 << i);
+        Some(RuleId::ALL[i])
+    }
+}
+
+impl fmt::Debug for RuleSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -519,10 +612,11 @@ impl RuleFire {
 /// The result of evaluating one table: which rules were *tried*, in order,
 /// and the first that fired (if any) — the raw material of a
 /// [`crate::trace::DecisionTrace`].
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Evaluation {
-    /// Rules evaluated, in table order, up to and including the fired one.
-    pub evaluated: Vec<RuleId>,
+    /// Rules evaluated, up to and including the fired one (table order is
+    /// wire order, so the set iterates in the order they were tried).
+    pub evaluated: RuleSet,
     /// The first rule whose condition held.
     pub fired: Option<RuleFire>,
 }
@@ -555,9 +649,9 @@ impl RuleTable {
     /// assert_eq!(eval.evaluated.len(), 6);
     /// ```
     pub fn evaluate(&self, ctx: &EvalCtx<'_>) -> Evaluation {
-        let mut evaluated = Vec::with_capacity(self.rules.len());
+        let mut evaluated = RuleSet::new();
         for rule in self.rules {
-            evaluated.push(rule.id);
+            evaluated.insert(rule.id);
             if rule.when.eval(ctx) {
                 let bindings = match ctx.resource {
                     Some(sig) => Bindings::capture(ctx.cfg, sig),
@@ -861,6 +955,29 @@ mod tests {
     }
 
     #[test]
+    fn index_is_the_wire_position_and_tables_list_rows_in_wire_order() {
+        for (i, id) in RuleId::ALL.into_iter().enumerate() {
+            assert_eq!(id.index(), i, "{id}");
+        }
+        // A `RuleSet` replays an evaluated list in wire order, so every
+        // table must list its rows in ascending wire order.
+        for table in [&HIGH_DEMAND, &LOW_DEMAND, &ARBITRATION] {
+            assert!(
+                table.rules.windows(2).all(|w| w[0].id < w[1].id),
+                "{} rows are out of wire order",
+                table.name
+            );
+        }
+        let set = RuleSet::from_iter([RuleId::Low, RuleId::HighA, RuleId::BalloonAbort]);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            vec![RuleId::HighA, RuleId::Low, RuleId::BalloonAbort]
+        );
+        assert_eq!(set.last(), Some(RuleId::BalloonAbort));
+        assert_eq!(set.iter().next_back(), Some(RuleId::BalloonAbort));
+    }
+
+    #[test]
     fn scenario_a_fires_high_a() {
         let s = sig(
             80.0,
@@ -876,7 +993,7 @@ mod tests {
         assert_eq!(fire.step, 1);
         assert_eq!(
             eval.evaluated,
-            vec![RuleId::HighASurge, RuleId::HighA],
+            RuleSet::from_iter([RuleId::HighASurge, RuleId::HighA]),
             "first-match stops the scan"
         );
         assert!(fire.render().contains("80% HIGH"));

@@ -89,7 +89,7 @@ impl Default for RunConfig {
 impl RunConfig {
     /// The container the run starts in: [`RunConfig::initial`] when set,
     /// else rung 2, else the smallest in the catalog.
-    pub fn initial_container(&self) -> Container {
+    pub fn initial_container(&self) -> &Container {
         let initial_id = self.initial.unwrap_or_else(|| {
             self.catalog
                 .iter()
@@ -100,7 +100,6 @@ impl RunConfig {
         self.catalog
             .get(initial_id)
             .expect("initial container must exist")
-            .clone()
     }
 }
 
@@ -126,7 +125,7 @@ pub struct Controller<'a> {
     catalog: &'a Catalog,
     tm: TelemetryManager,
     budget: Option<BudgetManager>,
-    current: Container,
+    current: &'a Container,
     obs: RunObservability,
     intervals: Vec<IntervalRecord>,
     resizes: u64,
@@ -181,6 +180,7 @@ impl<'a> Controller<'a> {
     /// container given the balloon `probe` state the interval ended with
     /// (read before any command is applied), and records the interval.
     // dasr-lint: entry(G1)
+    // dasr-lint: no-alloc
     pub fn step(
         &mut self,
         policy: &mut dyn ScalingPolicy,
@@ -222,7 +222,7 @@ impl<'a> Controller<'a> {
         let budget = self.budget.as_ref();
         let ctx = PolicyContext {
             signals: &signals,
-            current: &self.current,
+            current: self.current,
             catalog,
             available_budget: budget.map(|b| b.available()),
             balloon: probe,
@@ -264,7 +264,7 @@ impl<'a> Controller<'a> {
         });
 
         let resize = resized.then(|| {
-            self.current = target.clone();
+            self.current = target;
             self.resizes += 1;
             self.current.resources
         });

@@ -10,9 +10,14 @@
 //! serde, and the format below is small enough that an explicit mapping is
 //! clearer than a derive anyway. `f64` round-trips exactly because Rust's
 //! `Display` prints the shortest string that parses back to the same bits.
+//!
+//! A trace is fixed-size and `Copy`: evaluated-rule lists are
+//! [`RuleSet`]s, and the gates and explanations are [`FixedList`]s whose
+//! capacities follow from the §6 branch structure, so building one on the
+//! decision path allocates nothing.
 
-use crate::explain::Explanation;
-use crate::rules::{Bindings, RuleFire, RuleHistogram, RuleId};
+use crate::explain::{Explanation, ResourceSet};
+use crate::rules::{Bindings, RuleFire, RuleHistogram, RuleId, RuleSet};
 use dasr_containers::{ContainerId, ResourceKind, RESOURCE_KINDS};
 use dasr_telemetry::categorize::{
     LatencyVerdict, ResourceCategories, UtilLevel, WaitPctLevel, WaitTimeLevel,
@@ -21,9 +26,106 @@ use dasr_telemetry::signals::ResourceSignals;
 use dasr_telemetry::SignalSet;
 
 use self::json::Json;
+use std::fmt;
+use std::ops::Deref;
+
+/// An ordered list of at most `N` `Copy` items, stored inline.
+///
+/// Reads go through the slice it derefs to. Unused slots hold
+/// `T::default()` and take no part in equality or `Debug`.
+#[derive(Clone, Copy)]
+pub struct FixedList<T, const N: usize> {
+    len: u8,
+    items: [T; N],
+}
+
+impl<T: Copy + Default, const N: usize> FixedList<T, N> {
+    /// The empty list.
+    pub fn new() -> Self {
+        Self {
+            len: 0,
+            items: [T::default(); N],
+        }
+    }
+
+    /// Appends `item`. Callers size `N` so that this cannot overflow; a
+    /// debug build asserts it, and a release build keeps the first `N`.
+    pub fn push(&mut self, item: T) {
+        debug_assert!((self.len as usize) < N, "FixedList capacity {N} exceeded");
+        if let Some(slot) = self.items.get_mut(self.len as usize) {
+            *slot = item;
+            self.len += 1;
+        }
+    }
+
+    /// Keeps only the items `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = Self::new();
+        for item in self.iter() {
+            if keep(item) {
+                kept.push(*item);
+            }
+        }
+        *self = kept;
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Default for FixedList<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T, const N: usize> Deref for FixedList<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len as usize]
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for FixedList<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let mut list = Self::new();
+        for item in items {
+            list.push(item);
+        }
+        list
+    }
+}
+
+impl<T: PartialEq, const N: usize> PartialEq for FixedList<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: fmt::Debug, const N: usize> fmt::Debug for FixedList<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Most gates one Auto decision engages: one balloon gate (start or
+/// abort, never both), the emergency bypass, and at most two from the
+/// branch — scale-up adds a budget truncation and then, on the no-move
+/// path, a forced downgrade; scale-down adds a balloon-confirmed shrink
+/// and the latency headroom, or only the no-move path's forced downgrade.
+pub const GATE_CAPACITY: usize = 4;
+
+/// Most explanations one decision carries: one balloon explanation, then
+/// the scale-up branch's one bottleneck per resource (4) and two budget
+/// notes (truncation, then the no-move path's forced downgrade). Every
+/// other branch adds at most three.
+pub const EXPLANATION_CAPACITY: usize = 1 + RESOURCE_KINDS.len() + 2;
+
+/// A decision's gates, in the order they engaged.
+pub type Gates = FixedList<RuleId, GATE_CAPACITY>;
+
+/// A decision's explanations, in the order they were given.
+pub type Explanations = FixedList<Explanation, EXPLANATION_CAPACITY>;
 
 /// One resource dimension's slice of a decision trace.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceTrace {
     /// The resource dimension.
     pub kind: ResourceKind,
@@ -37,8 +139,8 @@ pub struct ResourceTrace {
     pub categories: ResourceCategories,
     /// Whether a SIGNIFICANT increasing trend was present.
     pub trending: bool,
-    /// Rules evaluated for this dimension, in table order.
-    pub evaluated: Vec<RuleId>,
+    /// Rules evaluated for this dimension, iterated in table order.
+    pub evaluated: RuleSet,
     /// The rule that fired, if any.
     pub fired: Option<RuleFire>,
 }
@@ -52,7 +154,7 @@ impl ResourceTrace {
             wait_pct: sig.wait_pct,
             categories: sig.categories(),
             trending: sig.increasing_pressure_trend(),
-            evaluated: Vec::new(),
+            evaluated: RuleSet::new(),
             fired: None,
         }
     }
@@ -69,7 +171,7 @@ impl ResourceTrace {
                 wait_pct: WaitPctLevel::NotSignificant,
             },
             trending: false,
-            evaluated: Vec::new(),
+            evaluated: RuleSet::new(),
             fired: None,
         }
     }
@@ -108,7 +210,7 @@ pub enum BalloonGate {
 }
 
 /// A complete, serializable record of one scaling decision.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionTrace {
     /// Billing interval the decision closed.
     pub interval: u64,
@@ -118,8 +220,8 @@ pub struct DecisionTrace {
     pub resources: [ResourceTrace; RESOURCE_KINDS.len()],
     /// Latency signals the decision saw.
     pub latency: LatencyTrace,
-    /// §6 arbitration rules evaluated, in order.
-    pub arbitration: Vec<RuleId>,
+    /// §6 arbitration rules evaluated, iterated in table order.
+    pub arbitration: RuleSet,
     /// The arbitration branch that fired.
     pub branch: RuleId,
     /// Steps the estimator demanded, per resource.
@@ -133,14 +235,14 @@ pub struct DecisionTrace {
     pub balloon: BalloonGate,
     /// Gate rules that annotated the decision (emergency bypass, budget,
     /// headroom, balloon), in the order they engaged.
-    pub gates: Vec<RuleId>,
+    pub gates: Gates,
     /// Container the decision started from.
     pub from: ContainerId,
     /// Container chosen for the next interval.
     pub target: ContainerId,
     /// The decision's explanations (§4) — structured; render with
     /// [`DecisionTrace::render_explanations`].
-    pub explanations: Vec<Explanation>,
+    pub explanations: Explanations,
 }
 
 impl DecisionTrace {
@@ -156,16 +258,16 @@ impl DecisionTrace {
                 goal_ms: signals.latency.goal_ms,
                 verdict: signals.latency.verdict,
             },
-            arbitration: Vec::new(),
+            arbitration: RuleSet::new(),
             branch: RuleId::HoldSteady,
             demanded: [0; RESOURCE_KINDS.len()],
             granted: [0; RESOURCE_KINDS.len()],
             budget_limited: false,
             balloon: BalloonGate::Disabled,
-            gates: Vec::new(),
+            gates: Gates::new(),
             from: current,
             target: current,
-            explanations: Vec::new(),
+            explanations: Explanations::new(),
         }
     }
 
@@ -178,7 +280,7 @@ impl DecisionTrace {
     ) -> Self {
         let mut trace = Self::from_signals(signals, current);
         for (slot, demand) in trace.resources.iter_mut().zip(est.demands.iter()) {
-            slot.evaluated = demand.evaluated.clone();
+            slot.evaluated = demand.evaluated;
             slot.fired = demand.rule;
         }
         trace.demanded = est.per_resource(|d| d.step);
@@ -196,16 +298,16 @@ impl DecisionTrace {
                 goal_ms: None,
                 verdict: LatencyVerdict::Good,
             },
-            arbitration: Vec::new(),
+            arbitration: RuleSet::new(),
             branch: RuleId::HoldSteady,
             demanded: [0; RESOURCE_KINDS.len()],
             granted: [0; RESOURCE_KINDS.len()],
             budget_limited: false,
             balloon: BalloonGate::Disabled,
-            gates: Vec::new(),
+            gates: Gates::new(),
             from: container,
             target: container,
-            explanations: Vec::new(),
+            explanations: Explanations::new(),
         }
     }
 
@@ -231,14 +333,14 @@ impl DecisionTrace {
             }
         }
         hist.record(self.branch);
-        for &gate in &self.gates {
+        for &gate in self.gates.iter() {
             hist.record(gate);
         }
     }
 
     /// Serializes the trace as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        self.to_json().write()
+        self.encode().write()
     }
 
     /// Parses a trace back from [`DecisionTrace::to_json_line`] output.
@@ -246,7 +348,7 @@ impl DecisionTrace {
         Self::from_json(&json::parse(line)?)
     }
 
-    fn to_json(&self) -> Json {
+    fn encode(&self) -> Json {
         Json::Obj(vec![
             ("interval".into(), Json::Num(self.interval as f64)),
             (
@@ -276,7 +378,10 @@ impl DecisionTrace {
                     ),
                 ]),
             ),
-            ("arbitration".into(), rule_list_to_json(&self.arbitration)),
+            (
+                "arbitration".into(),
+                rule_list_to_json(self.arbitration.iter()),
+            ),
             ("branch".into(), Json::Str(self.branch.name().into())),
             (
                 "demanded".into(),
@@ -288,7 +393,10 @@ impl DecisionTrace {
             ),
             ("budget_limited".into(), Json::Bool(self.budget_limited)),
             ("balloon".into(), balloon_to_json(&self.balloon)),
-            ("gates".into(), rule_list_to_json(&self.gates)),
+            (
+                "gates".into(),
+                rule_list_to_json(self.gates.iter().copied()),
+            ),
             (
                 "explanations".into(),
                 Json::Arr(self.explanations.iter().map(explanation_to_json).collect()),
@@ -322,33 +430,56 @@ impl DecisionTrace {
                 goal_ms: latency.get("goal_ms")?.opt_num()?,
                 verdict: verdict_from_str(latency.get("verdict")?.str()?)?,
             },
-            arbitration: rule_list_from_json(v.get("arbitration")?)?,
+            arbitration: rule_set_from_json(v.get("arbitration")?)?,
             branch: rule_from_str(v.get("branch")?.str()?)?,
             demanded: steps_from_json(v.get("demanded")?)?,
             granted: steps_from_json(v.get("granted")?)?,
             budget_limited: v.get("budget_limited")?.bool()?,
             balloon: balloon_from_json(v.get("balloon")?)?,
-            gates: rule_list_from_json(v.get("gates")?)?,
+            gates: fixed_list_from_json(v.get("gates")?, |j| rule_from_str(j.str()?))?,
             from: ContainerId(v.get("from")?.num()? as u32),
             target: ContainerId(v.get("target")?.num()? as u32),
-            explanations: v
-                .get("explanations")?
-                .arr()?
-                .iter()
-                .map(explanation_from_json)
-                .collect::<Result<_, _>>()?,
+            explanations: fixed_list_from_json(v.get("explanations")?, explanation_from_json)?,
         })
     }
 }
 
 // ---- field-level encoders/decoders -------------------------------------
 
-fn rule_list_to_json(rules: &[RuleId]) -> Json {
-    Json::Arr(rules.iter().map(|r| Json::Str(r.name().into())).collect())
+fn rule_list_to_json(rules: impl Iterator<Item = RuleId>) -> Json {
+    Json::Arr(rules.map(|r| Json::Str(r.name().into())).collect())
 }
 
-fn rule_list_from_json(v: &Json) -> Result<Vec<RuleId>, String> {
-    v.arr()?.iter().map(|j| rule_from_str(j.str()?)).collect()
+/// Decodes an evaluated-rule list. A [`RuleSet`] holds only lists in
+/// strictly ascending wire order, which is all the tables produce; any
+/// other list is an error rather than silently reordered.
+fn rule_set_from_json(v: &Json) -> Result<RuleSet, String> {
+    let mut set = RuleSet::new();
+    for j in v.arr()? {
+        let id = rule_from_str(j.str()?)?;
+        if set.last().is_some_and(|last| last >= id) {
+            return Err(format!("rule {id} out of wire order"));
+        }
+        set.insert(id);
+    }
+    Ok(set)
+}
+
+/// Decodes an array into a [`FixedList`]; an array longer than the list's
+/// capacity is an error, not a truncation.
+fn fixed_list_from_json<T: Copy + Default, const N: usize>(
+    v: &Json,
+    item: impl Fn(&Json) -> Result<T, String>,
+) -> Result<FixedList<T, N>, String> {
+    let arr = v.arr()?;
+    if arr.len() > N {
+        return Err(format!("{} items exceed the capacity of {N}", arr.len()));
+    }
+    let mut list = FixedList::new();
+    for j in arr {
+        list.push(item(j)?);
+    }
+    Ok(list)
 }
 
 fn rule_from_str(name: &str) -> Result<RuleId, String> {
@@ -443,7 +574,7 @@ fn resource_to_json(r: &ResourceTrace) -> Json {
         ("wait".into(), Json::Str(r.categories.wait.to_string())),
         ("share".into(), Json::Str(r.categories.wait_pct.to_string())),
         ("trending".into(), Json::Bool(r.trending)),
-        ("evaluated".into(), rule_list_to_json(&r.evaluated)),
+        ("evaluated".into(), rule_list_to_json(r.evaluated.iter())),
         (
             "fired".into(),
             match &r.fired {
@@ -466,7 +597,7 @@ fn resource_from_json(v: &Json) -> Result<ResourceTrace, String> {
             wait_pct: share_from_str(v.get("share")?.str()?)?,
         },
         trending: v.get("trending")?.bool()?,
-        evaluated: rule_list_from_json(v.get("evaluated")?)?,
+        evaluated: rule_set_from_json(v.get("evaluated")?)?,
         fired: match v.get("fired")? {
             Json::Null => None,
             other => Some(fire_from_json(other)?),
@@ -571,7 +702,7 @@ fn explanation_from_json(v: &Json) -> Result<Explanation, String> {
                 .arr()?
                 .iter()
                 .map(|j| kind_from_str(j.str()?))
-                .collect::<Result<_, _>>()?,
+                .collect::<Result<ResourceSet, _>>()?,
         },
         "scale_down_latency_headroom" => Explanation::ScaleDownLatencyHeadroom {
             observed_ms: v.get("observed_ms")?.num()?,
@@ -912,7 +1043,7 @@ mod tests {
         t.resources[0].categories.wait = WaitTimeLevel::High;
         t.resources[0].categories.wait_pct = WaitPctLevel::Significant;
         t.resources[0].trending = true;
-        t.resources[0].evaluated = vec![RuleId::HighASurge, RuleId::HighA];
+        t.resources[0].evaluated = RuleSet::from_iter([RuleId::HighASurge, RuleId::HighA]);
         t.resources[0].fired = Some(RuleFire {
             id: RuleId::HighA,
             step: 1,
@@ -927,21 +1058,21 @@ mod tests {
             goal_ms: Some(100.0),
             verdict: LatencyVerdict::Bad,
         };
-        t.arbitration = vec![RuleId::CooldownHold, RuleId::ScaleUpDemand];
+        t.arbitration = RuleSet::from_iter([RuleId::CooldownHold, RuleId::ScaleUpDemand]);
         t.branch = RuleId::ScaleUpDemand;
         t.demanded = [1, 0, 0, -1];
         t.granted = [1, 1, 1, 1];
         t.budget_limited = true;
         t.balloon = BalloonGate::Started { target_mb: 1740.5 };
-        t.gates = vec![RuleId::EmergencyBypass, RuleId::BudgetConstrained];
+        t.gates = Gates::from_iter([RuleId::EmergencyBypass, RuleId::BudgetConstrained]);
         t.target = ContainerId(3);
-        t.explanations = vec![
+        t.explanations = Explanations::from_iter([
             Explanation::ScaleUpBottleneck {
                 resource: ResourceKind::Cpu,
                 rule: t.resources[0].fired.unwrap(),
             },
             Explanation::ScaleUpConstrainedByBudget,
-        ];
+        ]);
         t
     }
 
@@ -994,6 +1125,41 @@ mod tests {
         assert!(DecisionTrace::from_json_line("{\"interval\":1").is_err());
         let good = sample_trace().to_json_line();
         assert!(DecisionTrace::from_json_line(&format!("{good}x")).is_err());
+    }
+
+    #[test]
+    fn unrepresentable_lists_are_rejected_not_rewritten() {
+        let line = sample_trace().to_json_line();
+        let gates = format!("[{}]", ["\"balloon_start\""; GATE_CAPACITY + 1].join(","));
+        let over = line.replace(
+            "\"gates\":[\"emergency_bypass\",\"budget_constrained\"]",
+            &format!("\"gates\":{gates}"),
+        );
+        assert_ne!(over, line);
+        let err = DecisionTrace::from_json_line(&over).unwrap_err();
+        assert!(err.contains("capacity"), "{err}");
+        // An evaluated list out of wire order cannot come from the tables.
+        let reordered = line.replace(
+            "\"arbitration\":[\"cooldown_hold\",\"scale_up_demand\"]",
+            "\"arbitration\":[\"scale_up_demand\",\"cooldown_hold\"]",
+        );
+        assert_ne!(reordered, line);
+        let err = DecisionTrace::from_json_line(&reordered).unwrap_err();
+        assert!(err.contains("wire order"), "{err}");
+    }
+
+    #[test]
+    fn fixed_list_keeps_order_through_retain() {
+        let mut gates = Gates::from_iter([
+            RuleId::BalloonStart,
+            RuleId::EmergencyBypass,
+            RuleId::BudgetConstrained,
+        ]);
+        gates.retain(|&g| g != RuleId::BalloonStart);
+        assert_eq!(*gates, [RuleId::EmergencyBypass, RuleId::BudgetConstrained]);
+        gates.push(RuleId::LatencyHeadroom);
+        assert_eq!(gates.len(), 3);
+        assert_eq!(gates, Gates::from_iter(gates.iter().copied()));
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn traces_carry_structure_not_strings() {
             rec.minute
         );
         assert_eq!(
-            rec.trace.arbitration.last().copied(),
+            rec.trace.arbitration.last(),
             Some(rec.trace.branch),
             "minute {}: the fired branch ends the evaluated list",
             rec.minute

@@ -45,8 +45,8 @@ pub mod token_bucket;
 pub use exact::ExactSum;
 pub use pearson::{pearson, pearson_of_finite};
 pub use quantile::{
-    median, median_in, median_of_mut, percentile, percentile_in, percentile_interpolated,
-    percentile_interpolated_in,
+    median, median_in, median_of_finite_mut, median_of_mut, percentile, percentile_in,
+    percentile_interpolated, percentile_interpolated_in,
 };
 pub use rank::{average_ranks, average_ranks_in};
 pub use spearman::{spearman, spearman_in, SlidingRanks, SpearmanScratch};

@@ -95,23 +95,26 @@ pub fn percentile_interpolated_in(values: &[f64], p: f64, scratch: &mut Vec<f64>
 /// for the lower neighbor, then the upper neighbor is the minimum of the
 /// right partition. Reorders `values`.
 ///
+/// The neighbor indices need no libm `floor`/`ceil`: `idx` is non-negative
+/// (or NaN), so the saturating cast truncates it to its floor (NaN to 0),
+/// and the upper neighbor exists exactly when `idx` has a fractional part.
+///
 /// # Panics
 /// Panics if `values` is empty. All values must be finite.
 fn interpolated_select(values: &mut [f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     let p = p.clamp(0.0, 100.0);
     let idx = (values.len() - 1) as f64 * p / 100.0;
-    let lo = idx.floor() as usize;
-    let hi = idx.ceil() as usize;
+    let lo = idx as usize;
     let (_, lo_v, right) =
         values.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("finite"));
     let lo_v = *lo_v;
-    if lo == hi {
-        lo_v
-    } else {
+    let frac = idx - lo as f64;
+    if frac > 0.0 {
         let hi_v = right.iter().copied().fold(f64::INFINITY, f64::min);
-        let frac = idx - lo as f64;
         lo_v * (1.0 - frac) + hi_v * frac
+    } else {
+        lo_v
     }
 }
 
@@ -133,6 +136,19 @@ pub fn median(values: &[f64]) -> Option<f64> {
 /// contract.
 pub fn median_in(values: &[f64], scratch: &mut Vec<f64>) -> Option<f64> {
     percentile_interpolated_in(values, 50.0, scratch)
+}
+
+/// Median of values the caller has already filtered to the finite ones,
+/// selected in place: [`median_in`] without its copy into scratch, for a
+/// caller that gathers straight into its own buffer. Reorders `values`.
+///
+/// Returns `None` for an empty slice. All values must be finite.
+pub fn median_of_finite_mut(values: &mut [f64]) -> Option<f64> {
+    debug_assert!(values.iter().all(|v| v.is_finite()), "non-finite input");
+    if values.is_empty() {
+        return None;
+    }
+    Some(interpolated_select(values, 50.0))
 }
 
 /// In-place median via partial selection — avoids the extra allocation of

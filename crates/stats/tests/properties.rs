@@ -1,9 +1,9 @@
 //! Property-based tests for the robust-statistics substrate.
 
 use dasr_stats::{
-    average_ranks, median, pearson, percentile, percentile_interpolated, spearman, spearman_in,
-    theil_sen, ExactSum, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, TokenBucket,
-    Trend, TrendDirection, TrendScratch,
+    average_ranks, median, median_of_finite_mut, pearson, percentile, percentile_interpolated,
+    spearman, spearman_in, theil_sen, ExactSum, SlidingRanks, SlidingTheilSen, SpearmanScratch,
+    TheilSen, TokenBucket, Trend, TrendDirection, TrendScratch,
 };
 use proptest::prelude::*;
 
@@ -275,5 +275,63 @@ proptest! {
             rev.merge(&part);
         }
         prop_assert_eq!(rev.value(), sequential.value());
+    }
+}
+
+/// The interpolated percentile as it was computed with libm `floor` and
+/// `ceil` for the two neighbour indices — the reference the index
+/// arithmetic in `dasr_stats` must match bit for bit. Same finite filter,
+/// same selection, so ties between `-0.0` and `0.0` resolve identically.
+fn interpolated_floor_ceil(values: &[f64], p: f64) -> Option<f64> {
+    let mut v: Vec<f64> = values.iter().copied().filter(|x| x.is_finite()).collect();
+    if v.is_empty() {
+        return None;
+    }
+    let p = p.clamp(0.0, 100.0);
+    let idx = (v.len() - 1) as f64 * p / 100.0;
+    let lo = idx.floor() as usize;
+    let hi = idx.ceil() as usize;
+    let (_, lo_v, right) = v.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("finite"));
+    let lo_v = *lo_v;
+    if lo == hi {
+        Some(lo_v)
+    } else {
+        let hi_v = right.iter().copied().fold(f64::INFINITY, f64::min);
+        let frac = idx - lo as f64;
+        Some(lo_v * (1.0 - frac) + hi_v * frac)
+    }
+}
+
+/// Finite samples rich in exact ties: signed zeros, small repeated
+/// integers and ordinary values, 1 to 64 of them.
+fn tied_finite_vec() -> impl Strategy<Value = Vec<f64>> {
+    let value = (0u32..6, -1.0e6..1.0e6f64, 0u32..4).prop_map(|(kind, x, d)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => d as f64,
+        3 => -(d as f64),
+        _ => x,
+    });
+    prop::collection::vec(value, 1..65)
+}
+
+/// The percentiles the loop and the tests ask for, NaN, and a random one.
+fn percentile_rank() -> impl Strategy<Value = f64> {
+    (0usize..7, 0.0..100.0f64).prop_map(|(i, r)| [0.0, 50.0, 95.0, 99.0, 100.0, f64::NAN, r][i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The neighbour indices derived without libm give the floor/ceil
+    /// result bit for bit, and so does the in-place median the telemetry
+    /// level signals use.
+    #[test]
+    fn interpolated_percentile_matches_floor_ceil_bits(v in tied_finite_vec(), p in percentile_rank()) {
+        let want = interpolated_floor_ceil(&v, p).map(f64::to_bits);
+        prop_assert_eq!(percentile_interpolated(&v, p).map(f64::to_bits), want);
+        let median_want = interpolated_floor_ceil(&v, 50.0).map(f64::to_bits);
+        let mut scratch = v.clone();
+        prop_assert_eq!(median_of_finite_mut(&mut scratch).map(f64::to_bits), median_want);
     }
 }

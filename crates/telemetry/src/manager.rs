@@ -9,7 +9,8 @@ use crate::thresholds::ThresholdConfig;
 use dasr_containers::RESOURCE_KINDS;
 use dasr_engine::WaitClass;
 use dasr_stats::{
-    median_in, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, Trend, TrendScratch,
+    median_in, median_of_finite_mut, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen,
+    Trend, TrendScratch,
 };
 
 /// Telemetry-manager tuning.
@@ -52,8 +53,8 @@ impl Default for TelemetryConfig {
 /// the steady-state hot path allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct SignalScratch {
-    /// One level series gathered from the retained samples.
-    series: Vec<f64>,
+    /// The finite values of one level series, or of one trend window,
+    /// selected in place for its median.
     median: Vec<f64>,
     spearman: SpearmanScratch,
     trend: TrendScratch,
@@ -248,7 +249,8 @@ impl TelemetryManager {
 }
 
 /// Median of one level signal over the last `smoothing` retained samples,
-/// oldest first.
+/// oldest first. The finite values are gathered straight into the
+/// selection scratch, so a level median is one copy and one select.
 fn level(
     recent: &[Levels],
     smoothing: usize,
@@ -256,11 +258,15 @@ fn level(
     value: impl Fn(&Levels) -> f64,
 ) -> Option<f64> {
     let k = recent.len().min(smoothing);
-    scratch.series.clear();
-    scratch
-        .series
-        .extend(recent[recent.len() - k..].iter().map(value));
-    median_in(&scratch.series, &mut scratch.median)
+    let finite = &mut scratch.median;
+    finite.clear();
+    finite.extend(
+        recent[recent.len() - k..]
+            .iter()
+            .map(value)
+            .filter(|v| v.is_finite()),
+    );
+    median_of_finite_mut(finite)
 }
 
 #[cfg(test)]
