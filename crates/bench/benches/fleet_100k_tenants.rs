@@ -5,11 +5,12 @@
 //! monotone high-water mark, so the cheap mode must be measured before the
 //! expensive one can raise the floor):
 //!
-//! 1. `run_fleet_summary` with a `CountingSink` — per-tenant reports are
+//! 1. `run_fleet_summary` with a `NullSink` — per-tenant reports are
 //!    folded and dropped inside the workers; only the O(shards)
 //!    accumulators stay live.
 //! 2. `run_fleet` (full mode) — every `RunReport` kept, the O(tenants)
-//!    baseline the summary mode is measured against.
+//!    baseline the summary mode is measured against. Its kept event
+//!    streams cross-check the summary's `events_emitted`.
 //!
 //! Peak RSS (VmHWM on Linux) is reported after each pass; the full pass
 //! should dominate the high-water mark by a wide margin. `--test` runs a
@@ -17,7 +18,7 @@
 //! the eponymous 100k. Set `DASR_BENCH_JSON` to append result lines.
 
 use dasr_core::policy::{AutoPolicy, ScalingPolicy};
-use dasr_core::{tenant_seed, CountingSink, FleetRunner, RunConfig, TenantKnobs, TenantSpec};
+use dasr_core::{tenant_seed, FleetRunner, NullSink, RunConfig, TenantKnobs, TenantSpec};
 use dasr_telemetry::LatencyGoal;
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 use std::io::Write as _;
@@ -93,17 +94,15 @@ fn main() {
     let tenants = build_fleet(tenants_n);
     let baseline_mib = peak_rss_mib();
 
-    let mut sink = CountingSink::default();
     let start = Instant::now();
     let summary = runner.run_fleet_summary(
         &tenants,
         |_, t| Box::new(AutoPolicy::with_knobs(t.cfg.knobs)) as Box<dyn ScalingPolicy>,
-        &mut sink,
+        &mut NullSink,
     );
     let summary_secs = start.elapsed().as_secs_f64();
     let summary_mib = peak_rss_mib();
     assert_eq!(summary.tenants, tenants_n as u64);
-    assert_eq!(summary.events_emitted, sink.count);
 
     let start = Instant::now();
     let full = runner.run_fleet(&tenants, |_, t| {
@@ -116,6 +115,8 @@ fn main() {
         &summary,
         "full-mode fold diverged from the streamed summary"
     );
+    let kept_events: usize = full.reports.iter().map(|r| r.obs.events.len()).sum();
+    assert_eq!(summary.events_emitted, kept_events as u64);
 
     let fmt_mib = |m: Option<f64>| m.map_or_else(|| "n/a".into(), |v| format!("{v:.0} MiB"));
     println!(

@@ -5,7 +5,8 @@
 //! The acceptance bar is <5% overhead — the registry is fixed arrays and
 //! a bounded event push, so it must stay invisible next to the §3 signal
 //! pipeline it instruments. Isolated benches for `record_interval`, the
-//! fleet merge and the JSONL sinks are included for drill-down.
+//! fleet's registry fold (`MetricsAccumulator`) and the JSONL dumps are
+//! included for drill-down.
 //!
 //! With `DASR_BENCH_JSON` set, the vendored criterion shim appends one
 //! `{"bench": …, "ns_per_iter": …}` line per benchmark — CI publishes
@@ -13,7 +14,7 @@
 
 use criterion::{black_box, Criterion};
 use dasr_containers::{ContainerId, ResourceKind};
-use dasr_core::obs::{EventVerbosity, IntervalObservation, RunObservability, TimerId};
+use dasr_core::obs::{IntervalObservation, MetricsAccumulator, RunObservability, TimerId};
 use dasr_core::DecisionTrace;
 use dasr_engine::WaitClass;
 use dasr_telemetry::{LatencyGoal, TelemetryConfig, TelemetryManager, TelemetrySample};
@@ -104,12 +105,12 @@ fn bench_obs(c: &mut Criterion) {
 
     // Same path plus exactly what the runner adds per interval: a wall
     // timer around the signal stage and `record_interval` (counters,
-    // histograms, rule fires, derived events at the default verbosity).
+    // histograms, rule fires, derived notable events).
     c.bench_function("interval_path_instrumented_1k", |b| {
         let mut tm = TelemetryManager::new(telemetry_config());
         let mut i = 0u64;
         b.iter(|| {
-            let mut obs = RunObservability::new(EventVerbosity::Notable);
+            let mut obs = RunObservability::default();
             let mut acc = 0.0;
             for k in 0..INTERVALS {
                 i += 1;
@@ -124,11 +125,12 @@ fn bench_obs(c: &mut Criterion) {
         })
     });
 
-    // Drill-downs: the recording call alone, the fleet merge, the sinks.
+    // Drill-downs: the recording call alone, the fleet's registry fold, the
+    // JSONL dumps.
     c.bench_function("record_interval_1k", |b| {
         let mut i = 0u64;
         b.iter(|| {
-            let mut obs = RunObservability::new(EventVerbosity::Notable);
+            let mut obs = RunObservability::default();
             for (k, t) in traces.iter().enumerate() {
                 i += 1;
                 obs.record_interval(observation(t, i));
@@ -139,26 +141,25 @@ fn bench_obs(c: &mut Criterion) {
     });
 
     c.bench_function("fleet_merge_64_tenants", |b| {
-        let mut tenant = RunObservability::new(EventVerbosity::Notable);
+        let mut tenant = RunObservability::default();
         for (k, t) in traces.iter().enumerate() {
             tenant.record_interval(observation(t, k as u64));
         }
-        tenant.stamp_tenant(0);
         b.iter(|| {
-            let mut fleet = RunObservability::new(EventVerbosity::Notable);
+            let mut fleet = MetricsAccumulator::new();
             for _ in 0..64 {
-                fleet.merge(&tenant);
+                fleet.fold(&tenant.metrics);
             }
             black_box(
                 fleet
-                    .metrics
+                    .finish()
                     .counter(dasr_core::obs::CounterId::IntervalsRun),
             )
         })
     });
 
     c.bench_function("events_jsonl_sink", |b| {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         for (k, t) in traces.iter().enumerate() {
             obs.record_interval(observation(t, k as u64));
         }
@@ -166,7 +167,7 @@ fn bench_obs(c: &mut Criterion) {
     });
 
     c.bench_function("registry_jsonl_sink", |b| {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         for (k, t) in traces.iter().enumerate() {
             obs.record_interval(observation(t, k as u64));
         }

@@ -72,9 +72,8 @@ pub use estimator::{DemandEstimate, DemandEstimator, EstimatorConfig};
 pub use explain::Explanation;
 pub use knobs::{PerfSensitivity, TenantKnobs};
 pub use obs::{
-    CounterId, CountingSink, EventKind, EventSink, EventVerbosity, GaugeId, HistogramId, JsonlSink,
-    MetricRegistry, MetricsAccumulator, NullSink, ObsConfig, RunEvent, RunObservability, TimerId,
-    VecSink,
+    CounterId, EventKind, EventSink, GaugeId, HistogramId, MetricRegistry, MetricsAccumulator,
+    NullSink, RunEvent, RunObservability, TimerId, VecSink,
 };
 pub use policy::{
     AutoPolicy, BalloonCommand, BalloonStatus, PolicyContext, PolicyDecision, ScalingPolicy,

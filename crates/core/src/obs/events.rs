@@ -76,11 +76,12 @@ impl BalloonPhase {
 /// What happened (the payload of a [`RunEvent`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
-    /// A billing interval opened (§2.2). Emitted only at
-    /// [`crate::obs::EventVerbosity::Verbose`].
+    /// A billing interval opened (§2.2). The loop no longer emits it; the
+    /// variant keeps its store tag and decodes from archived streams.
     IntervalStart,
-    /// A billing interval closed with its headline telemetry. Emitted only
-    /// at [`crate::obs::EventVerbosity::Verbose`].
+    /// A billing interval closed with its headline telemetry. The loop no
+    /// longer emits it; the variant keeps its store tag and decodes from
+    /// archived streams.
     IntervalEnd {
         /// Aggregated latency over the interval, ms (`None` when idle).
         latency_ms: Option<f64>,

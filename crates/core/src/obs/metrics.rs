@@ -7,8 +7,8 @@
 //! indexed by those identifiers, and serialization is an explicit
 //! hand-rolled mapping. There are no locks anywhere — each tenant's closed
 //! loop owns its registry exclusively, and fleet-wide aggregation is a
-//! deterministic post-hoc [`MetricRegistry::merge`] in tenant-index order
-//! (the same contract as [`crate::runner::fleet::FleetRunner`]).
+//! post-hoc exact fold ([`MetricsAccumulator`]) that no shard grouping can
+//! perturb (the same contract as [`crate::runner::fleet::FleetRunner`]).
 //!
 //! The registry is split into a **deterministic** section (counters,
 //! gauges, value histograms — pure functions of the simulated run, §7's
@@ -18,7 +18,7 @@
 //! from [`PartialEq`] and from the bit-identical fleet-merge guarantee;
 //! everything else participates.
 
-use crate::rules::{RuleHistogram, RuleId};
+use crate::rules::RuleHistogram;
 use dasr_stats::ExactSum;
 use std::fmt;
 use std::fmt::Write as _;
@@ -364,53 +364,20 @@ impl FixedHistogram {
         }
         self.bounds.last().copied()
     }
-
-    /// Builds a histogram from already-merged parts (the fleet
-    /// accumulator's exact fold).
-    pub(crate) fn from_parts(
-        bounds: &'static [f64],
-        counts: Vec<u64>,
-        total: u64,
-        sum: f64,
-    ) -> Self {
-        debug_assert_eq!(counts.len(), bounds.len() + 1);
-        Self {
-            bounds,
-            counts,
-            total,
-            sum,
-        }
-    }
-
-    /// Adds `other`'s buckets into `self`.
-    ///
-    /// # Panics
-    /// Panics if the bucket bounds differ (merging different metrics).
-    pub fn merge(&mut self, other: &FixedHistogram) {
-        assert!(
-            std::ptr::eq(self.bounds, other.bounds) || self.bounds == other.bounds,
-            "cannot merge histograms with different buckets"
-        );
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-    }
 }
 
 /// The per-run metrics registry.
 ///
 /// One registry per tenant closed loop (no shared mutable state, no
-/// locks); fleet-wide numbers come from [`MetricRegistry::merge`] applied
-/// in tenant-index order, which is deterministic by construction. The §4/§6
-/// [`RuleHistogram`] lives inside the registry, so rule-fire counts travel
-/// with the rest of the run's telemetry.
+/// locks); fleet-wide numbers come from [`MetricsAccumulator`], which
+/// folds registries exactly and so gives the same bits for any shard
+/// grouping. The §4/§6 [`RuleHistogram`] lives inside the registry, so
+/// rule-fire counts travel with the rest of the run's telemetry.
 ///
 /// # Example
 ///
 /// ```
-/// use dasr_core::obs::{CounterId, GaugeId, HistogramId, MetricRegistry};
+/// use dasr_core::obs::{CounterId, GaugeId, HistogramId, MetricRegistry, MetricsAccumulator};
 ///
 /// let mut reg = MetricRegistry::new();
 /// reg.inc(CounterId::IntervalsRun);
@@ -422,11 +389,11 @@ impl FixedHistogram {
 /// assert_eq!(reg.counter(CounterId::RequestsCompleted), 640);
 /// assert_eq!(reg.histogram(HistogramId::ResizeStep).total(), 1);
 ///
-/// // Fleet aggregation is an explicit, deterministic merge.
-/// let mut fleet = MetricRegistry::new();
-/// fleet.merge(&reg);
-/// fleet.merge(&reg);
-/// assert_eq!(fleet.counter(CounterId::RequestsCompleted), 1280);
+/// // Fleet aggregation is an explicit, exact fold.
+/// let mut fleet = MetricsAccumulator::new();
+/// fleet.fold(&reg);
+/// fleet.fold(&reg);
+/// assert_eq!(fleet.finish().counter(CounterId::RequestsCompleted), 1280);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MetricRegistry {
@@ -500,11 +467,6 @@ impl MetricRegistry {
         &self.timers[id.index()]
     }
 
-    /// Records one rule fire (the absorbed [`RuleHistogram`]).
-    pub fn record_rule(&mut self, id: RuleId) {
-        self.rules.record(id);
-    }
-
     /// The §4/§6 rule-fire histogram carried by this registry.
     pub fn rules(&self) -> &RuleHistogram {
         &self.rules
@@ -514,27 +476,6 @@ impl MetricRegistry {
     /// fires via [`crate::trace::DecisionTrace::record_fires`].
     pub fn rules_mut(&mut self) -> &mut RuleHistogram {
         &mut self.rules
-    }
-
-    /// Adds every metric from `other`: counters, histogram buckets, timer
-    /// buckets and rule fires add; gauges sum (see [`GaugeId`]). Called in
-    /// tenant-index order by the fleet aggregation, so the result is a pure
-    /// fold over per-tenant registries — deterministic for any thread
-    /// count.
-    pub fn merge(&mut self, other: &MetricRegistry) {
-        for (a, b) in self.counters.iter_mut().zip(other.counters.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.gauges.iter_mut().zip(other.gauges.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.hists.iter_mut().zip(other.hists.iter()) {
-            a.merge(b);
-        }
-        for (a, b) in self.timers.iter_mut().zip(other.timers.iter()) {
-            a.merge(b);
-        }
-        self.rules.merge(&other.rules);
     }
 
     /// Serializes the registry as JSON lines, one metric per line, in wire
@@ -627,7 +568,7 @@ impl PartialEq for MetricRegistry {
 /// One fixed-bucket histogram being folded exactly: counts add as
 /// integers, the value sum accumulates error-free.
 #[derive(Debug, Clone)]
-struct HistAcc {
+pub(crate) struct HistAcc {
     bounds: &'static [f64],
     counts: Vec<u64>,
     total: u64,
@@ -635,13 +576,23 @@ struct HistAcc {
 }
 
 impl HistAcc {
-    fn new(bounds: &'static [f64]) -> Self {
+    pub(crate) fn new(bounds: &'static [f64]) -> Self {
         Self {
             bounds,
             counts: vec![0; bounds.len() + 1],
             total: 0,
             sum: ExactSum::new(),
         }
+    }
+
+    /// Records one observation. The slot rule puts every non-NaN value in
+    /// the bucket [`FixedHistogram::observe`] would.
+    // dasr-lint: no-alloc
+    pub(crate) fn observe(&mut self, value: f64) {
+        let slot = self.bounds.partition_point(|&b| b < value);
+        self.counts[slot] += 1;
+        self.total += 1;
+        self.sum.add(value);
     }
 
     /// Adds one already-aggregated histogram (a tenant's) into the fold.
@@ -657,7 +608,7 @@ impl HistAcc {
 
     /// Merges another accumulator (a shard's) into the fold.
     // dasr-lint: no-alloc
-    fn merge(&mut self, other: &HistAcc) {
+    pub(crate) fn merge(&mut self, other: &HistAcc) {
         debug_assert_eq!(self.bounds, other.bounds);
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
@@ -666,19 +617,22 @@ impl HistAcc {
         self.sum.merge(&other.sum);
     }
 
-    fn finish(self) -> FixedHistogram {
-        let sum = self.sum.value();
-        FixedHistogram::from_parts(self.bounds, self.counts, self.total, sum)
+    pub(crate) fn finish(self) -> FixedHistogram {
+        FixedHistogram {
+            bounds: self.bounds,
+            counts: self.counts,
+            total: self.total,
+            sum: self.sum.value(),
+        }
     }
 }
 
 /// Exact, grouping-independent fleet aggregation of [`MetricRegistry`]s.
 ///
-/// [`MetricRegistry::merge`] adds `f64` gauge values and histogram sums
-/// with plain floating-point addition, which is fine for a fixed
-/// tenant-order fold but *not* associative — two different shard groupings
-/// of the same tenants could differ in the last ulp. The accumulator
-/// instead carries every merged float as a [`dasr_stats::ExactSum`], so
+/// Gauge values and histogram sums are `f64`, and plain floating-point
+/// addition is *not* associative — two different shard groupings of the
+/// same tenants could differ in the last ulp. The accumulator instead
+/// carries every merged float as a [`dasr_stats::ExactSum`], so
 /// folding tenants into shards and merging shards in any grouping yields a
 /// bit-identical [`MetricsAccumulator::finish`] result. This is what makes
 /// the sharded fleet scheduler's per-shard registry merge a true monoid
@@ -823,6 +777,7 @@ impl fmt::Display for MetricRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::RuleId;
 
     #[test]
     fn ids_are_dense_and_named_uniquely() {
@@ -868,15 +823,43 @@ mod tests {
         a.set_gauge(GaugeId::FinalRung, 2.0);
         a.observe(HistogramId::IntervalLatencyMs, 40.0);
         a.observe_ns(TimerId::SignalsNs, 900);
-        a.record_rule(RuleId::HighA);
+        a.rules_mut().record(RuleId::HighA);
         let mut b = a.clone();
         b.add(CounterId::ResizesIssued, 2);
-        a.merge(&b);
-        assert_eq!(a.counter(CounterId::ResizesIssued), 4);
-        assert_eq!(a.gauge(GaugeId::FinalRung), 4.0);
-        assert_eq!(a.histogram(HistogramId::IntervalLatencyMs).total(), 2);
-        assert_eq!(a.timer(TimerId::SignalsNs).total(), 2);
-        assert_eq!(a.rules().count(RuleId::HighA), 2);
+        b.observe_ns(TimerId::DecideNs, 3_000);
+        let mut acc = MetricsAccumulator::new();
+        acc.fold(&a);
+        acc.fold(&b);
+        let fleet = acc.finish();
+        assert_eq!(fleet.counter(CounterId::ResizesIssued), 4);
+        assert_eq!(fleet.gauge(GaugeId::FinalRung), 4.0);
+        let lat = fleet.histogram(HistogramId::IntervalLatencyMs);
+        assert_eq!((lat.total(), lat.sum()), (2, 80.0));
+        let signals = fleet.timer(TimerId::SignalsNs);
+        assert_eq!((signals.total(), signals.sum()), (2, 1_800.0));
+        assert_eq!(fleet.timer(TimerId::DecideNs).total(), 1);
+        assert_eq!(fleet.rules().count(RuleId::HighA), 2);
+    }
+
+    #[test]
+    fn hist_acc_observe_matches_fixed_histogram() {
+        let bounds = crate::runner::shard::REQUEST_LATENCY_BOUNDS;
+        let mut values = vec![0.0, bounds[bounds.len() - 1] * 2.0];
+        for &b in bounds {
+            // Every bound is positive, so ±1 on the bits is one ulp.
+            let bits = b.to_bits();
+            values.extend([f64::from_bits(bits - 1), b, f64::from_bits(bits + 1)]);
+        }
+        let mut reference = FixedHistogram::new(bounds);
+        let mut acc = HistAcc::new(bounds);
+        for &v in &values {
+            reference.observe(v);
+            acc.observe(v);
+        }
+        let folded = acc.finish();
+        assert_eq!(folded.counts(), reference.counts());
+        assert_eq!(folded.total(), reference.total());
+        assert_eq!(folded.sum().to_bits(), reference.sum().to_bits());
     }
 
     #[test]
@@ -896,7 +879,7 @@ mod tests {
     fn jsonl_lists_every_metric_once() {
         let mut reg = MetricRegistry::new();
         reg.inc(CounterId::IntervalsRun);
-        reg.record_rule(RuleId::HoldSteady);
+        reg.rules_mut().record(RuleId::HoldSteady);
         let out = reg.to_jsonl();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
@@ -949,7 +932,7 @@ mod tests {
                 r.add(CounterId::RequestsCompleted, i as u64 + 1);
                 r.set_gauge(GaugeId::BudgetRemaining, 1e15 / (i as f64 + 1.0));
                 r.observe(HistogramId::IntervalLatencyMs, 0.1 * (i as f64 + 1.0));
-                r.record_rule(RuleId::HoldSteady);
+                r.rules_mut().record(RuleId::HoldSteady);
                 r
             })
             .collect();

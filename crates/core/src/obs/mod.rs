@@ -15,17 +15,20 @@
 //!   denials, throttles, balloon transitions, SLO violations), each one a
 //!   JSON line.
 //! - [`RunObservability`] — one tenant's registry + event stream, recorded
-//!   per interval by the runner and merged deterministically across a
-//!   fleet.
+//!   per interval by the runner.
+//! - [`MetricsAccumulator`] — the one fleet merge: tenants' registries
+//!   folded exactly, in any grouping.
+//! - [`EventSink`] — where a summary-mode fleet streams its events;
+//!   [`events_jsonl`] renders a buffered stream.
 //!
 //! # Determinism
 //!
 //! Everything here is recorded from the *simulated* run, so a fleet's
-//! merged observability is bit-identical for any thread count — the same
-//! guarantee [`crate::runner::fleet::FleetRunner`] gives for reports. The
-//! single exception is wall-clock [`TimerId`] histograms, which measure
-//! the harness itself and are excluded from equality (see
-//! [`MetricRegistry`]).
+//! folded metrics and concatenated event stream are bit-identical for any
+//! thread count — the same guarantee [`crate::runner::fleet::FleetRunner`]
+//! gives for reports. The single exception is wall-clock [`TimerId`]
+//! histograms, which measure the harness itself and are excluded from
+//! equality (see [`MetricRegistry`]).
 //!
 //! # Rendering rule
 //!
@@ -38,39 +41,26 @@ mod metrics;
 mod sink;
 
 pub use events::{BalloonPhase, DenyReason, EventKind, RunEvent};
+pub(crate) use metrics::HistAcc;
 pub use metrics::{
     CounterId, FixedHistogram, GaugeId, HistogramId, MetricRegistry, MetricsAccumulator, TimerId,
 };
-pub use sink::{CountingSink, EventSink, JsonlSink, NullSink, VecSink};
+pub use sink::{EventSink, NullSink, VecSink};
 
 use crate::rules::RuleId;
 use crate::trace::{BalloonGate, DecisionTrace};
 use std::fmt::Write as _;
 
-/// How much of the event stream to keep.
-///
-/// Metrics are always recorded (they are O(1) per run); verbosity only
-/// controls the [`RunEvent`] stream, whose size grows with the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventVerbosity {
-    /// No events are kept.
-    Off,
-    /// Notable events only: resizes, denials, budget throttles, balloon
-    /// transitions, SLO violations. Bounded by the number of notable
-    /// moments, not by run length — safe for 1000-tenant fleets.
-    #[default]
-    Notable,
-    /// Everything, including per-interval start/end events. One tenant ×
-    /// one day is ~2880 extra events; use for debugging single runs.
-    Verbose,
-}
-
-/// Observability configuration carried by
-/// [`crate::runner::RunConfig::obs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ObsConfig {
-    /// Event-stream verbosity.
-    pub verbosity: EventVerbosity,
+/// Renders `events` as JSON lines, one [`RunEvent`] per line — the one
+/// event dump every buffered stream (a run's, a fleet's, a [`VecSink`]'s)
+/// goes through.
+pub fn events_jsonl<'a>(events: impl IntoIterator<Item = &'a RunEvent>) -> String {
+    let mut out = String::new();
+    for ev in events {
+        out.push_str(&ev.to_json_line());
+        out.push('\n');
+    }
+    out
 }
 
 /// Everything one interval hands to [`RunObservability::record_interval`].
@@ -98,7 +88,7 @@ pub struct IntervalObservation<'a> {
 }
 
 /// One run's observability: a [`MetricRegistry`] plus the [`RunEvent`]
-/// stream, recorded interval by interval and merged across fleets.
+/// stream, recorded interval by interval.
 ///
 /// Equality compares the deterministic sections only (see
 /// [`MetricRegistry`]'s `PartialEq`), which is what the fleet determinism
@@ -109,28 +99,15 @@ pub struct RunObservability {
     pub metrics: MetricRegistry,
     /// Structured events, in interval order.
     pub events: Vec<RunEvent>,
-    /// The verbosity events were recorded at.
-    pub verbosity: EventVerbosity,
 }
 
 impl RunObservability {
-    /// An empty stream at `verbosity`.
-    pub fn new(verbosity: EventVerbosity) -> Self {
-        Self {
-            metrics: MetricRegistry::new(),
-            events: Vec::new(),
-            verbosity,
-        }
-    }
-
     fn push(&mut self, interval: u64, kind: EventKind) {
-        if self.verbosity != EventVerbosity::Off {
-            self.events.push(RunEvent {
-                tenant: None,
-                interval,
-                kind,
-            });
-        }
+        self.events.push(RunEvent {
+            tenant: None,
+            interval,
+            kind,
+        });
     }
 
     /// Records one closed-loop interval: counters, histograms, rule fires
@@ -138,9 +115,6 @@ impl RunObservability {
     pub fn record_interval(&mut self, o: IntervalObservation<'_>) {
         let t = o.trace;
         let i = t.interval;
-        if self.verbosity == EventVerbosity::Verbose {
-            self.push(i, EventKind::IntervalStart);
-        }
 
         self.metrics.inc(CounterId::IntervalsRun);
         self.metrics.add(CounterId::RequestsCompleted, o.completed);
@@ -254,17 +228,6 @@ impl RunObservability {
                 );
             }
         }
-
-        if self.verbosity == EventVerbosity::Verbose {
-            self.push(
-                i,
-                EventKind::IntervalEnd {
-                    latency_ms: o.latency_ms,
-                    completed: o.completed,
-                    rejected: o.rejected,
-                },
-            );
-        }
     }
 
     /// Records end-of-run gauges: the final container rung and, when a
@@ -285,22 +248,9 @@ impl RunObservability {
         }
     }
 
-    /// Merges another tenant's observability into this fleet aggregate:
-    /// metrics add, events append. Call in tenant-index order — the result
-    /// is then a pure fold and bit-identical for any thread count.
-    pub fn merge(&mut self, other: &RunObservability) {
-        self.metrics.merge(&other.metrics);
-        self.events.extend(other.events.iter().cloned());
-    }
-
-    /// The event stream as JSON lines (one [`RunEvent`] per line).
+    /// The event stream as JSON lines (see [`events_jsonl`]).
     pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
-        }
-        out
+        events_jsonl(&self.events)
     }
 
     /// Renders the run's observability summary — counters, gauges,
@@ -342,7 +292,7 @@ mod tests {
 
     #[test]
     fn resize_is_counted_and_evented() {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         let t = trace(3, 1, 2);
         obs.record_interval(obs_of(&t, 1, 3));
         assert_eq!(obs.metrics.counter(CounterId::ResizesIssued), 1);
@@ -360,7 +310,7 @@ mod tests {
 
     #[test]
     fn cooldown_and_budget_denials_are_derived_from_the_trace() {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         let mut t = trace(1, 2, 2);
         t.branch = RuleId::CooldownHold;
         obs.record_interval(obs_of(&t, 2, 2));
@@ -381,7 +331,7 @@ mod tests {
 
     #[test]
     fn slo_violation_needs_goal_exceeded() {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         let mut t = trace(0, 1, 1);
         t.latency.observed_ms = Some(80.0);
         t.latency.goal_ms = Some(100.0);
@@ -393,26 +343,8 @@ mod tests {
     }
 
     #[test]
-    fn verbosity_gates_the_stream_not_the_metrics() {
-        let t = trace(0, 1, 2);
-        let mut off = RunObservability::new(EventVerbosity::Off);
-        let mut verbose = RunObservability::new(EventVerbosity::Verbose);
-        off.record_interval(obs_of(&t, 1, 2));
-        verbose.record_interval(obs_of(&t, 1, 2));
-        assert!(off.events.is_empty());
-        // verbose: start + resize + end
-        assert_eq!(verbose.events.len(), 3);
-        assert_eq!(verbose.events[0].kind.name(), "interval_start");
-        assert_eq!(verbose.events[2].kind.name(), "interval_end");
-        assert_eq!(
-            off.metrics.counter(CounterId::IntervalsRun),
-            verbose.metrics.counter(CounterId::IntervalsRun)
-        );
-    }
-
-    #[test]
     fn balloon_transitions_map_to_events() {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         for (gate, starts, aborts, commits) in [
             (BalloonGate::Started { target_mb: 512.0 }, 1, 0, 0),
             (BalloonGate::Aborted, 1, 1, 0),
@@ -429,31 +361,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_stamps_and_round_trips_jsonl() {
-        let mut a = RunObservability::new(EventVerbosity::Notable);
-        a.record_interval(obs_of(&trace(0, 1, 2), 1, 2));
-        a.finish(2, Some(100.0));
-        let mut b = a.clone();
-        a.stamp_tenant(0);
-        b.stamp_tenant(1);
-        let mut fleet = RunObservability::new(EventVerbosity::Notable);
-        fleet.merge(&a);
-        fleet.merge(&b);
-        assert_eq!(fleet.metrics.counter(CounterId::ResizesIssued), 2);
-        assert_eq!(fleet.metrics.gauge(GaugeId::BudgetRemaining), 200.0);
-        let jsonl = fleet.events_jsonl();
-        let parsed: Vec<RunEvent> = jsonl
-            .lines()
-            .map(|l| RunEvent::from_json_line(l).unwrap())
-            .collect();
-        assert_eq!(parsed, fleet.events);
-        assert_eq!(parsed[0].tenant, Some(0));
-        assert_eq!(parsed[1].tenant, Some(1));
-    }
-
-    #[test]
     fn summary_renders_from_structure() {
-        let mut obs = RunObservability::new(EventVerbosity::Notable);
+        let mut obs = RunObservability::default();
         obs.record_interval(obs_of(&trace(0, 1, 2), 1, 2));
         let s = obs.summary();
         assert!(s.contains("intervals_run"));

@@ -18,7 +18,6 @@
 //! thread or shard count.
 
 use super::events::RunEvent;
-use std::io::Write;
 
 /// Receives a fleet run's event stream, shard by shard, in tenant order.
 ///
@@ -41,19 +40,6 @@ impl EventSink for NullSink {
     fn emit(&mut self, _event: &RunEvent) {}
 }
 
-/// Counts events without keeping them.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CountingSink {
-    /// Events seen so far.
-    pub count: u64,
-}
-
-impl EventSink for CountingSink {
-    fn emit(&mut self, _event: &RunEvent) {
-        self.count += 1;
-    }
-}
-
 /// Collects events into a `Vec` — the buffered reference for equivalence
 /// tests and small fleets.
 #[derive(Debug, Clone, Default)]
@@ -62,85 +48,9 @@ pub struct VecSink {
     pub events: Vec<RunEvent>,
 }
 
-impl VecSink {
-    /// The collected stream as JSON lines, matching
-    /// [`crate::obs::RunObservability::events_jsonl`].
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
-        }
-        out
-    }
-}
-
 impl EventSink for VecSink {
     fn emit(&mut self, event: &RunEvent) {
         self.events.push(*event);
-    }
-}
-
-/// Streams events as JSON lines into any [`Write`] (a file, a socket, a
-/// pipe) — constant memory no matter the fleet size.
-#[derive(Debug)]
-pub struct JsonlSink<W: Write + Send> {
-    writer: W,
-    written: u64,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    /// Wraps `writer`. Callers that care about throughput should hand in
-    /// a `BufWriter`.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer,
-            written: 0,
-            error: None,
-        }
-    }
-
-    /// Lines successfully written.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// The first I/O error encountered, if any (later events are dropped
-    /// once a write fails).
-    pub fn error(&self) -> Option<&std::io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write + Send> EventSink for JsonlSink<W> {
-    fn emit(&mut self, event: &RunEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let line = event.to_json_line();
-        if let Err(e) = self
-            .writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-        {
-            self.error = Some(e);
-            return;
-        }
-        self.written += 1;
-    }
-
-    fn finish(&mut self) {
-        if self.error.is_none() {
-            if let Err(e) = self.writer.flush() {
-                self.error = Some(e);
-            }
-        }
     }
 }
 
@@ -161,59 +71,16 @@ mod tests {
     }
 
     #[test]
-    fn counting_and_null_sinks() {
-        let mut n = NullSink;
-        let mut c = CountingSink::default();
-        for i in 0..5 {
-            n.emit(&event(i));
-            c.emit(&event(i));
-        }
-        assert_eq!(c.count, 5);
-    }
-
-    #[test]
     fn vec_sink_matches_jsonl_format() {
         let mut v = VecSink::default();
         v.emit(&event(0));
         v.emit(&event(1));
         v.finish();
-        let jsonl = v.events_jsonl();
+        let jsonl = crate::obs::events_jsonl(&v.events);
         assert_eq!(jsonl.lines().count(), 2);
         assert_eq!(
             RunEvent::from_json_line(jsonl.lines().next().unwrap()).unwrap(),
             event(0)
         );
-    }
-
-    #[test]
-    fn jsonl_sink_streams_lines() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&event(0));
-        sink.emit(&event(1));
-        sink.finish();
-        assert_eq!(sink.written(), 2);
-        assert!(sink.error().is_none());
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.ends_with('\n'));
-    }
-
-    #[test]
-    fn jsonl_sink_records_first_error() {
-        struct Failing;
-        impl Write for Failing {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonlSink::new(Failing);
-        sink.emit(&event(0));
-        sink.emit(&event(1));
-        assert_eq!(sink.written(), 0);
-        assert!(sink.error().is_some());
     }
 }

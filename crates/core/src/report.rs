@@ -5,7 +5,7 @@ use crate::rules::RuleHistogram;
 use crate::trace::DecisionTrace;
 use dasr_containers::{ContainerId, ResourceVector};
 use dasr_engine::waits::WAIT_CLASSES;
-use dasr_stats::{percentile, percentile_interpolated};
+use dasr_stats::percentile;
 
 /// One billing interval's record.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,20 +99,6 @@ impl RunReport {
     /// Whole-run 95th-percentile latency, ms (the paper's latency metric).
     pub fn p95_ms(&self) -> Option<f64> {
         percentile(&self.all_latencies_ms, 95.0)
-    }
-
-    /// Whole-run interpolated 95th percentile.
-    pub fn p95_interpolated_ms(&self) -> Option<f64> {
-        percentile_interpolated(&self.all_latencies_ms, 95.0)
-    }
-
-    /// Whole-run average latency, ms.
-    pub fn avg_ms(&self) -> Option<f64> {
-        if self.all_latencies_ms.is_empty() {
-            None
-        } else {
-            Some(self.all_latencies_ms.iter().sum::<f64>() / self.all_latencies_ms.len() as f64)
-        }
     }
 
     /// Fraction of billing intervals that ended with a resize (§7.3 reports
@@ -215,7 +201,6 @@ mod tests {
     fn latency_metrics() {
         let r = report();
         assert_eq!(r.p95_ms(), Some(95.0));
-        assert_eq!(r.avg_ms(), Some(50.5));
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! `FleetRunner::new(1)` is the sequential reference the property tests
 //! compare against.
 
-use crate::obs::{EventSink, MetricRegistry, RunObservability};
+use crate::obs::{events_jsonl, EventSink, MetricRegistry};
 use crate::policy::ScalingPolicy;
 use crate::report::RunReport;
 use crate::rules::RuleHistogram;
@@ -51,7 +51,7 @@ use crate::runner::ordered::ordered_shards;
 use crate::runner::shard::{FleetAccumulator, FleetSummary};
 use crate::runner::source::SimulatorSource;
 use crate::runner::{ClosedLoop, RunConfig};
-use dasr_stats::{percentile, percentile_interpolated};
+use dasr_stats::percentile;
 use dasr_telemetry::{ResizeActuator, TelemetrySource};
 use dasr_workloads::{Trace, Workload};
 
@@ -369,31 +369,10 @@ impl FleetReport {
         self.summary.metrics.clone()
     }
 
-    /// The fleet-wide observability: the folded metrics plus every
-    /// tenant's event stream concatenated in tenant-index order (events
-    /// carry their tenant stamp from [`FleetRunner::run_fleet`]).
-    pub fn fleet_obs(&self) -> RunObservability {
-        let mut merged = RunObservability {
-            metrics: self.summary.metrics.clone(),
-            ..RunObservability::default()
-        };
-        for r in &self.reports {
-            merged.events.extend(r.obs.events.iter().cloned());
-        }
-        merged
-    }
-
     /// The fleet's event stream as JSON lines, tenant by tenant — the
     /// byte stream summary mode delivers to its [`EventSink`].
     pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.reports {
-            for ev in &r.obs.events {
-                out.push_str(&ev.to_json_line());
-                out.push('\n');
-            }
-        }
-        out
+        events_jsonl(self.reports.iter().flat_map(|r| &r.obs.events))
     }
 
     /// 95th-percentile latency over the *pooled* request population, ms —
@@ -401,11 +380,6 @@ impl FleetReport {
     /// the latency histogram instead).
     pub fn p95_ms(&self) -> Option<f64> {
         percentile(&self.pooled_latencies(), 95.0)
-    }
-
-    /// Interpolated pooled 95th percentile, ms.
-    pub fn p95_interpolated_ms(&self) -> Option<f64> {
-        percentile_interpolated(&self.pooled_latencies(), 95.0)
     }
 
     fn pooled_latencies(&self) -> Vec<f64> {
@@ -433,7 +407,7 @@ impl FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{CountingSink, VecSink};
+    use crate::obs::VecSink;
     use crate::policy::StaticPolicy;
     use dasr_workloads::{CpuIoConfig, CpuIoWorkload};
 
@@ -522,7 +496,7 @@ mod tests {
                 &mut sink,
             );
             assert_eq!(&summary, full.fleet_summary(), "threads = {threads}");
-            assert_eq!(sink.events_jsonl(), full.events_jsonl());
+            assert_eq!(events_jsonl(&sink.events), full.events_jsonl());
             assert_eq!(sink.events.len() as u64, summary.events_emitted);
         }
     }
@@ -543,18 +517,6 @@ mod tests {
             assert_eq!(generic, classic, "threads = {threads}");
             assert_eq!(generic.events_jsonl(), classic.events_jsonl());
         }
-    }
-
-    #[test]
-    fn counting_sink_sees_every_event() {
-        let tenants = small_fleet(4);
-        let mut sink = CountingSink::default();
-        let summary = FleetRunner::new(2).run_fleet_summary(
-            &tenants,
-            |_, t| Box::new(StaticPolicy::max(&t.cfg.catalog)) as Box<dyn ScalingPolicy>,
-            &mut sink,
-        );
-        assert_eq!(sink.count, summary.events_emitted);
     }
 
     #[test]
@@ -591,6 +553,11 @@ mod tests {
         assert!(report.p95_ms().is_some());
         assert!(report.summary().contains("fleet of"));
         assert_eq!(report.fleet_summary().tenants, 3);
+        // Every event carries the index of the tenant that emitted it.
+        for (i, r) in report.reports.iter().enumerate() {
+            assert!(!r.obs.events.is_empty(), "tenant {i} resizes to max");
+            assert!(r.obs.events.iter().all(|ev| ev.tenant == Some(i as u64)));
+        }
     }
 
     #[test]
@@ -599,13 +566,13 @@ mod tests {
         let report = run_full(&tenants, FleetRunner::new(4));
         assert!(report.is_empty());
         assert_eq!(report.total_cost(), 0.0);
-        let mut sink = CountingSink::default();
+        let mut sink = VecSink::default();
         let summary = FleetRunner::new(4).run_fleet_summary(
             &tenants,
             |_, t| Box::new(StaticPolicy::max(&t.cfg.catalog)) as Box<dyn ScalingPolicy>,
             &mut sink,
         );
         assert_eq!(summary.tenants, 0);
-        assert_eq!(sink.count, 0);
+        assert!(sink.events.is_empty());
     }
 }

@@ -31,7 +31,7 @@ pub mod source;
 
 use crate::budget::{BudgetManager, BudgetStrategy};
 use crate::knobs::TenantKnobs;
-use crate::obs::{IntervalObservation, ObsConfig, RunObservability, TimerId};
+use crate::obs::{IntervalObservation, RunObservability, TimerId};
 use crate::policy::{BalloonCommand, PolicyContext, ScalingPolicy};
 use crate::report::{IntervalRecord, RunReport};
 use dasr_containers::{Catalog, Container, ContainerId, ResourceKind, ResourceVector};
@@ -65,9 +65,6 @@ pub struct RunConfig {
     pub prewarm_pages: u64,
     /// Seed for workload randomness.
     pub seed: u64,
-    /// Observability configuration (event-stream verbosity; metrics are
-    /// always recorded).
-    pub obs: ObsConfig,
 }
 
 impl Default for RunConfig {
@@ -81,7 +78,6 @@ impl Default for RunConfig {
             initial: None,
             prewarm_pages: 0,
             seed: 0xDA5A,
-            obs: ObsConfig::default(),
         }
     }
 }
@@ -137,7 +133,7 @@ impl<'a> Controller<'a> {
     /// period, §5).
     ///
     /// Reads `cfg.catalog`, `cfg.telemetry`, `cfg.knobs`,
-    /// `cfg.budget_strategy`, `cfg.initial` and `cfg.obs`; the
+    /// `cfg.budget_strategy` and `cfg.initial`; the
     /// engine-specific fields (`engine`, `prewarm_pages`, `seed`) belong to
     /// [`SimulatorSource::new`].
     pub fn new(cfg: &'a RunConfig, intervals: usize) -> Self {
@@ -157,7 +153,7 @@ impl<'a> Controller<'a> {
                 )
             }),
             current: cfg.initial_container(),
-            obs: RunObservability::new(cfg.obs.verbosity),
+            obs: RunObservability::default(),
             intervals: Vec::with_capacity(intervals),
             resizes: 0,
             rejected_total: 0,

@@ -85,7 +85,7 @@ impl OracleLoop {
         let mut all_latencies = Vec::new();
         let mut resizes = 0u64;
         let mut rejected_total = 0u64;
-        let mut obs = RunObservability::new(cfg.obs.verbosity);
+        let mut obs = RunObservability::default();
         // Reused across intervals: `end_interval_into` ping-pongs the
         // latency buffer with the engine, so the per-minute hot loop does
         // not allocate telemetry.

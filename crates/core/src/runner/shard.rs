@@ -28,7 +28,7 @@
 //! histogram ([`REQUEST_LATENCY_BOUNDS`]) whose quantile estimates stand
 //! in for the pooled exact percentiles.
 
-use crate::obs::{FixedHistogram, MetricRegistry, MetricsAccumulator};
+use crate::obs::{FixedHistogram, HistAcc, MetricRegistry, MetricsAccumulator};
 use crate::report::RunReport;
 use crate::rules::RuleHistogram;
 use dasr_stats::ExactSum;
@@ -59,9 +59,7 @@ pub struct FleetAccumulator {
     resizes: u64,
     events: u64,
     cost: ExactSum,
-    latency_counts: Vec<u64>,
-    latency_total: u64,
-    latency_sum: ExactSum,
+    latency: HistAcc,
     metrics: MetricsAccumulator,
 }
 
@@ -76,9 +74,7 @@ impl FleetAccumulator {
             resizes: 0,
             events: 0,
             cost: ExactSum::new(),
-            latency_counts: vec![0; REQUEST_LATENCY_BOUNDS.len() + 1],
-            latency_total: 0,
-            latency_sum: ExactSum::new(),
+            latency: HistAcc::new(REQUEST_LATENCY_BOUNDS),
             metrics: MetricsAccumulator::new(),
         }
     }
@@ -99,10 +95,7 @@ impl FleetAccumulator {
             self.cost.add(rec.cost);
         }
         for &ms in &report.all_latencies_ms {
-            let slot = REQUEST_LATENCY_BOUNDS.partition_point(|&b| b < ms);
-            self.latency_counts[slot] += 1;
-            self.latency_total += 1;
-            self.latency_sum.add(ms);
+            self.latency.observe(ms);
         }
         self.metrics.fold(&report.obs.metrics);
     }
@@ -118,15 +111,7 @@ impl FleetAccumulator {
         self.resizes += other.resizes;
         self.events += other.events;
         self.cost.merge(&other.cost);
-        for (a, b) in self
-            .latency_counts
-            .iter_mut()
-            .zip(other.latency_counts.iter())
-        {
-            *a += b;
-        }
-        self.latency_total += other.latency_total;
-        self.latency_sum.merge(&other.latency_sum);
+        self.latency.merge(&other.latency);
         self.metrics.merge(&other.metrics);
     }
 
@@ -140,12 +125,7 @@ impl FleetAccumulator {
             rejected_total: self.rejected,
             resizes_total: self.resizes,
             events_emitted: self.events,
-            latency: FixedHistogram::from_parts(
-                REQUEST_LATENCY_BOUNDS,
-                self.latency_counts,
-                self.latency_total,
-                self.latency_sum.value(),
-            ),
+            latency: self.latency.finish(),
             metrics: self.metrics.finish(),
         }
     }
@@ -206,11 +186,6 @@ impl FleetSummary {
         self.latency.quantile_estimate(95.0)
     }
 
-    /// Mean request latency, ms (`None` when no requests completed).
-    pub fn mean_latency_ms(&self) -> Option<f64> {
-        self.latency.mean()
-    }
-
     /// Fleet-wide rule-fire counts (from the folded registries).
     pub fn rule_histogram(&self) -> &RuleHistogram {
         self.metrics.rules()
@@ -232,7 +207,7 @@ impl FleetSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{EventVerbosity, RunObservability};
+    use crate::obs::RunObservability;
     use crate::report::IntervalRecord;
     use crate::trace::DecisionTrace;
     use dasr_containers::{ContainerId, ResourceVector};
@@ -270,7 +245,7 @@ mod tests {
             all_latencies_ms: vec![0.2, 4.0 * (seed + 1) as f64, 180.0, 20_000.0],
             resizes: seed % 3,
             rejected_total: seed % 2,
-            obs: RunObservability::new(EventVerbosity::Notable),
+            obs: RunObservability::default(),
         }
     }
 
@@ -281,7 +256,7 @@ mod tests {
         assert_eq!(s.total_cost, 0.0);
         assert_eq!(s.avg_cost_per_interval(), 0.0);
         assert_eq!(s.p95_estimate_ms(), None);
-        assert_eq!(s.mean_latency_ms(), None);
+        assert_eq!(s.latency.mean(), None);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! event JSONL, and identical merged registries. The streaming summary
 //! mode must agree with the buffered full mode on all of it.
 
+use dasr_core::obs::events_jsonl;
 use dasr_core::{
     tenant_seed, AutoPolicy, FleetReport, FleetRunner, FleetSummary, RunConfig, ScalingPolicy,
     TenantSpec, VecSink,
@@ -85,7 +86,7 @@ fn assert_all_groupings_match(tenants: &[TenantSpec<CpuIoWorkload>], threads: &[
                 "summary diverged: n={n} threads={t} shards={shards}"
             );
             assert_eq!(
-                sink.events_jsonl(),
+                events_jsonl(&sink.events),
                 reference_jsonl,
                 "streamed events diverged: n={n} threads={t} shards={shards}"
             );
@@ -117,7 +118,7 @@ fn thousand_tenant_fleet_is_bit_identical_across_groupings() {
 
         let (summary, sink) = run_summary(&tenants, runner);
         assert_eq!(&summary, reference.fleet_summary());
-        assert_eq!(sink.events_jsonl(), reference_jsonl);
+        assert_eq!(events_jsonl(&sink.events), reference_jsonl);
         assert_eq!(summary.events_emitted, sink.events.len() as u64);
     }
 }

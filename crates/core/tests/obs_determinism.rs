@@ -4,9 +4,8 @@
 //! timers are excluded from equality by design; see
 //! `dasr_core::obs::MetricRegistry`).
 
-use dasr_core::obs::EventVerbosity;
 use dasr_core::policy::{AutoPolicy, ScalingPolicy};
-use dasr_core::{tenant_seed, FleetRunner, ObsConfig, RunConfig, TenantKnobs, TenantSpec};
+use dasr_core::{tenant_seed, FleetRunner, RunConfig, TenantKnobs, TenantSpec};
 use dasr_telemetry::LatencyGoal;
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 use proptest::prelude::*;
@@ -30,9 +29,6 @@ fn fleet(seed: u64, n: usize, minutes: usize) -> Vec<TenantSpec<CpuIoWorkload>> 
                 cfg: RunConfig {
                     seed: tseed,
                     knobs,
-                    obs: ObsConfig {
-                        verbosity: EventVerbosity::Notable,
-                    },
                     ..RunConfig::default()
                 },
                 trace: Trace::new("obs-prop", rps),

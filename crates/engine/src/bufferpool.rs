@@ -402,16 +402,6 @@ impl BufferPool {
         self.misses
     }
 
-    /// Hit fraction in `[0, 1]`; `1.0` when no accesses happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Arena index of `page`'s node, if its chunk holds an arena slot.
     #[inline]
     // dasr-lint: no-alloc
@@ -598,7 +588,6 @@ mod tests {
         assert_eq!(bp.access(1, false), Access::Hit);
         assert_eq!(bp.hits(), 1);
         assert_eq!(bp.misses(), 1);
-        assert_eq!(bp.hit_ratio(), 0.5);
     }
 
     #[test]

@@ -39,19 +39,9 @@ impl SimTime {
         self.0
     }
 
-    /// Value in (fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Value in (fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Value in (fractional) minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60_000_000.0
     }
 
     /// Saturating difference `self - earlier`.
@@ -95,9 +85,8 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimTime::from_millis(3).as_micros(), 3_000);
-        assert_eq!(SimTime::from_secs(2).as_millis_f64(), 2_000.0);
+        assert_eq!(SimTime::from_secs(2).as_micros(), 2_000_000);
         assert_eq!(SimTime::from_mins(1).as_secs_f64(), 60.0);
-        assert_eq!(SimTime::from_mins(2).as_mins_f64(), 2.0);
     }
 
     #[test]

@@ -92,10 +92,11 @@ pub struct TheilSen {
     alpha: f64,
     /// Minimum number of points to attempt estimation.
     min_points: usize,
-    /// Slopes with absolute value at or below this are treated as flat
-    /// (neither positive nor negative) in the agreement test.
-    flat_eps: f64,
 }
+
+/// Slopes with absolute value at or below this are treated as flat (neither
+/// positive nor negative) in the agreement test.
+const FLAT_EPS: f64 = 1e-12;
 
 impl Default for TheilSen {
     fn default() -> Self {
@@ -109,7 +110,6 @@ impl TheilSen {
         Self {
             alpha: 0.70,
             min_points: 4,
-            flat_eps: 1e-12,
         }
     }
 
@@ -124,14 +124,6 @@ impl TheilSen {
     pub fn with_min_points(mut self, min_points: usize) -> Self {
         assert!(min_points >= 2, "need at least two points for a slope");
         self.min_points = min_points;
-        self
-    }
-
-    /// Sets the flatness epsilon: pairwise slopes with `|m| <= eps` count as
-    /// flat and vote for neither direction.
-    pub fn with_flat_epsilon(mut self, eps: f64) -> Self {
-        assert!(eps >= 0.0, "epsilon must be non-negative");
-        self.flat_eps = eps;
         self
     }
 
@@ -297,12 +289,12 @@ impl TheilSen {
 
     /// True when pairwise slope `m` votes for an increasing trend.
     fn is_rising(&self, m: f64) -> bool {
-        m > self.flat_eps
+        m > FLAT_EPS
     }
 
     /// True when pairwise slope `m` votes for a decreasing trend.
     fn is_falling(&self, m: f64) -> bool {
-        m < -self.flat_eps
+        m < -FLAT_EPS
     }
 
     /// The sign test alone: the dominant direction among `total` pairwise

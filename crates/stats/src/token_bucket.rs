@@ -76,22 +76,6 @@ impl TokenBucket {
             false
         }
     }
-
-    /// Consumes up to `amount`, returning how much was actually consumed.
-    pub fn consume_up_to(&mut self, amount: f64) -> f64 {
-        assert!(
-            amount >= 0.0 && amount.is_finite(),
-            "invalid consume amount"
-        );
-        let taken = amount.min(self.tokens);
-        self.tokens -= taken;
-        taken
-    }
-
-    /// True when at least `amount` tokens are available.
-    pub fn can_consume(&self, amount: f64) -> bool {
-        amount <= self.tokens + 1e-9
-    }
 }
 
 #[cfg(test)]
@@ -119,13 +103,6 @@ mod tests {
         assert!(!b.try_consume(3.0));
         assert_eq!(b.available(), 2.0, "failed consume must not change state");
         assert!(b.try_consume(2.0));
-        assert_eq!(b.available(), 0.0);
-    }
-
-    #[test]
-    fn consume_up_to_partial() {
-        let mut b = TokenBucket::new(10.0, 0.0, 3.0);
-        assert_eq!(b.consume_up_to(5.0), 3.0);
         assert_eq!(b.available(), 0.0);
     }
 

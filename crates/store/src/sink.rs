@@ -3,16 +3,15 @@
 //! Implements [`EventSink`], so
 //! [`FleetRunner::run_fleet_summary`](dasr_core::FleetRunner) can deliver
 //! a fleet's event stream to disk in shard order without ever
-//! materializing it in memory — the store-backed counterpart of
-//! [`JsonlSink`](dasr_core::obs::JsonlSink). Events cross to the writer
-//! thread over the channel; the scheduler's worker is never blocked on
-//! disk I/O.
+//! materializing it in memory — the one persisted event path. Events
+//! cross to the writer thread over the channel; the scheduler's worker is
+//! never blocked on disk I/O.
 //!
-//! Error handling follows the `JsonlSink` idiom: `emit` cannot fail (the
-//! trait has no error channel), so the first failure is recorded, later
-//! events are dropped, and [`StoreSink::error`] surfaces what happened —
-//! check it (or the [`end_run`](crate::Store::end_run) result, which
-//! flushes the same writer) after the run.
+//! `emit` cannot fail (the trait has no error channel), so the first
+//! failure is recorded, later events are dropped, and
+//! [`StoreSink::error`] surfaces what happened — check it (or the
+//! [`end_run`](crate::Store::end_run) result, which flushes the same
+//! writer) after the run.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

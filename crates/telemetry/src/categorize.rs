@@ -6,7 +6,6 @@
 //! rule hierarchy explainable.
 
 use crate::thresholds::{ThresholdConfig, WaitThresholds};
-use dasr_containers::ResourceKind;
 use std::fmt;
 
 /// Utilization category.
@@ -142,15 +141,6 @@ pub fn categorize_wait_pct(thresholds: &WaitThresholds, wait_pct: f64) -> WaitPc
     } else {
         WaitPctLevel::NotSignificant
     }
-}
-
-/// Categorizes a resource's utilization with the per-resource thresholds.
-pub fn categorize_resource_util(
-    cfg: &ThresholdConfig,
-    _kind: ResourceKind,
-    util_pct: f64,
-) -> UtilLevel {
-    categorize_util(cfg, util_pct)
 }
 
 /// Categorizes latency against a goal; `None` latency (idle interval) is

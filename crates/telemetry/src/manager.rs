@@ -162,11 +162,6 @@ impl TelemetryManager {
         &self.cfg
     }
 
-    /// Replaces the threshold configuration (service-wide re-tuning, §4.1).
-    pub fn set_thresholds(&mut self, thresholds: ThresholdConfig) {
-        self.cfg.thresholds = thresholds.validated();
-    }
-
     /// Ingests one interval's sample and returns the refreshed signal set.
     pub fn observe(&mut self, sample: TelemetrySample) -> SignalSet {
         let levels = Levels::of(&sample);

@@ -1,12 +1,12 @@
 //! Fleet observability tour: run a small multi-tenant fleet under the
 //! Auto policy and inspect the metrics registry, the structured run-event
-//! stream, and their deterministic fleet-wide merge.
+//! stream, and their exact fleet-wide fold.
 //!
 //! ```text
 //! cargo run --release --example observability
 //! ```
 
-use dasr::core::obs::{CounterId, EventVerbosity, HistogramId, ObsConfig};
+use dasr::core::obs::{CounterId, HistogramId};
 use dasr::core::policy::{AutoPolicy, ScalingPolicy};
 use dasr::core::{tenant_seed, FleetRunner, RunConfig, TenantKnobs, TenantSpec};
 use dasr::telemetry::LatencyGoal;
@@ -31,9 +31,6 @@ fn main() {
                 cfg: RunConfig {
                     seed: tenant_seed(0xDA5A, i as u64),
                     knobs,
-                    obs: ObsConfig {
-                        verbosity: EventVerbosity::Notable,
-                    },
                     ..RunConfig::default()
                 },
                 trace: Trace::new("burst", rps),
@@ -54,8 +51,8 @@ fn main() {
     println!("\n-- Tenant 0 ({}): {}", tenant0.policy, tenant0.summary());
     print!("{}", tenant0.obs.summary());
 
-    // 2. The fleet-wide registry is a deterministic merge in tenant-index
-    //    order: bit-identical no matter how many threads ran the fleet.
+    // 2. The fleet-wide registry is an exact fold of every tenant's:
+    //    bit-identical no matter how many threads or shards ran the fleet.
     let metrics = fleet.fleet_metrics();
     println!("\n-- Fleet-wide metrics registry (merged) --");
     print!("{metrics}");
@@ -75,17 +72,16 @@ fn main() {
     // 3. The structured event stream: one JSON line per notable moment,
     //    tenant-stamped. Human-readable text is rendered from the same
     //    structures on demand — never stored.
-    let obs = fleet.fleet_obs();
     println!("\n-- First 10 run events (rendered) --");
-    for ev in obs.events.iter().take(10) {
+    for ev in fleet.reports.iter().flat_map(|r| &r.obs.events).take(10) {
         println!("  {ev}");
     }
     println!("\n-- Same events as JSONL (machine-readable sink) --");
-    for line in obs.events_jsonl().lines().take(3) {
+    for line in fleet.events_jsonl().lines().take(3) {
         println!("  {line}");
     }
     println!(
         "  … {} events total; full registry dump: MetricRegistry::to_jsonl()",
-        obs.events.len()
+        fleet.fleet_summary().events_emitted
     );
 }
