@@ -47,10 +47,7 @@ fn main() {
             ..RunConfig::default()
         };
         let mut policy = AutoPolicy::new(AutoConfig {
-            estimator: EstimatorConfig {
-                corr_threshold,
-                ..EstimatorConfig::default()
-            },
+            estimator: EstimatorConfig { corr_threshold },
             ..AutoConfig::with_knobs(knobs)
         });
         let report = ClosedLoop::run(&cfg, &trace, workload.clone(), &mut policy);

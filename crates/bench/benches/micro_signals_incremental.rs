@@ -20,13 +20,13 @@ use dasr_stats::{
     spearman_in, SlidingRanks, SlidingTheilSen, SpearmanScratch, TheilSen, TrendScratch,
 };
 use dasr_telemetry::signals::wait_class_for;
-use dasr_telemetry::{LatencyGoal, TelemetryConfig, TelemetryManager, TelemetrySample};
+use dasr_telemetry::{
+    LatencyGoal, TelemetryConfig, TelemetryManager, TelemetrySample, CORR_WINDOW, TREND_WINDOW,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const MINUTES: usize = 1440;
-const TREND_WINDOW: usize = 10;
-const CORR_WINDOW: usize = 15;
 
 /// One tenant-day of samples (tenant 5 of population seed 2: a bursty
 /// tenant whose peaks saturate the container).

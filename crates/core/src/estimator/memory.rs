@@ -16,32 +16,21 @@
 
 use dasr_telemetry::SignalSet;
 
-/// Balloon-controller tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct BalloonConfig {
-    /// Abort when disk reads/s exceed `baseline × factor + floor`.
-    pub io_rise_factor: f64,
-    /// Absolute slack added to the abort threshold, reads/s.
-    pub io_rise_floor: f64,
-    /// Intervals to wait after an abort before probing again.
-    pub retry_after_intervals: u64,
-    /// Minimum completed requests per interval for the probe's I/O signal
-    /// to mean anything: an idle tenant generates no misses, so a probe
-    /// that "succeeds" at idle proves nothing and would set a memory trap
-    /// for the next burst.
-    pub min_completed: u64,
-}
+/// A probe aborts when disk reads/s exceed
+/// `baseline × IO_RISE_FACTOR + IO_RISE_FLOOR`.
+pub const IO_RISE_FACTOR: f64 = 1.5;
 
-impl Default for BalloonConfig {
-    fn default() -> Self {
-        Self {
-            io_rise_factor: 1.5,
-            io_rise_floor: 10.0,
-            retry_after_intervals: 30,
-            min_completed: 60,
-        }
-    }
-}
+/// Absolute slack added to the abort threshold, reads/s.
+pub const IO_RISE_FLOOR: f64 = 10.0;
+
+/// Intervals to wait after an abort before probing again.
+pub const RETRY_AFTER_INTERVALS: u64 = 30;
+
+/// Minimum completed requests per interval for the probe's I/O signal to
+/// mean anything: an idle tenant generates no misses, so a probe that
+/// "succeeds" at idle proves nothing and would set a memory trap for the
+/// next burst.
+pub const MIN_COMPLETED: u64 = 60;
 
 /// What the policy should tell the engine to do with the balloon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,36 +56,23 @@ pub enum BalloonAction {
 /// historical vocabulary.
 pub use dasr_telemetry::ProbeStatus as BalloonProbe;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum State {
+    #[default]
     Idle,
-    Probing { baseline_io: f64 },
+    Probing {
+        baseline_io: f64,
+    },
 }
 
 /// The §4.3 controller.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BalloonController {
-    cfg: BalloonConfig,
     state: State,
     last_abort_interval: Option<u64>,
 }
 
-impl Default for BalloonController {
-    fn default() -> Self {
-        Self::new(BalloonConfig::default())
-    }
-}
-
 impl BalloonController {
-    /// Creates a controller.
-    pub fn new(cfg: BalloonConfig) -> Self {
-        Self {
-            cfg,
-            state: State::Idle,
-            last_abort_interval: None,
-        }
-    }
-
     /// True while a probe is underway.
     pub fn probing(&self) -> bool {
         matches!(self.state, State::Probing { .. })
@@ -120,8 +96,8 @@ impl BalloonController {
             State::Idle => {
                 let cooled = self
                     .last_abort_interval
-                    .is_none_or(|at| signals.interval >= at + self.cfg.retry_after_intervals);
-                let active_enough = signals.completed >= self.cfg.min_completed;
+                    .is_none_or(|at| signals.interval >= at + RETRY_AFTER_INTERVALS);
+                let active_enough = signals.completed >= MIN_COMPLETED;
                 if others_low && cooled && active_enough && probe == BalloonProbe::Inactive {
                     if let Some(target_mb) = target_mb {
                         // Only probe when the target is actually smaller
@@ -137,14 +113,14 @@ impl BalloonController {
                 BalloonAction::None
             }
             State::Probing { baseline_io } => {
-                if signals.completed < self.cfg.min_completed {
+                if signals.completed < MIN_COMPLETED {
                     // Traffic died mid-probe: the I/O signal is
                     // meaningless. Restore and try again later.
                     self.state = State::Idle;
                     self.last_abort_interval = Some(signals.interval);
                     return BalloonAction::Abort;
                 }
-                let threshold = baseline_io * self.cfg.io_rise_factor + self.cfg.io_rise_floor;
+                let threshold = baseline_io * IO_RISE_FACTOR + IO_RISE_FLOOR;
                 if signals.disk_reads_per_sec > threshold {
                     self.state = State::Idle;
                     self.last_abort_interval = Some(signals.interval);

@@ -10,7 +10,7 @@
 pub mod memory;
 pub mod rules;
 
-pub use memory::{BalloonConfig, BalloonController};
+pub use memory::BalloonController;
 
 use crate::explain::ResourceSet;
 use crate::rules::{EvalCtx, RuleFire, RuleSet, HIGH_DEMAND, LOW_DEMAND};
@@ -23,23 +23,12 @@ pub struct EstimatorConfig {
     /// Spearman ρ above which latency is considered correlated with a
     /// resource's waits/utilization (§3.2.2).
     pub corr_threshold: f64,
-    /// Utilization at or above this marks extreme pressure, enabling
-    /// 2-step scale-ups.
-    pub very_high_util_pct: f64,
-    /// Utilization at or below this enables 2-step scale-downs.
-    pub very_low_util_pct: f64,
-    /// Wait percentage at or above this marks overwhelming dominance,
-    /// enabling 2-step scale-ups.
-    pub dominant_wait_pct: f64,
 }
 
 impl Default for EstimatorConfig {
     fn default() -> Self {
         Self {
             corr_threshold: 0.6,
-            very_high_util_pct: 90.0,
-            very_low_util_pct: 5.0,
-            dominant_wait_pct: 70.0,
         }
     }
 }
@@ -158,11 +147,6 @@ impl DemandEstimator {
     /// Creates an estimator.
     pub fn new(cfg: EstimatorConfig) -> Self {
         Self { cfg }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &EstimatorConfig {
-        &self.cfg
     }
 
     /// Estimates per-resource demand from the signal set by evaluating the

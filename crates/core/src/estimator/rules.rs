@@ -29,6 +29,7 @@
 //! change here so the oracle stays meaningful.
 
 use crate::estimator::EstimatorConfig;
+use crate::rules::{DOMINANT_WAIT_PCT, VERY_HIGH_UTIL_PCT, VERY_LOW_UTIL_PCT};
 use dasr_telemetry::categorize::{LatencyVerdict, UtilLevel, WaitPctLevel, WaitTimeLevel};
 use dasr_telemetry::signals::{LatencySignals, ResourceSignals};
 
@@ -49,10 +50,7 @@ pub fn high_demand(
     if util_high && wait_high && pct_sig {
         // Extreme pressure with corroborating trend: jump two rungs (§4:
         // 2-step changes are ~8% of real changes).
-        if sig.util_pct >= cfg.very_high_util_pct
-            && sig.wait_pct >= cfg.dominant_wait_pct
-            && trending
-        {
+        if sig.util_pct >= VERY_HIGH_UTIL_PCT && sig.wait_pct >= DOMINANT_WAIT_PCT && trending {
             return Some((
                 2,
                 format!(
@@ -107,11 +105,11 @@ pub fn high_demand(
 
 /// Returns the scale-down step and rule description when demand for this
 /// resource is low. Never called for memory (§4.3: ballooning).
-pub fn low_demand(cfg: &EstimatorConfig, sig: &ResourceSignals) -> Option<(i8, String)> {
+pub fn low_demand(sig: &ResourceSignals) -> Option<(i8, String)> {
     let util_low = sig.util_level == UtilLevel::Low;
     let wait_low = sig.wait_level == WaitTimeLevel::Low;
     if util_low && wait_low && sig.no_increasing_trend() {
-        if sig.util_pct <= cfg.very_low_util_pct {
+        if sig.util_pct <= VERY_LOW_UTIL_PCT {
             return Some((
                 -2,
                 format!("utilization {:.0}% nearly idle, waits LOW", sig.util_pct),
@@ -322,7 +320,7 @@ mod tests {
             5.0,
             WaitPctLevel::NotSignificant,
         );
-        assert_eq!(low_demand(&cfg(), &s).unwrap().0, -1);
+        assert_eq!(low_demand(&s).unwrap().0, -1);
         let s = sig(
             3.0,
             UtilLevel::Low,
@@ -330,7 +328,7 @@ mod tests {
             5.0,
             WaitPctLevel::NotSignificant,
         );
-        assert_eq!(low_demand(&cfg(), &s).unwrap().0, -2);
+        assert_eq!(low_demand(&s).unwrap().0, -2);
         let mut trending = sig(
             20.0,
             UtilLevel::Low,
@@ -339,7 +337,7 @@ mod tests {
             WaitPctLevel::NotSignificant,
         );
         trending.wait_trend = up();
-        assert!(low_demand(&cfg(), &trending).is_none());
+        assert!(low_demand(&trending).is_none());
         let busy = sig(
             50.0,
             UtilLevel::Medium,
@@ -347,6 +345,6 @@ mod tests {
             5.0,
             WaitPctLevel::NotSignificant,
         );
-        assert!(low_demand(&cfg(), &busy).is_none());
+        assert!(low_demand(&busy).is_none());
     }
 }

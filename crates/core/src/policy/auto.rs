@@ -22,13 +22,24 @@
 //! [`RuleId`]s.
 
 use crate::estimator::memory::BalloonAction;
-use crate::estimator::{BalloonConfig, BalloonController, DemandEstimator, EstimatorConfig};
+use crate::estimator::{BalloonController, DemandEstimator, EstimatorConfig};
 use crate::explain::{Explanation, ResourceSet};
 use crate::knobs::TenantKnobs;
 use crate::policy::{BalloonCommand, PolicyContext, PolicyDecision, ScalingPolicy};
 use crate::rules::{EvalCtx, Fact, FactSet, RuleId, ARBITRATION};
 use crate::trace::{BalloonGate, DecisionTrace, Explanations};
 use dasr_containers::{Catalog, Container, ResourceKind, RESOURCE_KINDS};
+
+/// Lock share of waits at or above which a bad latency is attributed to a
+/// non-resource bottleneck (Figure 13).
+pub const LOCK_DOMINANCE_PCT: f64 = 60.0;
+
+/// Latency beyond `EMERGENCY_FACTOR × goal` bypasses the post-resize
+/// cooldown.
+pub const EMERGENCY_FACTOR: f64 = 2.0;
+
+/// Intervals a balloon commit remains valid for a memory shrink.
+pub const BALLOON_CONFIRM_TTL: u64 = 10;
 
 /// Auto-policy tuning.
 #[derive(Debug, Clone, Copy)]
@@ -37,16 +48,6 @@ pub struct AutoConfig {
     pub knobs: TenantKnobs,
     /// Demand-estimator tuning (§4).
     pub estimator: EstimatorConfig,
-    /// Balloon-controller tuning (§4.3).
-    pub balloon: BalloonConfig,
-    /// Lock share of waits above which a bad latency is attributed to a
-    /// non-resource bottleneck (Figure 13).
-    pub lock_dominance_pct: f64,
-    /// Latency beyond `emergency_factor × goal` bypasses the post-resize
-    /// cooldown.
-    pub emergency_factor: f64,
-    /// Intervals a balloon commit remains valid for a memory shrink.
-    pub balloon_confirm_ttl: u64,
     /// Disable the §4.3 ballooning probe (the Figure 14 "No Ballooning"
     /// comparison): memory shrinks follow the other dimensions immediately,
     /// risking working-set eviction.
@@ -58,10 +59,6 @@ impl Default for AutoConfig {
         Self {
             knobs: TenantKnobs::none(),
             estimator: EstimatorConfig::default(),
-            balloon: BalloonConfig::default(),
-            lock_dominance_pct: 60.0,
-            emergency_factor: 2.0,
-            balloon_confirm_ttl: 10,
             balloon_enabled: true,
         }
     }
@@ -94,7 +91,7 @@ impl AutoPolicy {
     pub fn new(cfg: AutoConfig) -> Self {
         Self {
             estimator: DemandEstimator::new(cfg.estimator),
-            balloon: BalloonController::new(cfg.balloon),
+            balloon: BalloonController::default(),
             cfg,
             last_resize: None,
             balloon_confirmed: None,
@@ -104,11 +101,6 @@ impl AutoPolicy {
     /// Creates the policy with knobs and default tuning.
     pub fn with_knobs(knobs: TenantKnobs) -> Self {
         Self::new(AutoConfig::with_knobs(knobs))
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AutoConfig {
-        &self.cfg
     }
 
     /// Scale-ups respect the sensitivity cooldown; scale-downs only need
@@ -218,11 +210,11 @@ impl ScalingPolicy for AutoPolicy {
         // The confirmation authorizes shrinking memory to `mb` or more.
         let confirmed_down_to = self
             .balloon_confirmed
-            .and_then(|(at, mb)| (sig.interval <= at + self.cfg.balloon_confirm_ttl).then_some(mb));
+            .and_then(|(at, mb)| (sig.interval <= at + BALLOON_CONFIRM_TTL).then_some(mb));
 
         // --- Facts + one arbitration pass (§6) -----------------------------
         let emergency = match (sig.latency.observed_ms, goal) {
-            (Some(obs), Some(g)) => obs > self.cfg.emergency_factor * g,
+            (Some(obs), Some(g)) => obs > EMERGENCY_FACTOR * g,
             _ => false,
         };
         if emergency && self.in_up_cooldown(sig.interval) {
@@ -245,10 +237,7 @@ impl ScalingPolicy for AutoPolicy {
             .with(Fact::DemandDown, est.any_down())
             .with(Fact::WantsDown, wants_down)
             .with(Fact::ScaleUpGate, scale_up_gate)
-            .with(
-                Fact::LockShareHigh,
-                sig.lock_bottleneck(self.cfg.lock_dominance_pct),
-            )
+            .with(Fact::LockShareHigh, sig.lock_bottleneck(LOCK_DOMINANCE_PCT))
             .with(Fact::HeadroomOk, headroom_ok)
             .with(Fact::BalloonEnabled, self.cfg.balloon_enabled);
         let eval = ARBITRATION.evaluate(&EvalCtx::arbitration(&self.cfg.estimator, facts));
@@ -659,6 +648,109 @@ mod tests {
         s6.latency.observed_ms = Some(900.0);
         let d2 = p.decide(&ctx(&s6, &after, &cat, None));
         assert_ne!(d2.target, after.id, "{d2:?}");
+    }
+
+    #[test]
+    fn emergency_bypass_starts_just_above_the_factor() {
+        // `observed > EMERGENCY_FACTOR × goal`: exactly at the factor the
+        // scale-up cooldown holds, just above it the cooldown is bypassed.
+        let cat = catalog();
+        let current = cat.get(dasr_containers::ContainerId(2)).unwrap().clone();
+        for (observed_ms, bypass) in [
+            (EMERGENCY_FACTOR * 100.0, false),
+            (EMERGENCY_FACTOR * 100.0 + 0.01, true),
+        ] {
+            let mut p = policy();
+            let s5 = bad_latency(high_cpu_pressure(quiet_signal_set(5)));
+            let d1 = p.decide(&ctx(&s5, &current, &cat, None));
+            let after = cat.get(d1.target).unwrap().clone();
+            let mut s6 = bad_latency(high_cpu_pressure(quiet_signal_set(6)));
+            s6.latency.observed_ms = Some(observed_ms);
+            let d2 = p.decide(&ctx(&s6, &after, &cat, None));
+            assert_eq!(
+                d2.trace.gates.contains(&RuleId::EmergencyBypass),
+                bypass,
+                "{observed_ms} ms: {d2:?}"
+            );
+            assert_eq!(d2.target != after.id, bypass, "{observed_ms} ms: {d2:?}");
+        }
+    }
+
+    #[test]
+    fn lock_dominance_fires_at_the_threshold_not_below() {
+        // `lock_wait_pct >= LOCK_DOMINANCE_PCT`.
+        let cat = catalog();
+        let current = cat.get(dasr_containers::ContainerId(2)).unwrap().clone();
+        for (lock_wait_pct, branch) in [
+            (LOCK_DOMINANCE_PCT, RuleId::LockDominated),
+            (LOCK_DOMINANCE_PCT - 0.01, RuleId::LatencyBadNoDemand),
+        ] {
+            let mut s = bad_latency(quiet_signal_set(5));
+            s.lock_wait_pct = lock_wait_pct;
+            let d = policy().decide(&ctx(&s, &current, &cat, None));
+            assert_eq!(d.trace.branch, branch, "{lock_wait_pct} %: {d:?}");
+            assert_eq!(d.target, current.id);
+            assert_eq!(
+                d.explanations()
+                    .iter()
+                    .any(|e| matches!(e, Explanation::NonResourceBottleneck { .. })),
+                branch == RuleId::LockDominated,
+                "{lock_wait_pct} %: {d:?}"
+            );
+        }
+    }
+
+    /// Latency far inside a 500 ms goal with the pool full at rung 4's
+    /// memory: a scale-down that only a balloon commit can let memory join.
+    fn full_pool_with_headroom(interval: u64) -> SignalSet {
+        let mut s = quiet_signal_set(interval);
+        s.latency.observed_ms = Some(50.0);
+        s.latency.goal_ms = Some(500.0);
+        s.mem_capacity_mb = 7_000.0;
+        s.mem_used_mb = 7_000.0;
+        s
+    }
+
+    #[test]
+    fn balloon_commit_is_honoured_for_exactly_the_confirm_ttl() {
+        // `interval <= committed_at + BALLOON_CONFIRM_TTL`.
+        let cat = catalog();
+        let current = cat.get(dasr_containers::ContainerId(4)).unwrap().clone();
+        for (after_commit, honoured) in [
+            (BALLOON_CONFIRM_TTL, true),
+            (BALLOON_CONFIRM_TTL + 1, false),
+        ] {
+            let mut p = policy();
+            let s5 = full_pool_with_headroom(5);
+            let d = p.decide(&ctx(&s5, &current, &cat, None));
+            assert!(matches!(d.balloon, BalloonCommand::Start { .. }), "{d:?}");
+            // The probe reaches its target with flat I/O while latency is
+            // bad: the commit is recorded but nothing shrinks yet.
+            let s6 = bad_latency(quiet_signal_set(6));
+            let mut commit = ctx(&s6, &current, &cat, None);
+            commit.balloon = crate::policy::BalloonStatus::Active {
+                reached_target: true,
+            };
+            let d = p.decide(&commit);
+            assert!(
+                matches!(d.trace.balloon, BalloonGate::Confirmed { .. }),
+                "{d:?}"
+            );
+            assert_eq!(d.target, current.id);
+
+            let later = full_pool_with_headroom(6 + after_commit);
+            let d = p.decide(&ctx(&later, &current, &cat, None));
+            assert_eq!(
+                d.trace.gates.contains(&RuleId::BalloonConfirmedShrink),
+                honoured,
+                "{after_commit} intervals after the commit: {d:?}"
+            );
+            assert_eq!(
+                cat.get(d.target).unwrap().cost < current.cost,
+                honoured,
+                "{after_commit} intervals after the commit: {d:?}"
+            );
+        }
     }
 
     #[test]

@@ -27,6 +27,18 @@ use dasr_telemetry::categorize::{LatencyVerdict, UtilLevel, WaitPctLevel, WaitTi
 use dasr_telemetry::signals::{LatencySignals, ResourceSignals};
 use std::fmt;
 
+/// Utilization at or above this marks extreme pressure, enabling 2-step
+/// scale-ups ([`RuleId::HighASurge`]).
+pub const VERY_HIGH_UTIL_PCT: f64 = 90.0;
+
+/// Utilization at or below this enables 2-step scale-downs
+/// ([`RuleId::LowIdle`]).
+pub const VERY_LOW_UTIL_PCT: f64 = 5.0;
+
+/// Wait percentage at or above this marks overwhelming dominance, enabling
+/// 2-step scale-ups ([`RuleId::HighASurge`]).
+pub const DOMINANT_WAIT_PCT: f64 = 70.0;
+
 /// Stable identifier of every rule in the system.
 ///
 /// The first block is the §4.2 high-demand hierarchy and the §4.3-adjacent
@@ -40,8 +52,8 @@ use std::fmt;
 #[repr(u8)]
 pub enum RuleId {
     /// §4.2(a) at extreme pressure: everything HIGH/SIGNIFICANT *and*
-    /// utilization ≥ `very_high_util_pct` *and* wait share ≥
-    /// `dominant_wait_pct` *and* an increasing trend — jump two rungs.
+    /// utilization ≥ [`VERY_HIGH_UTIL_PCT`] *and* wait share ≥
+    /// [`DOMINANT_WAIT_PCT`] *and* an increasing trend — jump two rungs.
     HighASurge,
     /// §4.2(a): utilization HIGH, waits HIGH, wait share SIGNIFICANT.
     HighA,
@@ -54,7 +66,7 @@ pub enum RuleId {
     /// §3.2.2 bottleneck identification: latency BAD and rank-correlated
     /// with SIGNIFICANT waits of at least MEDIUM magnitude.
     HighCorr,
-    /// Scale-down at near-idle utilization (≤ `very_low_util_pct`): two
+    /// Scale-down at near-idle utilization (≤ [`VERY_LOW_UTIL_PCT`]): two
     /// rungs.
     LowIdle,
     /// Scale-down: utilization LOW, waits LOW, no increasing trend.
@@ -76,8 +88,9 @@ pub enum RuleId {
     /// §6 fallback branch: no rule fired — keep the current container.
     #[default]
     HoldSteady,
-    /// Gate: latency beyond `emergency_factor × goal` bypassed the
-    /// scale-up cooldown.
+    /// Gate: latency beyond
+    /// [`EMERGENCY_FACTOR`](crate::policy::auto::EMERGENCY_FACTOR) × goal
+    /// bypassed the scale-up cooldown.
     EmergencyBypass,
     /// Gate: the available budget truncated or blocked a recommended
     /// scale-up (§5).
@@ -259,33 +272,6 @@ impl fmt::Debug for RuleSet {
     }
 }
 
-/// A tunable threshold referenced *by name* from a static rule table and
-/// resolved against the live [`EstimatorConfig`] at evaluation time — what
-/// keeps the tables `static` while the knobs stay runtime-tunable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Threshold {
-    /// [`EstimatorConfig::very_high_util_pct`].
-    VeryHighUtil,
-    /// [`EstimatorConfig::very_low_util_pct`].
-    VeryLowUtil,
-    /// [`EstimatorConfig::dominant_wait_pct`].
-    DominantWaitPct,
-    /// [`EstimatorConfig::corr_threshold`].
-    CorrThreshold,
-}
-
-impl Threshold {
-    /// The threshold's current value under `cfg`.
-    pub fn resolve(self, cfg: &EstimatorConfig) -> f64 {
-        match self {
-            Threshold::VeryHighUtil => cfg.very_high_util_pct,
-            Threshold::VeryLowUtil => cfg.very_low_util_pct,
-            Threshold::DominantWaitPct => cfg.dominant_wait_pct,
-            Threshold::CorrThreshold => cfg.corr_threshold,
-        }
-    }
-}
-
 /// A named policy-level boolean the §6 arbitration predicates test.
 ///
 /// Facts are computed once per decision from the signal set, the policy's
@@ -298,7 +284,7 @@ pub enum Fact {
     HasGoal,
     /// Latency is BAD or trending up significantly (§6).
     LatencyAttention,
-    /// Latency exceeds `emergency_factor × goal`.
+    /// Latency exceeds [`EMERGENCY_FACTOR`](crate::policy::auto::EMERGENCY_FACTOR) × goal.
     Emergency,
     /// Scale-ups are blocked (inside the sensitivity cooldown and no
     /// emergency).
@@ -396,9 +382,9 @@ impl FactSet {
 ///
 /// The leaf predicates mirror the paper's categorical vocabulary
 /// (`UtilIs(HIGH)`, `WaitPctIs(SIGNIFICANT)`, …); [`Predicate::All`],
-/// [`Predicate::Any`] and [`Predicate::Not`] combine them. Threshold
-/// guards reference the [`EstimatorConfig`] indirectly through
-/// [`Threshold`] so the tables stay `static`.
+/// [`Predicate::Any`] and [`Predicate::Not`] combine them. The percentage
+/// guards carry their cut-off; the correlation guard reads the one
+/// runtime-set threshold, [`EstimatorConfig::corr_threshold`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Predicate {
     /// The resource's utilization category equals the level.
@@ -413,15 +399,15 @@ pub enum Predicate {
     LatencyIs(LatencyVerdict),
     /// Utilization and/or waits show a SIGNIFICANT increasing trend.
     Trending,
-    /// The resource's (continuous) utilization is at least the threshold.
-    UtilAtLeastPct(Threshold),
-    /// The resource's (continuous) utilization is at most the threshold.
-    UtilAtMostPct(Threshold),
-    /// The resource's (continuous) wait share is at least the threshold.
-    WaitPctAtLeastPct(Threshold),
-    /// Latency rank-correlates (ρ ≥ threshold) with the resource's waits
-    /// or utilization (§3.2.2).
-    CorrAbove(Threshold),
+    /// The resource's (continuous) utilization is at least the percentage.
+    UtilAtLeastPct(f64),
+    /// The resource's (continuous) utilization is at most the percentage.
+    UtilAtMostPct(f64),
+    /// The resource's (continuous) wait share is at least the percentage.
+    WaitPctAtLeastPct(f64),
+    /// Latency rank-correlates (ρ ≥ [`EstimatorConfig::corr_threshold`])
+    /// with the resource's waits or utilization (§3.2.2).
+    CorrAbove,
     /// A policy-level fact holds.
     Is(Fact),
     /// Every sub-predicate holds.
@@ -441,7 +427,7 @@ pub enum Predicate {
 /// predicate evaluated without a resource is vacuously false.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalCtx<'a> {
-    /// Threshold knobs the `Threshold` guards resolve against.
+    /// The estimator tuning [`Predicate::CorrAbove`] reads.
     pub cfg: &'a EstimatorConfig,
     /// The resource dimension under evaluation, if any.
     pub resource: Option<&'a ResourceSignals>,
@@ -497,18 +483,12 @@ impl Predicate {
             Predicate::Trending => ctx
                 .resource
                 .is_some_and(ResourceSignals::increasing_pressure_trend),
-            Predicate::UtilAtLeastPct(t) => ctx
+            Predicate::UtilAtLeastPct(t) => ctx.resource.is_some_and(|sig| sig.util_pct >= t),
+            Predicate::UtilAtMostPct(t) => ctx.resource.is_some_and(|sig| sig.util_pct <= t),
+            Predicate::WaitPctAtLeastPct(t) => ctx.resource.is_some_and(|sig| sig.wait_pct >= t),
+            Predicate::CorrAbove => ctx
                 .resource
-                .is_some_and(|sig| sig.util_pct >= t.resolve(ctx.cfg)),
-            Predicate::UtilAtMostPct(t) => ctx
-                .resource
-                .is_some_and(|sig| sig.util_pct <= t.resolve(ctx.cfg)),
-            Predicate::WaitPctAtLeastPct(t) => ctx
-                .resource
-                .is_some_and(|sig| sig.wait_pct >= t.resolve(ctx.cfg)),
-            Predicate::CorrAbove(t) => ctx
-                .resource
-                .is_some_and(|sig| sig.latency_correlated(t.resolve(ctx.cfg))),
+                .is_some_and(|sig| sig.latency_correlated(ctx.cfg.corr_threshold)),
             Predicate::Is(fact) => ctx.facts.contains(fact),
             Predicate::All(subs) => subs.iter().all(|p| p.eval(ctx)),
             Predicate::Any(subs) => subs.iter().any(|p| p.eval(ctx)),
@@ -698,8 +678,8 @@ pub static HIGH_DEMAND: RuleTable = RuleTable {
                 UtilIs(UtilLevel::High),
                 WaitIs(WaitTimeLevel::High),
                 WaitPctIs(WaitPctLevel::Significant),
-                UtilAtLeastPct(Threshold::VeryHighUtil),
-                WaitPctAtLeastPct(Threshold::DominantWaitPct),
+                UtilAtLeastPct(VERY_HIGH_UTIL_PCT),
+                WaitPctAtLeastPct(DOMINANT_WAIT_PCT),
                 Trending,
             ]),
         },
@@ -739,7 +719,7 @@ pub static HIGH_DEMAND: RuleTable = RuleTable {
                 LatencyIs(LatencyVerdict::Bad),
                 WaitPctIs(WaitPctLevel::Significant),
                 WaitAtLeast(WaitTimeLevel::Medium),
-                CorrAbove(Threshold::CorrThreshold),
+                CorrAbove,
             ]),
         },
     ],
@@ -757,7 +737,7 @@ pub static LOW_DEMAND: RuleTable = RuleTable {
                 UtilIs(UtilLevel::Low),
                 WaitIs(WaitTimeLevel::Low),
                 Not(&Trending),
-                UtilAtMostPct(Threshold::VeryLowUtil),
+                UtilAtMostPct(VERY_LOW_UTIL_PCT),
             ]),
         },
         Rule {

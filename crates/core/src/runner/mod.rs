@@ -51,7 +51,7 @@ pub struct RunConfig {
     pub catalog: Catalog,
     /// Engine parameters.
     pub engine: EngineConfig,
-    /// Telemetry-manager parameters (thresholds, windows). The latency
+    /// Telemetry-manager parameters (thresholds, trend α). The latency
     /// goal inside is overwritten from `knobs`.
     pub telemetry: TelemetryConfig,
     /// Tenant knobs (budget, latency goal, sensitivity).

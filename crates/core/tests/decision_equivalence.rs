@@ -7,7 +7,8 @@
 //! The generator samples categorized levels independently of the raw
 //! percentages, which covers corners a closed-loop run rarely reaches
 //! (e.g. HIGH utilization with a near-idle percentage) and exercises every
-//! threshold in [`EstimatorConfig`].
+//! cut-off in `dasr_core::rules` and the correlation threshold in
+//! [`EstimatorConfig`].
 
 mod common;
 
@@ -15,7 +16,9 @@ use common::{random_latency, random_resource};
 use dasr_containers::{ResourceKind, RESOURCE_KINDS};
 use dasr_core::estimator::rules as legacy;
 use dasr_core::estimator::EstimatorConfig;
-use dasr_core::rules::{EvalCtx, HIGH_DEMAND, LOW_DEMAND};
+use dasr_core::rules::{
+    EvalCtx, DOMINANT_WAIT_PCT, HIGH_DEMAND, LOW_DEMAND, VERY_HIGH_UTIL_PCT, VERY_LOW_UTIL_PCT,
+};
 use dasr_core::tenant_seed;
 use dasr_stats::{Trend, TrendDirection};
 use dasr_telemetry::categorize::{LatencyVerdict, UtilLevel, WaitPctLevel, WaitTimeLevel};
@@ -40,7 +43,7 @@ fn oracle(
         if sig.kind == ResourceKind::Memory {
             None
         } else {
-            legacy::low_demand(cfg, sig)
+            legacy::low_demand(sig)
         }
     })
 }
@@ -134,17 +137,17 @@ fn threshold_boundaries_agree() {
 
     let mut cases = Vec::new();
     for util_pct in [
-        cfg.very_low_util_pct - 0.01,
-        cfg.very_low_util_pct,
-        cfg.very_low_util_pct + 0.01,
-        cfg.very_high_util_pct - 0.01,
-        cfg.very_high_util_pct,
-        cfg.very_high_util_pct + 0.01,
+        VERY_LOW_UTIL_PCT - 0.01,
+        VERY_LOW_UTIL_PCT,
+        VERY_LOW_UTIL_PCT + 0.01,
+        VERY_HIGH_UTIL_PCT - 0.01,
+        VERY_HIGH_UTIL_PCT,
+        VERY_HIGH_UTIL_PCT + 0.01,
     ] {
         for wait_pct in [
-            cfg.dominant_wait_pct - 0.01,
-            cfg.dominant_wait_pct,
-            cfg.dominant_wait_pct + 0.01,
+            DOMINANT_WAIT_PCT - 0.01,
+            DOMINANT_WAIT_PCT,
+            DOMINANT_WAIT_PCT + 0.01,
         ] {
             for corr in [
                 None,

@@ -1,66 +1,52 @@
-//! Engine configuration.
+//! Engine configuration and the memory-sizing constants.
+
+/// Page size in KB (memory MB → pool pages conversion). SQL-family engines
+/// use 8 KB pages.
+pub const PAGE_KB: u32 = 8;
+
+/// Fraction of container memory reserved for the buffer pool; the rest
+/// backs plan caches and fixed overheads.
+pub const BUFFER_POOL_FRACTION: f64 = 0.85;
+
+/// Fraction of container memory available as query memory grants.
+pub const GRANT_POOL_FRACTION: f64 = 0.25;
+
+const _: () = assert!(BUFFER_POOL_FRACTION > 0.0 && BUFFER_POOL_FRACTION <= 1.0);
+const _: () = assert!(GRANT_POOL_FRACTION > 0.0 && GRANT_POOL_FRACTION <= 1.0);
 
 /// Static engine parameters (independent of the container size).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Page size in KB (memory MB → pool pages conversion). SQL-family
-    /// engines use 8 KB pages.
-    pub page_kb: u32,
-    /// Fraction of container memory reserved for the buffer pool; the rest
-    /// backs plan caches and fixed overheads.
-    pub buffer_pool_fraction: f64,
-    /// Fraction of container memory available as query memory grants.
-    pub grant_pool_fraction: f64,
     /// Maximum outstanding requests before new arrivals are rejected
     /// (connection/admission limit, like a gateway's connection pool; also
     /// bounds how far latencies can balloon under overload before clients
     /// see rejections instead).
     pub max_outstanding: usize,
-    /// Dirty evicted pages coalesced into one background write (the
-    /// checkpointer writes multi-page extents).
-    pub writeback_coalesce: u32,
-    /// Fraction of current pool capacity evicted per balloon step (§4.3:
-    /// memory is reduced *slowly*, so the monitoring loop can abort long
-    /// before the working set is gone).
-    pub balloon_step_fraction: f64,
-    /// Minimum pages evicted per balloon step.
-    pub balloon_step_min_pages: usize,
-    /// Microseconds between balloon steps.
-    pub balloon_step_us: u64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            page_kb: 8,
-            buffer_pool_fraction: 0.85,
-            grant_pool_fraction: 0.25,
             max_outstanding: 400,
-            writeback_coalesce: 8,
-            balloon_step_fraction: 0.005, // ~0.5%/s: a rung takes minutes
-            balloon_step_min_pages: 256,
-            balloon_step_us: 1_000_000,
         }
     }
 }
 
-impl EngineConfig {
-    /// Buffer-pool capacity in pages for a container with `memory_mb`.
-    pub fn pool_pages(&self, memory_mb: f64) -> usize {
-        let pages_per_mb = 1_024.0 / self.page_kb as f64;
-        (memory_mb * self.buffer_pool_fraction * pages_per_mb).floor() as usize
-    }
+/// Buffer-pool capacity in pages for a container with `memory_mb`.
+pub fn pool_pages(memory_mb: f64) -> usize {
+    let pages_per_mb = 1_024.0 / PAGE_KB as f64;
+    (memory_mb * BUFFER_POOL_FRACTION * pages_per_mb).floor() as usize
+}
 
-    /// Memory-grant pool in MB for a container with `memory_mb`.
-    pub fn grant_mb(&self, memory_mb: f64) -> u64 {
-        (memory_mb * self.grant_pool_fraction).floor() as u64
-    }
+/// Memory-grant pool in MB for a container with `memory_mb`.
+pub fn grant_mb(memory_mb: f64) -> u64 {
+    (memory_mb * GRANT_POOL_FRACTION).floor() as u64
+}
 
-    /// MB of memory represented by `pages` buffer-pool pages (inverse of
-    /// [`pool_pages`](Self::pool_pages), ignoring the non-pool overhead).
-    pub fn pages_to_mb(&self, pages: usize) -> f64 {
-        pages as f64 * self.page_kb as f64 / 1_024.0 / self.buffer_pool_fraction
-    }
+/// MB of memory represented by `pages` buffer-pool pages (inverse of
+/// [`pool_pages`], ignoring the non-pool overhead).
+pub fn pages_to_mb(pages: usize) -> f64 {
+    pages as f64 * PAGE_KB as f64 / 1_024.0 / BUFFER_POOL_FRACTION
 }
 
 #[cfg(test)]
@@ -69,25 +55,20 @@ mod tests {
 
     #[test]
     fn pool_sizing() {
-        let cfg = EngineConfig::default();
         // 1024 MB * 0.85 * 128 pages/MB = 111,411 pages.
-        assert_eq!(cfg.pool_pages(1_024.0), 111_411);
-        assert_eq!(cfg.grant_mb(1_024.0), 256);
+        assert_eq!(pool_pages(1_024.0), 111_411);
+        assert_eq!(grant_mb(1_024.0), 256);
     }
 
     #[test]
     fn pages_mb_roundtrip() {
-        let cfg = EngineConfig::default();
-        let pages = cfg.pool_pages(4_096.0);
-        let mb = cfg.pages_to_mb(pages);
+        let pages = pool_pages(4_096.0);
+        let mb = pages_to_mb(pages);
         assert!((mb - 4_096.0).abs() < 1.0, "roundtrip within 1 MB: {mb}");
     }
 
     #[test]
     fn default_is_sane() {
-        let cfg = EngineConfig::default();
-        assert!(cfg.buffer_pool_fraction > 0.0 && cfg.buffer_pool_fraction <= 1.0);
-        assert!(cfg.grant_pool_fraction > 0.0 && cfg.grant_pool_fraction <= 1.0);
-        assert!(cfg.max_outstanding > 0);
+        assert!(EngineConfig::default().max_outstanding > 0);
     }
 }

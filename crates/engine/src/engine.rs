@@ -28,7 +28,7 @@
 //! enforced by the property tests in `tests/engine_equivalence.rs`.
 
 use crate::bufferpool::{Access, BufferPool};
-use crate::config::EngineConfig;
+use crate::config::{grant_mb, pages_to_mb, pool_pages, EngineConfig};
 use crate::cpu::{CpuJob, CpuScheduler};
 use crate::device::{IoDevice, IoToken};
 use crate::governor::Dispatched;
@@ -42,6 +42,23 @@ use crate::waits::{WaitClass, WaitStats};
 use dasr_containers::ResourceVector;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+
+/// Fraction of current pool capacity evicted per balloon step (§4.3:
+/// memory is reduced *slowly*, so the monitoring loop can abort long
+/// before the working set is gone): ~0.5 %/s, so a rung takes minutes.
+pub const BALLOON_STEP_FRACTION: f64 = 0.005;
+
+/// Minimum pages evicted per balloon step.
+pub const BALLOON_STEP_MIN_PAGES: usize = 256;
+
+/// Microseconds between balloon steps.
+pub const BALLOON_STEP_US: u64 = 1_000_000;
+
+/// Dirty evicted pages coalesced into one background write (the
+/// checkpointer writes multi-page extents).
+pub const WRITEBACK_COALESCE: usize = 8;
+
+const _: () = assert!(WRITEBACK_COALESCE >= 1);
 
 /// Events in the simulation queue. Arrivals are not among them: they wait
 /// in the engine's arrival lane until admitted.
@@ -215,9 +232,9 @@ impl Engine {
             cpu: CpuScheduler::new(resources.cpu_cores),
             disk: IoDevice::disk(resources.disk_iops),
             log: IoDevice::log(resources.log_mbps),
-            pool: BufferPool::new(cfg.pool_pages(resources.memory_mb)),
+            pool: BufferPool::new(pool_pages(resources.memory_mb)),
             locks: LockTable::new(),
-            grants: GrantPool::new(cfg.grant_mb(resources.memory_mb)),
+            grants: GrantPool::new(grant_mb(resources.memory_mb)),
             resources,
             cfg,
             clock: SimTime::ZERO,
@@ -254,11 +271,6 @@ impl Engine {
         &self.resources
     }
 
-    /// Engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
         self.requests.len()
@@ -266,12 +278,12 @@ impl Engine {
 
     /// Buffer-pool pages in use, as MB of container memory.
     pub fn pool_used_mb(&self) -> f64 {
-        self.cfg.pages_to_mb(self.pool.used())
+        pages_to_mb(self.pool.used())
     }
 
     /// Buffer-pool capacity, as MB of container memory.
     pub fn pool_capacity_mb(&self) -> f64 {
-        self.cfg.pages_to_mb(self.pool.capacity())
+        pages_to_mb(self.pool.capacity())
     }
 
     /// Pre-fills the buffer pool with pages `0..n` (clean), clamped to the
@@ -355,11 +367,11 @@ impl Engine {
         self.cpu.resize(resources.cpu_cores);
         self.disk.set_rate_per_us(resources.disk_iops / 1_000_000.0);
         self.log.set_rate_per_us(resources.log_mbps);
-        self.grants.resize(self.cfg.grant_mb(resources.memory_mb));
+        self.grants.resize(grant_mb(resources.memory_mb));
         if self.balloon_target.is_none() {
             let mut dirty = std::mem::take(&mut self.evict_scratch);
             self.pool
-                .set_capacity(self.cfg.pool_pages(resources.memory_mb), &mut dirty);
+                .set_capacity(pool_pages(resources.memory_mb), &mut dirty);
             let n = dirty.len();
             self.evict_scratch = dirty;
             self.writeback(n);
@@ -371,13 +383,14 @@ impl Engine {
     }
 
     /// Starts ballooning toward `target_mb` of container memory (§4.3): the
-    /// pool shrinks by `balloon_step_pages` every `balloon_step_us` until it
+    /// pool shrinks by a [`BALLOON_STEP_FRACTION`] of its capacity (at least
+    /// [`BALLOON_STEP_MIN_PAGES`]) every [`BALLOON_STEP_US`] until it
     /// reaches the target or [`abort_balloon`](Self::abort_balloon) is
     /// called.
     pub fn start_balloon(&mut self, target_mb: f64) {
-        let target_pages = self.cfg.pool_pages(target_mb);
+        let target_pages = pool_pages(target_mb);
         self.balloon_target = Some(target_pages);
-        let at = self.clock + self.cfg.balloon_step_us;
+        let at = self.clock + BALLOON_STEP_US;
         self.push_event(at, Ev::BalloonStep);
     }
 
@@ -387,7 +400,7 @@ impl Engine {
         if self.balloon_target.take().is_some() {
             let mut dirty = std::mem::take(&mut self.evict_scratch);
             self.pool
-                .set_capacity(self.cfg.pool_pages(self.resources.memory_mb), &mut dirty);
+                .set_capacity(pool_pages(self.resources.memory_mb), &mut dirty);
             let n = dirty.len();
             self.evict_scratch = dirty;
             self.writeback(n);
@@ -668,8 +681,7 @@ impl Engine {
         };
         let cap = self.pool.capacity();
         if cap > target {
-            let step = ((cap as f64 * self.cfg.balloon_step_fraction) as usize)
-                .max(self.cfg.balloon_step_min_pages);
+            let step = ((cap as f64 * BALLOON_STEP_FRACTION) as usize).max(BALLOON_STEP_MIN_PAGES);
             let new_cap = cap.saturating_sub(step).max(target);
             let mut dirty = std::mem::take(&mut self.evict_scratch);
             self.pool.set_capacity(new_cap, &mut dirty);
@@ -677,7 +689,7 @@ impl Engine {
             self.evict_scratch = dirty;
             self.writeback(n);
             if new_cap > target {
-                let at = self.clock + self.cfg.balloon_step_us;
+                let at = self.clock + BALLOON_STEP_US;
                 self.push_event(at, Ev::BalloonStep);
             }
         }
@@ -689,7 +701,7 @@ impl Engine {
     /// them.
     // dasr-lint: no-alloc
     fn writeback(&mut self, n: usize) {
-        let writes = n.div_ceil(self.cfg.writeback_coalesce.max(1) as usize);
+        let writes = n.div_ceil(WRITEBACK_COALESCE);
         for _ in 0..writes {
             self.disk.submit_low(IoToken::Background, 1.0, self.clock);
         }
@@ -1017,10 +1029,7 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_over_limit() {
-        let cfg = EngineConfig {
-            max_outstanding: 2,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig { max_outstanding: 2 };
         let mut e = Engine::new(cfg, small_container());
         for _ in 0..5 {
             e.submit_at(SimTime::ZERO, RequestBuilder::new().cpu(1_000_000).build());
@@ -1054,16 +1063,12 @@ mod tests {
 
     #[test]
     fn ballooning_shrinks_gradually_and_abort_restores() {
-        let cfg = EngineConfig {
-            balloon_step_fraction: 0.001,
-            balloon_step_min_pages: 10,
-            balloon_step_us: 1_000,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(cfg, small_container());
+        // 64 MB → 16 MB is ~21 steps of `BALLOON_STEP_MIN_PAGES`, one per
+        // `BALLOON_STEP_US`: three steps in, the balloon is well short.
+        let mut e = engine();
         let full = e.pool_capacity_mb();
         e.start_balloon(16.0);
-        e.run_until(SimTime::from_millis(3));
+        e.run_until(SimTime::from_secs(3));
         assert!(e.balloon_active());
         let shrunk = e.pool_capacity_mb();
         assert!(shrunk < full, "capacity should shrink: {shrunk} < {full}");
@@ -1071,21 +1076,15 @@ mod tests {
         e.abort_balloon();
         assert_eq!(e.pool_capacity_mb(), full);
         // A stale BalloonStep event must be harmless.
-        e.run_until(SimTime::from_millis(10));
+        e.run_until(SimTime::from_secs(10));
         assert_eq!(e.pool_capacity_mb(), full);
     }
 
     #[test]
     fn balloon_reaches_target_and_commit_keeps_it() {
-        let cfg = EngineConfig {
-            balloon_step_fraction: 0.9,
-            balloon_step_min_pages: 10_000,
-            balloon_step_us: 1_000,
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(cfg, small_container());
+        let mut e = engine();
         e.start_balloon(16.0);
-        e.run_until(SimTime::from_secs(1));
+        e.run_until(SimTime::from_secs(30));
         assert!(e.balloon_reached_target());
         let at_target = e.pool_capacity_mb();
         e.commit_balloon();

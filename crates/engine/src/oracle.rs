@@ -17,10 +17,13 @@
 //! [`Engine`](crate::Engine) — and with nothing else.
 
 use crate::bufferpool::{Access, BufferPool};
-use crate::config::EngineConfig;
+use crate::config::{grant_mb, pages_to_mb, pool_pages, EngineConfig};
 use crate::cpu::CpuScheduler;
 use crate::device::{IoDevice, IoToken};
-use crate::engine::IntervalStats;
+use crate::engine::{
+    IntervalStats, BALLOON_STEP_FRACTION, BALLOON_STEP_MIN_PAGES, BALLOON_STEP_US,
+    WRITEBACK_COALESCE,
+};
 use crate::grants::GrantPool;
 use crate::locks::LockTable;
 use crate::meter;
@@ -111,9 +114,9 @@ impl OracleEngine {
             cpu: CpuScheduler::new(resources.cpu_cores),
             disk: IoDevice::disk(resources.disk_iops),
             log: IoDevice::log(resources.log_mbps),
-            pool: BufferPool::new(cfg.pool_pages(resources.memory_mb)),
+            pool: BufferPool::new(pool_pages(resources.memory_mb)),
             locks: LockTable::new(),
-            grants: GrantPool::new(cfg.grant_mb(resources.memory_mb)),
+            grants: GrantPool::new(grant_mb(resources.memory_mb)),
             resources,
             cfg,
             clock: SimTime::ZERO,
@@ -194,11 +197,11 @@ impl OracleEngine {
         self.cpu.resize(resources.cpu_cores);
         self.disk.set_rate_per_us(resources.disk_iops / 1_000_000.0);
         self.log.set_rate_per_us(resources.log_mbps);
-        self.grants.resize(self.cfg.grant_mb(resources.memory_mb));
+        self.grants.resize(grant_mb(resources.memory_mb));
         if self.balloon_target.is_none() {
             let mut dirty = Vec::new();
             self.pool
-                .set_capacity(self.cfg.pool_pages(resources.memory_mb), &mut dirty);
+                .set_capacity(pool_pages(resources.memory_mb), &mut dirty);
             self.writeback(dirty.len());
         }
         self.oracle_pump_cpu();
@@ -208,9 +211,9 @@ impl OracleEngine {
 
     /// Starts ballooning toward `target_mb` of container memory (§4.3).
     pub fn start_balloon(&mut self, target_mb: f64) {
-        let target_pages = self.cfg.pool_pages(target_mb);
+        let target_pages = pool_pages(target_mb);
         self.balloon_target = Some(target_pages);
-        let at = self.clock + self.cfg.balloon_step_us;
+        let at = self.clock + BALLOON_STEP_US;
         self.push_event(at, Ev::BalloonStep);
     }
 
@@ -220,7 +223,7 @@ impl OracleEngine {
         if self.balloon_target.take().is_some() {
             let mut dirty = Vec::new();
             self.pool
-                .set_capacity(self.cfg.pool_pages(self.resources.memory_mb), &mut dirty);
+                .set_capacity(pool_pages(self.resources.memory_mb), &mut dirty);
             self.writeback(dirty.len());
         }
     }
@@ -262,8 +265,8 @@ impl OracleEngine {
             mem_util_pct: meter::memory_utilization_pct(self.pool.used(), self.pool.capacity()),
             disk_util_pct,
             log_util_pct,
-            mem_used_mb: self.cfg.pages_to_mb(self.pool.used()),
-            mem_capacity_mb: self.cfg.pages_to_mb(self.pool.capacity()),
+            mem_used_mb: pages_to_mb(self.pool.used()),
+            mem_capacity_mb: pages_to_mb(self.pool.capacity()),
             waits: waits_delta,
             completed: latencies_ms.len() as u64,
             latencies_ms,
@@ -487,21 +490,20 @@ impl OracleEngine {
         };
         let cap = self.pool.capacity();
         if cap > target {
-            let step = ((cap as f64 * self.cfg.balloon_step_fraction) as usize)
-                .max(self.cfg.balloon_step_min_pages);
+            let step = ((cap as f64 * BALLOON_STEP_FRACTION) as usize).max(BALLOON_STEP_MIN_PAGES);
             let new_cap = cap.saturating_sub(step).max(target);
             let mut dirty = Vec::new();
             self.pool.set_capacity(new_cap, &mut dirty);
             self.writeback(dirty.len());
             if new_cap > target {
-                let at = self.clock + self.cfg.balloon_step_us;
+                let at = self.clock + BALLOON_STEP_US;
                 self.push_event(at, Ev::BalloonStep);
             }
         }
     }
 
     fn writeback(&mut self, n: usize) {
-        let writes = n.div_ceil(self.cfg.writeback_coalesce.max(1) as usize);
+        let writes = n.div_ceil(WRITEBACK_COALESCE);
         for _ in 0..writes {
             self.disk.submit_low(IoToken::Background, 1.0, self.clock);
         }

@@ -242,10 +242,7 @@ proptest! {
         max_outstanding in 2usize..8,
         prewarm_pages in 0u64..3 * CHUNK as u64,
     ) {
-        let cfg = EngineConfig {
-            max_outstanding,
-            ..EngineConfig::default()
-        };
+        let cfg = EngineConfig { max_outstanding };
         let container = ResourceVector::new(1.0, 8.0, 200.0, 10.0);
         let mut fast = Engine::new(cfg, container);
         let mut oracle = OracleEngine::new(cfg, container);

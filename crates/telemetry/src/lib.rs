@@ -40,7 +40,7 @@ pub mod thresholds;
 
 pub use categorize::{LatencyVerdict, ResourceCategories, UtilLevel, WaitPctLevel, WaitTimeLevel};
 pub use counters::{LatencyGoal, TelemetrySample};
-pub use manager::{TelemetryConfig, TelemetryManager};
+pub use manager::{TelemetryConfig, TelemetryManager, CORR_WINDOW, SMOOTHING_WINDOW, TREND_WINDOW};
 pub use signals::{LatencySignals, ResourceSignals, SignalSet};
 pub use source::{NullActuator, ProbeStatus, ResizeActuator, SourcePair, TelemetrySource};
 pub use thresholds::{ThresholdConfig, WaitThresholds};

@@ -13,22 +13,28 @@ use dasr_stats::{
     Trend, TrendScratch,
 };
 
+/// Samples medianed for the level signals (robust aggregation, §3.1).
+pub const SMOOTHING_WINDOW: usize = 3;
+
+/// Samples fed to the Theil–Sen trend detector (§3.2.1).
+pub const TREND_WINDOW: usize = 10;
+
+/// Samples fed to the Spearman correlation (§3.2.2).
+pub const CORR_WINDOW: usize = 15;
+
+/// Materiality guard: a trend is also rejected when its projected change
+/// over the window is below this fraction of the series' median level —
+/// flat-but-noisy series occasionally pass the sign test, and chasing a 2%
+/// drift would thrash containers.
+pub const TREND_MIN_RELATIVE_CHANGE: f64 = 0.10;
+
+const _: () = assert!(SMOOTHING_WINDOW >= 1);
+
 /// Telemetry-manager tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryConfig {
-    /// Samples medianed for the level signals (robust aggregation, §3.1).
-    pub smoothing_window: usize,
-    /// Samples fed to the Theil–Sen trend detector (§3.2.1).
-    pub trend_window: usize,
-    /// Samples fed to the Spearman correlation (§3.2.2).
-    pub corr_window: usize,
     /// Theil–Sen sign-agreement acceptance threshold α (paper: 0.70).
     pub trend_alpha: f64,
-    /// Materiality guard: a trend is also rejected when its projected
-    /// change over the window is below this fraction of the series'
-    /// median level — flat-but-noisy series occasionally pass the sign
-    /// test, and chasing a 2% drift would thrash containers.
-    pub trend_min_relative_change: f64,
     /// Thresholds for categorization (§4.1).
     pub thresholds: ThresholdConfig,
     /// The tenant's latency goal, if any (§2.3).
@@ -38,11 +44,7 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
-            smoothing_window: 3,
-            trend_window: 10,
-            corr_window: 15,
             trend_alpha: 0.70,
-            trend_min_relative_change: 0.10,
             thresholds: ThresholdConfig::default(),
             latency_goal: None,
         }
@@ -97,8 +99,8 @@ impl SeriesState {
     fn new(cfg: &TelemetryConfig) -> Self {
         let estimator = TheilSen::new().with_alpha(cfg.trend_alpha);
         Self {
-            trend: SlidingTheilSen::new(estimator, cfg.trend_window),
-            ranks: SlidingRanks::new(cfg.corr_window),
+            trend: SlidingTheilSen::new(estimator, TREND_WINDOW),
+            ranks: SlidingRanks::new(CORR_WINDOW),
         }
     }
 
@@ -109,14 +111,14 @@ impl SeriesState {
 
     /// The series' trend over the trend window, materiality guard applied:
     /// an accepted trend whose projected change over the window is below
-    /// `trend_min_relative_change` of the median level is rejected.
-    fn material_trend(&self, cfg: &TelemetryConfig, scratch: &mut SignalScratch) -> Trend {
+    /// [`TREND_MIN_RELATIVE_CHANGE`] of the median level is rejected.
+    fn material_trend(&self, scratch: &mut SignalScratch) -> Trend {
         let trend = self.trend.trend_in(&mut scratch.trend);
         if let Trend::Significant { slope, .. } = trend {
             let series = self.trend.window();
             let level = median_in(series, &mut scratch.median).unwrap_or(0.0).abs();
             let projected = slope.abs() * (series.len().saturating_sub(1)) as f64;
-            if projected < cfg.trend_min_relative_change * level {
+            if projected < TREND_MIN_RELATIVE_CHANGE * level {
                 return Trend::None;
             }
         }
@@ -130,10 +132,10 @@ pub struct TelemetryManager {
     cfg: TelemetryConfig,
     /// The newest sample, whose raw fields pass through to the signal set.
     latest: Option<TelemetrySample>,
-    /// The level channels of the last `smoothing_window` samples (at least
-    /// one), oldest first: all the level medians read; trends and
-    /// correlations slide in the series states. A plain `Vec`: evicting
-    /// from its front costs O(smoothing_window), as each median does.
+    /// The level channels of the last [`SMOOTHING_WINDOW`] samples, oldest
+    /// first: all the level medians read; trends and correlations slide in
+    /// the series states. A plain `Vec`: evicting from its front costs
+    /// O(`SMOOTHING_WINDOW`), as each median does.
     recent: Vec<Levels>,
     /// Utilization series, by resource.
     util: [SeriesState; RESOURCE_KINDS.len()],
@@ -148,7 +150,7 @@ impl TelemetryManager {
     pub fn new(cfg: TelemetryConfig) -> Self {
         Self {
             latest: None,
-            recent: Vec::with_capacity(cfg.smoothing_window.max(1)),
+            recent: Vec::with_capacity(SMOOTHING_WINDOW),
             util: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
             wait: RESOURCE_KINDS.map(|_| SeriesState::new(&cfg)),
             latency: SeriesState::new(&cfg),
@@ -165,7 +167,7 @@ impl TelemetryManager {
     /// Ingests one interval's sample and returns the refreshed signal set.
     pub fn observe(&mut self, sample: TelemetrySample) -> SignalSet {
         let levels = Levels::of(&sample);
-        if self.recent.len() == self.cfg.smoothing_window.max(1) {
+        if self.recent.len() == SMOOTHING_WINDOW {
             self.recent.remove(0);
         }
         self.recent.push(levels);
@@ -196,16 +198,15 @@ impl TelemetryManager {
             scratch,
         } = self;
         let latest = latest.expect("signals() before any observe()");
-        let smoothing = cfg.smoothing_window;
         // The latency series is ranked once per sample, not once per pairing.
         let latency_ranks = &latency.ranks;
 
         let resources: [ResourceSignals; RESOURCE_KINDS.len()] = RESOURCE_KINDS.map(|kind| {
             let i = kind.index();
             let thresholds = cfg.thresholds.waits_for(kind);
-            let util_pct = level(recent, smoothing, scratch, |l| l.util[i]).unwrap_or(0.0);
-            let wait_ms = level(recent, smoothing, scratch, |l| l.wait[i]).unwrap_or(0.0);
-            let wait_pct = level(recent, smoothing, scratch, |l| l.wait_pct[i]).unwrap_or(0.0);
+            let util_pct = level(recent, scratch, |l| l.util[i]).unwrap_or(0.0);
+            let wait_ms = level(recent, scratch, |l| l.wait[i]).unwrap_or(0.0);
+            let wait_pct = level(recent, scratch, |l| l.wait_pct[i]).unwrap_or(0.0);
             let (util, wait) = (&util[i], &wait[i]);
             ResourceSignals {
                 kind,
@@ -215,14 +216,14 @@ impl TelemetryManager {
                 wait_level: categorize_wait_ms(thresholds, wait_ms),
                 wait_pct,
                 wait_pct_level: categorize_wait_pct(thresholds, wait_pct),
-                util_trend: util.material_trend(cfg, scratch),
-                wait_trend: wait.material_trend(cfg, scratch),
+                util_trend: util.material_trend(scratch),
+                wait_trend: wait.material_trend(scratch),
                 corr_latency_wait: latency_ranks.spearman_in(&wait.ranks, &mut scratch.spearman),
                 corr_latency_util: latency_ranks.spearman_in(&util.ranks, &mut scratch.spearman),
             }
         });
-        let lock_wait_pct = level(recent, smoothing, scratch, |l| l.lock_pct).unwrap_or(0.0);
-        let observed_ms = level(recent, smoothing, scratch, |l| l.latency).or(latest.latency_ms);
+        let lock_wait_pct = level(recent, scratch, |l| l.lock_pct).unwrap_or(0.0);
+        let observed_ms = level(recent, scratch, |l| l.latency).or(latest.latency_ms);
         let goal_ms = cfg.latency_goal.map(|g| g.target_ms());
 
         SignalSet {
@@ -232,7 +233,7 @@ impl TelemetryManager {
                 observed_ms,
                 goal_ms,
                 verdict: categorize_latency(observed_ms, goal_ms),
-                trend: latency.material_trend(cfg, scratch),
+                trend: latency.material_trend(scratch),
             },
             lock_wait_pct,
             mem_used_mb: latest.mem_used_mb,
@@ -243,24 +244,17 @@ impl TelemetryManager {
     }
 }
 
-/// Median of one level signal over the last `smoothing` retained samples,
-/// oldest first. The finite values are gathered straight into the
+/// Median of one level signal over the retained samples (at most
+/// [`SMOOTHING_WINDOW`]). The finite values are gathered straight into the
 /// selection scratch, so a level median is one copy and one select.
 fn level(
     recent: &[Levels],
-    smoothing: usize,
     scratch: &mut SignalScratch,
     value: impl Fn(&Levels) -> f64,
 ) -> Option<f64> {
-    let k = recent.len().min(smoothing);
     let finite = &mut scratch.median;
     finite.clear();
-    finite.extend(
-        recent[recent.len() - k..]
-            .iter()
-            .map(value)
-            .filter(|v| v.is_finite()),
-    );
+    finite.extend(recent.iter().map(value).filter(|v| v.is_finite()));
     median_of_finite_mut(finite)
 }
 

@@ -127,7 +127,7 @@ impl SignalSet {
         &self.resources[kind.index()]
     }
 
-    /// True when waits are dominated (> `threshold_pct`) by application
+    /// True when waits are dominated (≥ `threshold_pct`) by application
     /// locks — the Figure 13 situation where extra resources cannot help.
     pub fn lock_bottleneck(&self, threshold_pct: f64) -> bool {
         self.lock_wait_pct >= threshold_pct
