@@ -3,8 +3,12 @@
 //! The store's job is to keep up with a fleet sweep: `run_fleet_summary`
 //! streams events through a `StoreSink` while tenants execute, so append
 //! cost is on the fleet's critical path. `store_append_1k` times one
-//! iteration of 1000 event appends + one explicit flush, framing,
-//! batching and the (amortized) flush included.
+//! iteration of 1000 event appends through `Store::append` + one explicit
+//! flush, staging, the hand-off to the writer thread, framing and the
+//! (amortized) flush included. `store_encode_1k` and
+//! `store_encode_samples_1k` time the batch codec alone: on events, and on
+//! a fleet-synthesised tenant-day of samples, whose 16 floats per record
+//! exercise the float dictionary.
 //!
 //! Read-side benches cover the two query shapes the paper's analyses
 //! use — a time-windowed scan (sparse index pruning) and a whole-run
@@ -22,13 +26,19 @@
 //! contract.
 
 use criterion::{black_box, Criterion};
+use dasr_containers::{Catalog, ResourceKind, RESOURCE_KINDS};
 use dasr_core::obs::{EventKind, RunEvent};
 use dasr_core::policy::AutoPolicy;
-use dasr_core::{tenant_seed, FleetRunner, RunConfig, TenantKnobs, TenantSpec};
+use dasr_core::{tenant_seed, FleetRunner, RunConfig, SampleRecord, TenantKnobs, TenantSpec};
+use dasr_engine::{WaitClass, WAIT_CLASSES};
+use dasr_fleet::{TenantPopulation, WaitModel};
 use dasr_store::codec::BatchEncoder;
 use dasr_store::{Query, RecordPayload, RunMeta, Store, StoredRecord, WriterConfig};
-use dasr_telemetry::LatencyGoal;
+use dasr_telemetry::signals::wait_class_for;
+use dasr_telemetry::{LatencyGoal, ProbeStatus, TelemetrySample};
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Records per append iteration.
 const APPENDS: u64 = 1_000;
@@ -56,6 +66,64 @@ fn event(interval: u64) -> RecordPayload {
             EventKind::IntervalStart
         },
     })
+}
+
+/// The first [`APPENDS`] minutes of a tenant-day of samples, synthesised
+/// from `dasr_fleet` as the end-to-end `store_archive` pool is: the
+/// demand of a Fig. 2 population tenant against the container covering
+/// its median demand, utilisation with ±10 % noise, heavy-tailed waits
+/// from the fleet wait model, latency rising with the hottest resource.
+fn fleet_day_samples() -> Vec<SampleRecord> {
+    const MINUTES_PER_STEP: usize = 5;
+    const SEED: u64 = 0x0057_07E5;
+    let tenant = TenantPopulation::generate_with_len(1, MINUTES / MINUTES_PER_STEP, SEED)
+        .tenants
+        .into_iter()
+        .next()
+        .expect("one tenant");
+    let mut by_cpu = tenant.intervals.clone();
+    by_cpu.sort_by(|a, b| a.cpu_cores.total_cmp(&b.cpu_cores));
+    let catalog = Catalog::azure_like();
+    let nominal = catalog.assign_for_utilization(&by_cpu[by_cpu.len() / 2]);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut models = RESOURCE_KINDS.map(|k| WaitModel::new(k, SEED));
+    (0..APPENDS as usize)
+        .map(|m| {
+            let demand = &tenant.intervals[m / MINUTES_PER_STEP];
+            let mut util_pct = [0.0; RESOURCE_KINDS.len()];
+            let mut wait_ms = [0.0; WAIT_CLASSES.len()];
+            for kind in RESOURCE_KINDS {
+                let util =
+                    (demand[kind] / nominal.resources[kind] * 100.0 * rng.gen_range(0.9..1.1))
+                        .min(100.0);
+                util_pct[kind.index()] = util;
+                wait_ms[wait_class_for(kind).index()] =
+                    models[kind.index()].sample_at(util).wait_ms;
+            }
+            wait_ms[WaitClass::Lock.index()] = rng.gen_range(0.0..5.0);
+            let hottest = util_pct.iter().copied().fold(0.0, f64::max);
+            let pressure = ((hottest - 60.0) / 40.0).max(0.0);
+            let latency = 40.0 * (1.0 + 6.0 * pressure * pressure) * rng.gen_range(0.8..1.25);
+            let requests = (demand.cpu_cores * 180.0).round() as u64;
+            SampleRecord {
+                tenant: Some(0),
+                sample: TelemetrySample {
+                    interval: m as u64,
+                    util_pct,
+                    wait_ms,
+                    latency_ms: (requests > 0).then_some(latency),
+                    avg_latency_ms: (requests > 0).then_some(latency * 0.6),
+                    completed: requests,
+                    arrivals: requests,
+                    rejected: 0,
+                    mem_used_mb: demand.memory_mb.min(nominal.resources.memory_mb),
+                    mem_capacity_mb: nominal.resources.memory_mb,
+                    disk_reads_per_sec: demand[ResourceKind::DiskIo] * 0.5,
+                },
+                probe: ProbeStatus::Inactive,
+            }
+        })
+        .collect()
 }
 
 fn bench_dir(tag: &str) -> std::path::PathBuf {
@@ -101,6 +169,29 @@ fn bench_store(c: &mut Criterion) {
             enc.reset();
             for r in &recs {
                 enc.encode_into(r, &mut buf);
+            }
+            black_box(buf.len())
+        })
+    });
+
+    // The same codec on samples, reset every `batch_records` records as
+    // the writer resets it: 16 floats per record through the dictionary.
+    let samples: Vec<StoredRecord> = fleet_day_samples()
+        .into_iter()
+        .map(|s| StoredRecord {
+            run,
+            payload: RecordPayload::Sample(s),
+        })
+        .collect();
+    let batch_records = WriterConfig::default().batch_records;
+    c.bench_function("store_encode_samples_1k", |b| {
+        b.iter(|| {
+            buf.clear();
+            for batch in samples.chunks(batch_records) {
+                enc.reset();
+                for r in batch {
+                    enc.encode_into(r, &mut buf);
+                }
             }
             black_box(buf.len())
         })

@@ -35,8 +35,6 @@
 //! §9–§10, whose worked hex dump the `format_spec` test decodes with
 //! this module.
 
-use std::collections::HashMap;
-
 use crate::record::{
     etag, flag, Cursor, RecordPayload, RunId, StoredRecord, KIND_EVENT, KIND_SAMPLE, TENANT_NONE,
 };
@@ -108,35 +106,95 @@ pub fn read_ivar(c: &mut Cursor<'_>) -> Result<i64, String> {
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
 }
 
-/// Encoder half of the per-batch float dictionary.
-#[derive(Debug, Default)]
+/// Slots in the encoder's table: twice [`DICT_CAP`], so it is never more
+/// than half full and a linear probe stays a few slots long.
+const DICT_SLOTS: usize = 2 * DICT_CAP;
+
+/// Multiplier for Fibonacci hashing: `2^64 / φ`, rounded to odd. The high
+/// bits of `bits * FIB` depend on every bit of the float, sign and
+/// exponent included.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// `bits * FIB >> DICT_SHIFT` is a home slot in `0..DICT_SLOTS`.
+const DICT_SHIFT: u32 = 64 - DICT_SLOTS.trailing_zeros();
+
+/// A table slot: the float's bits and its dictionary slot number, or
+/// [`EMPTY_SLOT`] when the table slot is free.
+#[derive(Debug, Clone, Copy)]
+struct DictSlot {
+    bits: u64,
+    num: u32,
+}
+
+/// Marks a free table slot. Never a dictionary slot number, so any `u64`
+/// is a legal key.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Encoder half of the per-batch float dictionary: a fixed open-addressed
+/// table of [`DICT_SLOTS`] slots keyed by the float's bits (Fibonacci
+/// hash, linear probing). Slot numbers are handed out in insertion order
+/// and lookups never iterate, so batch bytes stay a pure function of the
+/// record sequence.
+#[derive(Debug)]
 struct DictEncoder {
-    /// bits → dictionary slot (lookup only — never iterated, so batch
-    /// bytes stay a pure function of the record sequence).
-    slots: HashMap<u64, u32>,
-    len: u32,
+    table: Box<[DictSlot]>,
+    /// Table positions filled this batch, in insertion order: the
+    /// dictionary length, and all a reset has to clear.
+    used: Vec<u32>,
+}
+
+impl Default for DictEncoder {
+    fn default() -> Self {
+        Self {
+            table: vec![
+                DictSlot {
+                    bits: 0,
+                    num: EMPTY_SLOT
+                };
+                DICT_SLOTS
+            ]
+            .into_boxed_slice(),
+            used: Vec::with_capacity(DICT_CAP),
+        }
+    }
 }
 
 impl DictEncoder {
+    /// Empties the dictionary, touching only the slots this batch used.
+    // dasr-lint: no-alloc
     fn reset(&mut self) {
-        self.slots.clear();
-        self.len = 0;
+        for &i in &self.used {
+            self.table[i as usize].num = EMPTY_SLOT;
+        }
+        self.used.clear();
     }
 
     /// Writes one float: a back-reference when its exact bits were seen
     /// earlier in this batch, a literal (which defines the next slot)
     /// otherwise.
+    // dasr-lint: no-alloc
     fn put_f64(&mut self, buf: &mut Vec<u8>, v: f64) {
         let bits = v.to_bits();
-        if let Some(&slot) = self.slots.get(&bits) {
-            put_uvar(buf, u64::from(slot) + 1);
-            return;
+        let mut i = (bits.wrapping_mul(FIB) >> DICT_SHIFT) as usize;
+        loop {
+            let slot = self.table[i];
+            if slot.num == EMPTY_SLOT {
+                break;
+            }
+            if slot.bits == bits {
+                put_uvar(buf, u64::from(slot.num) + 1);
+                return;
+            }
+            i = (i + 1) % DICT_SLOTS;
         }
         put_uvar(buf, 0);
         buf.extend_from_slice(&bits.to_le_bytes());
-        if (self.len as usize) < DICT_CAP {
-            self.slots.insert(bits, self.len);
-            self.len += 1;
+        if self.used.len() < DICT_CAP {
+            self.table[i] = DictSlot {
+                bits,
+                num: self.used.len() as u32,
+            };
+            self.used.push(i as u32);
         }
     }
 }
@@ -514,6 +572,7 @@ impl BatchDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn uvar_bytes(v: u64) -> Vec<u8> {
         let mut b = Vec::new();
@@ -620,6 +679,140 @@ mod tests {
         for want in [quiet, f64::INFINITY, payload, quiet, f64::INFINITY, payload] {
             assert_eq!(dec.read_f64(&mut c).unwrap().to_bits(), want.to_bits());
         }
+    }
+
+    /// The dictionary as a `HashMap` from bits to slot number: slots in
+    /// insertion order, inserts stop at `DICT_CAP`. The reference the
+    /// open-addressed [`DictEncoder`] must match byte for byte.
+    #[derive(Default)]
+    struct ReferenceDict {
+        slots: std::collections::HashMap<u64, u32>,
+    }
+
+    impl ReferenceDict {
+        fn reset(&mut self) {
+            self.slots.clear();
+        }
+
+        fn put_f64(&mut self, buf: &mut Vec<u8>, v: f64) {
+            let bits = v.to_bits();
+            if let Some(&slot) = self.slots.get(&bits) {
+                put_uvar(buf, u64::from(slot) + 1);
+                return;
+            }
+            put_uvar(buf, 0);
+            buf.extend_from_slice(&bits.to_le_bytes());
+            if self.slots.len() < DICT_CAP {
+                self.slots.insert(bits, self.slots.len() as u32);
+            }
+        }
+    }
+
+    /// One step of a dictionary stream.
+    #[derive(Debug, Clone, Copy)]
+    enum DictOp {
+        Put(u64),
+        Reset,
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A seeded stream of `len` steps: a reset with probability
+    /// `1 / batch_len`, otherwise a float drawn from signed zeros,
+    /// infinities and NaNs with random payloads, small multiples of 0.25
+    /// (the low bits telemetry leaves zero), a pool of `pool` random bit
+    /// patterns (repeats), or fresh random bits (distinct values, enough
+    /// to pass `DICT_CAP` in long batches).
+    fn dict_stream(seed: u64, len: usize, batch_len: u64, pool: usize) -> Vec<DictOp> {
+        let mut state = seed;
+        let pool: Vec<u64> = (0..pool).map(|_| splitmix(&mut state)).collect();
+        (0..len)
+            .map(|_| {
+                let r = splitmix(&mut state);
+                if r.is_multiple_of(batch_len) {
+                    return DictOp::Reset;
+                }
+                let r2 = splitmix(&mut state);
+                DictOp::Put(match (r >> 32) % 8 {
+                    0 => match r2 % 6 {
+                        0 => 0.0f64.to_bits(),
+                        1 => (-0.0f64).to_bits(),
+                        2 => f64::INFINITY.to_bits(),
+                        3 => f64::NEG_INFINITY.to_bits(),
+                        // NaN: all-ones exponent, any non-zero mantissa,
+                        // either sign.
+                        _ => (r2 & 0x800F_FFFF_FFFF_FFFF) | 0x7FF0_0000_0000_0001,
+                    },
+                    1 | 2 => ((r2 % 512) as f64 * 0.25).to_bits(),
+                    3..=5 => pool[(r2 % pool.len() as u64) as usize],
+                    _ => r2,
+                })
+            })
+            .collect()
+    }
+
+    /// Runs `ops` through both dictionaries and asserts every batch
+    /// encodes to the same bytes; returns the resets seen.
+    fn assert_dicts_agree(ops: &[DictOp]) -> usize {
+        let (mut table, mut reference) = (DictEncoder::default(), ReferenceDict::default());
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut batch = 0;
+        for op in ops.iter().chain([&DictOp::Reset]) {
+            match *op {
+                DictOp::Put(bits) => {
+                    table.put_f64(&mut got, f64::from_bits(bits));
+                    reference.put_f64(&mut want, f64::from_bits(bits));
+                }
+                DictOp::Reset => {
+                    assert!(got == want, "batch {batch} encodes differently");
+                    table.reset();
+                    reference.reset();
+                    got.clear();
+                    want.clear();
+                    batch += 1;
+                }
+            }
+        }
+        batch
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn table_dictionary_matches_the_hashmap_reference(
+            seed in 0u64..u64::MAX,
+            len in 1usize..30_000,
+            batch_len in (0usize..5).prop_map(|i| [2u64, 16, 300, 6_000, 40_000][i]),
+            pool in 1usize..6_000,
+        ) {
+            assert_dicts_agree(&dict_stream(seed, len, batch_len, pool));
+        }
+    }
+
+    #[test]
+    fn table_dictionary_matches_past_the_cap_and_across_resets() {
+        // Three times the cap in distinct values, then every one again:
+        // the first DICT_CAP hit, the rest stay literals.
+        let mut ops: Vec<DictOp> = (0..3 * DICT_CAP as u64)
+            .map(|k| DictOp::Put((k as f64).to_bits()))
+            .collect();
+        ops.extend_from_within(..);
+        // Thousands of short batches over a small pool: a reset that
+        // left a slot behind would turn a literal into a back-reference.
+        for k in 0..20_000u64 {
+            if k % 5 == 0 {
+                ops.push(DictOp::Reset);
+            }
+            ops.push(DictOp::Put(((k % 7) as f64).to_bits() | ((k % 2) << 63)));
+        }
+        assert!(assert_dicts_agree(&ops) > 4_000);
     }
 
     #[test]

@@ -3,21 +3,23 @@
 //! Implements [`EventSink`], so
 //! [`FleetRunner::run_fleet_summary`](dasr_core::FleetRunner) can deliver
 //! a fleet's event stream to disk in shard order without ever
-//! materializing it in memory — the one persisted event path. Events
-//! cross to the writer thread over the channel; the scheduler's worker is
-//! never blocked on disk I/O.
+//! materializing it in memory — the one persisted event path. Events go
+//! into the store's shared staging buffer and cross to the writer thread
+//! a batch at a time; the scheduler's worker is never blocked on disk I/O.
 //!
 //! `emit` cannot fail (the trait has no error channel), so the first
 //! failure is recorded, later events are dropped, and
 //! [`StoreSink::error`] surfaces what happened — check it (or the
 //! [`end_run`](crate::Store::end_run) result, which flushes the same
-//! writer) after the run.
+//! writer) after the run. A sink that outlives its store reports
+//! [`StoreError::Closed`] there.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::record::{RecordPayload, RunId, StoredRecord};
 use crate::writer::AppendHandle;
+use crate::StoreError;
 use dasr_core::obs::{EventSink, RunEvent};
 
 /// An [`EventSink`] that appends every event to a store run.
@@ -30,7 +32,7 @@ pub struct StoreSink {
     handle: AppendHandle,
     run: RunId,
     events: Arc<AtomicU64>,
-    error: Option<String>,
+    error: Option<StoreError>,
 }
 
 impl StoreSink {
@@ -49,12 +51,13 @@ impl StoreSink {
     }
 
     /// The first failure, if any (later events were dropped).
-    pub fn error(&self) -> Option<&str> {
-        self.error.as_deref()
+    pub fn error(&self) -> Option<&StoreError> {
+        self.error.as_ref()
     }
 }
 
 impl EventSink for StoreSink {
+    // dasr-lint: no-alloc
     fn emit(&mut self, event: &RunEvent) {
         if self.error.is_some() {
             return;
@@ -67,14 +70,14 @@ impl EventSink for StoreSink {
             Ok(()) => {
                 self.events.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => self.error = Some(e.to_string()),
+            Err(e) => self.error = Some(e),
         }
     }
 
     fn finish(&mut self) {
         if self.error.is_none() {
             if let Err(e) = self.handle.flush() {
-                self.error = Some(e.to_string());
+                self.error = Some(e);
             }
         }
     }

@@ -453,9 +453,11 @@ impl Store {
         run
     }
 
-    /// Appends one record under an open run. Buffered: durable after the
-    /// batch fills, an explicit [`flush`](Self::flush), or the committing
-    /// [`end_run`](Self::end_run).
+    /// Appends one record under an open run. Buffered: the record waits in
+    /// the caller-side staging buffer, and is durable after the batch
+    /// fills, an explicit [`flush`](Self::flush), or the committing
+    /// [`end_run`](Self::end_run). A write error surfaces at that flush;
+    /// the append itself fails only for an unknown run or a closed store.
     ///
     /// # Examples
     ///
@@ -481,6 +483,7 @@ impl Store {
     /// # std::fs::remove_dir_all(&dir)?;
     /// # Ok::<(), dasr_store::StoreError>(())
     /// ```
+    // dasr-lint: no-alloc
     pub fn append(&mut self, run: RunId, payload: RecordPayload) -> Result<(), StoreError> {
         let pending = self
             .open_runs
@@ -498,7 +501,7 @@ impl Store {
     /// Appends every sample record of `recording` under `run` (the bulk
     /// path for archiving a [`record_run`](dasr_core::replay::record_run)
     /// capture). Records are `Copy`, so the loop moves plain stack
-    /// copies into the writer — no per-record heap traffic.
+    /// copies into the staging buffer — no per-record heap traffic.
     // dasr-lint: no-alloc
     pub fn append_recording(
         &mut self,

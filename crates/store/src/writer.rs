@@ -1,13 +1,16 @@
 //! The writer thread: batch-buffered, deterministically framed appends.
 //!
 //! All writes to a store go through one background thread fed by a
-//! channel. Appends accumulate in an in-memory batch; the batch is framed
-//! and written when it reaches [`WriterConfig::batch_records`] records or
-//! when a [`flush`](StoreWriter::flush) / shutdown arrives — **never** on
-//! a timer. Batch boundaries (and therefore the bytes on disk) are a pure
-//! function of the append sequence and the explicit flush points, so two
-//! runs of the same deterministic workload produce byte-identical
-//! segments; DESIGN.md §16 spells out the argument.
+//! channel. Appends first wait in a caller-side staging buffer shared by
+//! the store and every sink; it crosses the channel as one message when it
+//! holds [`WriterConfig::batch_records`] records or when a
+//! [`flush`](StoreWriter::flush) / shutdown arrives. On the writer thread
+//! records accumulate in an in-memory batch; the batch is framed and
+//! written at the same two points — **never** on a timer. Batch
+//! boundaries (and therefore the bytes on disk) are a pure function of the
+//! append sequence and the explicit flush points, so two runs of the same
+//! deterministic workload produce byte-identical segments; DESIGN.md §16
+//! spells out the argument.
 //!
 //! The thread owns the active segment file and the in-memory
 //! [`SegmentIndex`] of every segment. Rollover happens when a batch write
@@ -18,12 +21,14 @@
 //! without sharing mutable state.
 //!
 //! I/O errors are sticky: the first failure is kept, subsequent appends
-//! are dropped, and every later flush reports the original error.
+//! are dropped, and every later flush reports the original error. An
+//! append itself fails only with [`StoreError::Closed`], once the writer
+//! has shut down.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::codec::BatchEncoder;
@@ -80,16 +85,85 @@ impl WriterSnapshot {
 type Ack = mpsc::Sender<Result<WriterSnapshot, String>>;
 
 enum Msg {
-    Append(StoredRecord),
+    /// Staged records in staging order: a full batch, or the staged tail
+    /// just ahead of a flush or shutdown.
+    Records(Vec<StoredRecord>),
     Flush(Ack),
     Shutdown(Ack),
+}
+
+/// The caller-side staging buffer every append goes through, shared by
+/// the [`StoreWriter`] and all its [`AppendHandle`]s. Records wait here
+/// until [`WriterConfig::batch_records`] of them are staged or a flush or
+/// shutdown arrives, then cross to the writer thread as one message.
+/// Staging order is the order appends take the lock, and the writer
+/// thread sees records in exactly that order.
+struct Staging {
+    tx: mpsc::Sender<Msg>,
+    records: Vec<StoredRecord>,
+    /// Buffers the writer thread has emptied and handed back: a hand-off
+    /// swaps one in, so in steady state staging never allocates.
+    spare: mpsc::Receiver<Vec<StoredRecord>>,
+    batch_records: usize,
+    /// Set by shutdown; every later append or flush fails `Closed`.
+    closed: bool,
+}
+
+impl Staging {
+    /// Stages one record; hands the buffer over once it holds a batch.
+    // dasr-lint: no-alloc
+    fn push(&mut self, rec: StoredRecord) -> Result<(), StoreError> {
+        if self.closed {
+            return Err(StoreError::Closed);
+        }
+        self.records.push(rec);
+        if self.records.len() >= self.batch_records {
+            self.hand_off()?;
+        }
+        Ok(())
+    }
+
+    /// Sends the staged records (if any) to the writer thread.
+    // dasr-lint: no-alloc
+    fn hand_off(&mut self) -> Result<(), StoreError> {
+        if self.records.is_empty() {
+            return Ok(());
+        }
+        let next = self.spare.try_recv().unwrap_or_default();
+        let staged = std::mem::replace(&mut self.records, next);
+        self.send(Msg::Records(staged))
+    }
+
+    /// Hands over the staged records, then `msg` (a flush or shutdown),
+    /// so the writer sees the control message after every record staged
+    /// before it.
+    fn send_after_staged(&mut self, msg: Msg) -> Result<(), StoreError> {
+        if self.closed {
+            return Err(StoreError::Closed);
+        }
+        self.hand_off()?;
+        self.send(msg)
+    }
+
+    // dasr-lint: no-alloc
+    fn send(&self, msg: Msg) -> Result<(), StoreError> {
+        self.tx.send(msg).map_err(|_| StoreError::Closed)
+    }
+}
+
+type SharedStaging = Arc<Mutex<Staging>>;
+
+// dasr-lint: no-alloc
+fn lock(staging: &SharedStaging) -> MutexGuard<'_, Staging> {
+    // A panic while holding the lock leaves the staged records intact.
+    staging.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Handle to the writer thread. Cloneable append capability is exposed to
 /// sinks via [`AppendHandle`]; the owning [`Store`](crate::Store) drives
 /// flush and shutdown.
 pub struct StoreWriter {
-    tx: mpsc::Sender<Msg>,
+    handle: AppendHandle,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -98,23 +172,21 @@ pub struct StoreWriter {
 /// while the `Store` itself stays borrowable for queries.
 #[derive(Clone)]
 pub struct AppendHandle {
-    tx: mpsc::Sender<Msg>,
+    staging: SharedStaging,
 }
 
 impl AppendHandle {
-    /// Sends one record to the writer thread.
+    /// Stages one record for the writer thread. Fails `Closed` once the
+    /// store has shut down; a write error surfaces at the next flush.
+    // dasr-lint: no-alloc
     pub fn append(&self, rec: StoredRecord) -> Result<(), StoreError> {
-        self.tx
-            .send(Msg::Append(rec))
-            .map_err(|_| StoreError::Closed)
+        lock(&self.staging).push(rec)
     }
 
-    /// Flushes buffered records to disk and waits for the ack.
+    /// Flushes staged and buffered records to disk and waits for the ack.
     pub fn flush(&self) -> Result<WriterSnapshot, StoreError> {
         let (ack, rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Flush(ack))
-            .map_err(|_| StoreError::Closed)?;
+        lock(&self.staging).send_after_staged(Msg::Flush(ack))?;
         match rx.recv() {
             Ok(Ok(snap)) => Ok(snap),
             Ok(Err(e)) => Err(StoreError::Backend(e)),
@@ -142,6 +214,7 @@ impl StoreWriter {
             .append(true)
             .open(dir.join(segment::file_name(active.segment_id)))?;
         let (tx, rx) = mpsc::channel();
+        let (spare_tx, spare_rx) = mpsc::channel();
         let mut state = WriterState {
             dir,
             cfg,
@@ -159,7 +232,13 @@ impl StoreWriter {
             .spawn(move || {
                 while let Ok(msg) = rx.recv() {
                     match msg {
-                        Msg::Append(rec) => state.append(&rec),
+                        Msg::Records(mut records) => {
+                            for rec in &records {
+                                state.append(rec);
+                            }
+                            records.clear();
+                            let _ = spare_tx.send(records);
+                        }
                         Msg::Flush(ack) => {
                             state.flush_all();
                             let _ = ack.send(state.reply());
@@ -172,39 +251,51 @@ impl StoreWriter {
                     }
                 }
             })?;
-        Ok(Self {
+        let staging = Staging {
             tx,
+            records: Vec::with_capacity(cfg.batch_records),
+            spare: spare_rx,
+            batch_records: cfg.batch_records,
+            closed: false,
+        };
+        Ok(Self {
+            handle: AppendHandle {
+                staging: Arc::new(Mutex::new(staging)),
+            },
             thread: Some(thread),
         })
     }
 
     /// An append/flush handle for sinks.
     pub fn handle(&self) -> AppendHandle {
-        AppendHandle {
-            tx: self.tx.clone(),
-        }
+        self.handle.clone()
     }
 
-    /// Appends one record (buffered; durable after the next flush or a
-    /// full batch).
+    /// Stages one record (durable after the next flush or a full batch).
+    // dasr-lint: no-alloc
     pub fn append(&self, rec: StoredRecord) -> Result<(), StoreError> {
-        self.tx
-            .send(Msg::Append(rec))
-            .map_err(|_| StoreError::Closed)
+        self.handle.append(rec)
     }
 
-    /// Flushes buffered records and returns the post-flush snapshot.
+    /// Flushes staged and buffered records and returns the post-flush
+    /// snapshot.
     pub fn flush(&self) -> Result<WriterSnapshot, StoreError> {
-        self.handle().flush()
+        self.handle.flush()
     }
 
-    /// Flushes, stops the thread, and joins it. Idempotent.
+    /// Flushes, stops the thread, and joins it. Idempotent. Handles that
+    /// outlive it fail `Closed` on their next append or flush.
     pub fn shutdown(&mut self) -> Result<Option<WriterSnapshot>, StoreError> {
         let Some(thread) = self.thread.take() else {
             return Ok(None);
         };
         let (ack, rx) = mpsc::channel();
-        let sent = self.tx.send(Msg::Shutdown(ack)).is_ok();
+        let sent = {
+            let mut staging = lock(&self.handle.staging);
+            let sent = staging.send_after_staged(Msg::Shutdown(ack)).is_ok();
+            staging.closed = true;
+            sent
+        };
         let reply = if sent { rx.recv().ok() } else { None };
         let _ = thread.join();
         match reply {
