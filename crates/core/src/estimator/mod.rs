@@ -12,7 +12,6 @@ pub mod rules;
 
 pub use memory::BalloonController;
 
-use crate::explain::ResourceSet;
 use crate::rules::{EvalCtx, RuleFire, RuleSet, HIGH_DEMAND, LOW_DEMAND};
 use dasr_containers::{ResourceKind, RESOURCE_KINDS};
 use dasr_telemetry::SignalSet;
@@ -82,7 +81,7 @@ impl DemandEstimate {
     }
 
     /// Maps every dimension's demand through `f`, in `RESOURCE_KINDS`
-    /// order — the single projection all the step/resource views below are
+    /// order — the single projection all the step views below are
     /// built on.
     pub fn per_resource<T>(
         &self,
@@ -105,26 +104,6 @@ impl DemandEstimate {
     /// The negative steps only (positives clamped to 0).
     pub fn down_steps(&self) -> [i8; RESOURCE_KINDS.len()] {
         self.per_resource(|d| d.step.min(0))
-    }
-
-    /// Resources with positive demand.
-    pub fn up_resources(&self) -> ResourceSet {
-        self.kinds_where(|step| step > 0)
-    }
-
-    /// Resources with negative demand.
-    pub fn down_resources(&self) -> ResourceSet {
-        self.kinds_where(|step| step < 0)
-    }
-
-    fn kinds_where(&self, keep: impl Fn(i8) -> bool) -> ResourceSet {
-        let mut set = ResourceSet::default();
-        for d in &self.demands {
-            if keep(d.step) {
-                set.insert(d.kind);
-            }
-        }
-        set
     }
 
     /// True when every dimension *except memory* has low (negative) demand
@@ -459,13 +438,5 @@ mod tests {
         let e = DemandEstimator::default().estimate(&s);
         assert_eq!(e.up_steps(), [1, 0, 0, 0]);
         assert_eq!(e.down_steps(), [0, 0, -2, 0]);
-        assert_eq!(
-            e.up_resources(),
-            ResourceSet::from_iter([ResourceKind::Cpu])
-        );
-        assert_eq!(
-            e.down_resources(),
-            ResourceSet::from_iter([ResourceKind::DiskIo])
-        );
     }
 }

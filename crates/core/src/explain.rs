@@ -4,6 +4,10 @@
 //! logic to provide an *explanation* of its actions … a concise way of
 //! explaining the path the model traversed when recommending a container
 //! size."
+//!
+//! No decision stores its explanations: [`crate::DecisionTrace::explanations`]
+//! derives the list from the trace's fields, and the `Display` impl here
+//! turns each [`Explanation`] into prose.
 
 use crate::rules::RuleFire;
 use dasr_containers::{ResourceKind, RESOURCE_KINDS};
@@ -54,10 +58,9 @@ impl fmt::Debug for ResourceSet {
 
 /// Why the auto-scaler did (or did not) act.
 ///
-/// Every variant is structured data; the prose is produced by the
-/// `Display` impl, so explanation text is always *rendered from* the
-/// decision trace rather than stored in it.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Every variant is structured data derived from a decision trace; the
+/// prose is produced by the `Display` impl.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Explanation {
     /// Scale-up: a resource bottleneck was detected.
     ScaleUpBottleneck {
@@ -109,7 +112,6 @@ pub enum Explanation {
     /// Within the post-resize cooldown window.
     Cooldown,
     /// Nothing to do.
-    #[default]
     NoChange,
 }
 

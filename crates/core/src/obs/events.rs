@@ -222,12 +222,12 @@ impl RunEvent {
             "interval_start" => EventKind::IntervalStart,
             "interval_end" => EventKind::IntervalEnd {
                 latency_ms: v.get("latency_ms")?.opt_num()?,
-                completed: v.get("completed")?.num()? as u64,
-                rejected: v.get("rejected")?.num()? as u64,
+                completed: v.get("completed")?.int()?,
+                rejected: v.get("rejected")?.int()?,
             },
             "resize_issued" => EventKind::ResizeIssued {
-                from_rung: v.get("from_rung")?.num()? as u8,
-                to_rung: v.get("to_rung")?.num()? as u8,
+                from_rung: v.get("from_rung")?.int()?,
+                to_rung: v.get("to_rung")?.int()?,
             },
             "resize_denied" => EventKind::ResizeDenied {
                 reason: DenyReason::from_name(v.get("reason")?.str()?)
@@ -250,9 +250,9 @@ impl RunEvent {
         Ok(Self {
             tenant: match v.get("tenant")? {
                 Json::Null => None,
-                other => Some(other.num()? as u64),
+                other => Some(other.int()?),
             },
-            interval: v.get("interval")?.num()? as u64,
+            interval: v.get("interval")?.int()?,
             kind,
         })
     }
@@ -380,5 +380,15 @@ mod tests {
             RunEvent::from_json_line("{\"event\":\"nope\",\"tenant\":null,\"interval\":1}")
                 .is_err()
         );
+        // Integers are checked, not cast.
+        for line in [
+            "{\"event\":\"interval_start\",\"tenant\":null,\"interval\":-1}",
+            "{\"event\":\"interval_start\",\"tenant\":1.5,\"interval\":1}",
+            "{\"event\":\"resize_issued\",\"tenant\":null,\"interval\":1,\
+              \"from_rung\":300,\"to_rung\":1}",
+        ] {
+            let err = RunEvent::from_json_line(line).unwrap_err();
+            assert!(err.contains("integer"), "{line}: {err}");
+        }
     }
 }

@@ -149,8 +149,7 @@ impl RunObservability {
                     reason: DenyReason::Cooldown,
                 },
             );
-        } else if t.branch == RuleId::ScaleUpDemand && t.gates.contains(&RuleId::BudgetConstrained)
-        {
+        } else if t.branch == RuleId::ScaleUpDemand && t.gates.contains(RuleId::BudgetConstrained) {
             self.metrics.inc(CounterId::ResizesDeniedBudget);
             self.push(
                 i,
@@ -161,7 +160,7 @@ impl RunObservability {
         }
 
         // Budget gate (§5).
-        if t.budget_limited {
+        if t.budget_limited() {
             self.metrics.inc(CounterId::BudgetThrottles);
             self.push(
                 i,
@@ -170,10 +169,10 @@ impl RunObservability {
                 },
             );
         }
-        if t.gates.contains(&RuleId::BudgetForcedDowngrade) {
+        if t.gates.contains(RuleId::BudgetForcedDowngrade) {
             self.metrics.inc(CounterId::BudgetForcedDowngrades);
         }
-        if t.gates.contains(&RuleId::EmergencyBypass) {
+        if t.gates.contains(RuleId::EmergencyBypass) {
             self.metrics.inc(CounterId::EmergencyBypasses);
         }
         if let Some(pct) = o.budget_headroom_pct {
@@ -316,8 +315,7 @@ mod tests {
         obs.record_interval(obs_of(&t, 2, 2));
         let mut t = trace(2, 2, 2);
         t.branch = RuleId::ScaleUpDemand;
-        t.gates.push(RuleId::BudgetConstrained);
-        t.budget_limited = true;
+        t.gates.insert(RuleId::BudgetConstrained);
         obs.record_interval(obs_of(&t, 2, 2));
         assert_eq!(obs.metrics.counter(CounterId::ResizesDeniedCooldown), 1);
         assert_eq!(obs.metrics.counter(CounterId::ResizesDeniedBudget), 1);

@@ -10,8 +10,9 @@
 //! 3. if latency is comfortably within the goal (or the tenant has no goal
 //!    and demand is low) → scale down, gating memory shrinks behind the
 //!    §4.3 ballooning probe;
-//! 4. every action carries an [`Explanation`] inside a full
-//!    [`DecisionTrace`].
+//! 4. every action is recorded in a full [`DecisionTrace`], from whose
+//!    fields its [`Explanation`](crate::explain::Explanation)s are
+//!    rendered.
 //!
 //! The whole loop is one table evaluation (the §4 demand tables, via the
 //! estimator) plus one arbitration pass: a [`FactSet`] is computed from
@@ -19,15 +20,14 @@
 //! (cooldown / scale-up / lock-dominance / latency-explain / scale-down /
 //! hold), and the branch body below executes it. Gates (emergency bypass,
 //! budget, latency headroom, ballooning) annotate the trace as named
-//! [`RuleId`]s.
+//! [`RuleId`]s, each inserted at one point below.
 
 use crate::estimator::memory::BalloonAction;
 use crate::estimator::{BalloonController, DemandEstimator, EstimatorConfig};
-use crate::explain::{Explanation, ResourceSet};
 use crate::knobs::TenantKnobs;
 use crate::policy::{BalloonCommand, PolicyContext, PolicyDecision, ScalingPolicy};
 use crate::rules::{EvalCtx, Fact, FactSet, RuleId, ARBITRATION};
-use crate::trace::{BalloonGate, DecisionTrace, Explanations};
+use crate::trace::{BalloonGate, DecisionTrace};
 use dasr_containers::{Catalog, Container, ResourceKind, RESOURCE_KINDS};
 
 /// Lock share of waits at or above which a bad latency is attributed to a
@@ -163,7 +163,6 @@ impl ScalingPolicy for AutoPolicy {
         let sig = ctx.signals;
         let catalog = ctx.catalog;
         let current = ctx.current;
-        let mut explanations = Explanations::new();
         let est = self.estimator.estimate(sig);
         let mut trace = DecisionTrace::with_estimate(sig, &est, current.id);
 
@@ -190,13 +189,11 @@ impl ScalingPolicy for AutoPolicy {
         match balloon_cmd {
             BalloonAction::Start { target_mb } => {
                 trace.balloon = BalloonGate::Started { target_mb };
-                trace.gates.push(RuleId::BalloonStart);
-                explanations.push(Explanation::BalloonStarted { target_mb });
+                trace.gates.insert(RuleId::BalloonStart);
             }
             BalloonAction::Abort => {
                 trace.balloon = BalloonGate::Aborted;
-                trace.gates.push(RuleId::BalloonAbort);
-                explanations.push(Explanation::BalloonAborted);
+                trace.gates.insert(RuleId::BalloonAbort);
                 self.balloon_confirmed = None;
             }
             BalloonAction::Commit => {
@@ -218,7 +215,7 @@ impl ScalingPolicy for AutoPolicy {
             _ => false,
         };
         if emergency && self.in_up_cooldown(sig.interval) {
-            trace.gates.push(RuleId::EmergencyBypass);
+            trace.gates.insert(RuleId::EmergencyBypass);
         }
         let up_blocked = self.in_up_cooldown(sig.interval) && !emergency;
         let down_blocked = self.in_down_cooldown(sig.interval);
@@ -247,64 +244,42 @@ impl ScalingPolicy for AutoPolicy {
 
         match branch {
             // Both directions inside the cooldown: explicit no-op.
-            RuleId::CooldownHold => {
-                explanations.push(Explanation::Cooldown);
-                Self::finish(trace, explanations, current, current, balloon_cmd)
-            }
+            RuleId::CooldownHold => Self::finish(trace, current, current, balloon_cmd),
 
             // --- Scale-up branch (§6) ----------------------------------------
             RuleId::ScaleUpDemand => {
-                for kind in est.up_resources().iter() {
-                    explanations.push(Explanation::ScaleUpBottleneck {
-                        resource: kind,
-                        rule: est.demand(kind).rule.expect("up demand fired a rule"),
-                    });
-                }
                 let desired = catalog.desired_after_steps(current, est.up_steps());
                 let unconstrained = catalog.cheapest_covering(&desired, None);
                 let pick = catalog.cheapest_covering(&desired, ctx.available_budget);
-                let target = match (pick, unconstrained) {
-                    (Some(p), u) => {
-                        if u.is_some_and(|u| p.id != u.id) {
-                            trace.budget_limited = true;
-                            trace.gates.push(RuleId::BudgetConstrained);
-                            explanations.push(Explanation::ScaleUpConstrainedByBudget);
-                        }
-                        Some(p)
-                    }
-                    (None, _) => {
-                        // Budget cannot cover the desired container: take the
-                        // most expensive affordable one (§6).
-                        trace.budget_limited = true;
-                        trace.gates.push(RuleId::BudgetConstrained);
-                        explanations.push(Explanation::ScaleUpConstrainedByBudget);
-                        ctx.available_budget
-                            .and_then(|b| catalog.most_expensive_under(b))
-                            .filter(|c| c.cost > current.cost)
-                    }
+                // The budget truncated the pick, or cannot cover the desired
+                // container at all.
+                let constrained = match (pick, unconstrained) {
+                    (Some(p), u) => u.is_some_and(|u| p.id != u.id),
+                    (None, _) => true,
                 };
+                if constrained {
+                    trace.gates.insert(RuleId::BudgetConstrained);
+                }
+                // Without a covering pick, take the most expensive affordable
+                // container (§6).
+                let target = pick.or_else(|| {
+                    ctx.available_budget
+                        .and_then(|b| catalog.most_expensive_under(b))
+                        .filter(|c| c.cost > current.cost)
+                });
                 if let Some(t) = target {
                     if t.id != current.id {
                         self.last_resize = Some(sig.interval);
-                        return Self::finish(trace, explanations, t, current, balloon_cmd);
+                        return Self::finish(trace, t, current, balloon_cmd);
                     }
                 }
-                self.finish_no_move(ctx, trace, explanations, balloon_cmd)
+                self.finish_no_move(ctx, trace, balloon_cmd)
             }
 
-            // Latency bad but waits are lock-dominated: explain, don't scale
-            // (§6, Figure 13).
-            RuleId::LockDominated => {
-                explanations.push(Explanation::NonResourceBottleneck {
-                    lock_wait_pct: sig.lock_wait_pct,
-                });
-                self.finish_no_move(ctx, trace, explanations, balloon_cmd)
-            }
-
-            // Latency bad but no resource demand: explain, don't scale.
-            RuleId::LatencyBadNoDemand => {
-                explanations.push(Explanation::LatencyBadNoDemand);
-                self.finish_no_move(ctx, trace, explanations, balloon_cmd)
+            // Latency bad but waits are lock-dominated (§6, Figure 13), or
+            // no resource shows demand: explain, don't scale.
+            RuleId::LockDominated | RuleId::LatencyBadNoDemand => {
+                self.finish_no_move(ctx, trace, balloon_cmd)
             }
 
             // --- Scale-down branch ---------------------------------------------
@@ -366,8 +341,7 @@ impl ScalingPolicy for AutoPolicy {
                     }
                     if t.cost < current.cost {
                         if confirmed_down_to.is_some() && steps[mem_idx] < 0 {
-                            trace.gates.push(RuleId::BalloonConfirmedShrink);
-                            explanations.push(Explanation::ScaleDownBalloonConfirmed);
+                            trace.gates.insert(RuleId::BalloonConfirmedShrink);
                             self.balloon_confirmed = None;
                         }
                         // A probe started this very decision would target the
@@ -376,54 +350,40 @@ impl ScalingPolicy for AutoPolicy {
                         if matches!(balloon_cmd, BalloonAction::Start { .. }) {
                             balloon_cmd = BalloonAction::None;
                             trace.balloon = BalloonGate::Idle;
-                            trace.gates.retain(|&g| g != RuleId::BalloonStart);
-                            explanations
-                                .retain(|e| !matches!(e, Explanation::BalloonStarted { .. }));
+                            trace.gates.remove(RuleId::BalloonStart);
                         }
                         if from_headroom {
-                            if let (Some(obs), Some(g)) = (sig.latency.observed_ms, goal) {
-                                trace.gates.push(RuleId::LatencyHeadroom);
-                                explanations.push(Explanation::ScaleDownLatencyHeadroom {
-                                    observed_ms: obs,
-                                    goal_ms: g,
-                                });
+                            if sig.latency.observed_ms.is_some() && goal.is_some() {
+                                trace.gates.insert(RuleId::LatencyHeadroom);
                             } else {
-                                explanations.push(Explanation::ScaleDownLowDemand {
-                                    resources: ResourceSet::ALL,
-                                });
+                                trace.whole_step_down = true;
                             }
-                        } else {
-                            explanations.push(Explanation::ScaleDownLowDemand {
-                                resources: est.down_resources(),
-                            });
                         }
                         self.last_resize = Some(sig.interval);
-                        return Self::finish(trace, explanations, t, current, balloon_cmd);
+                        return Self::finish(trace, t, current, balloon_cmd);
                     }
                 }
-                self.finish_no_move(ctx, trace, explanations, balloon_cmd)
+                self.finish_no_move(ctx, trace, balloon_cmd)
             }
 
             // HoldSteady (and, defensively, anything else): keep the
             // container, still enforcing the budget.
-            _ => self.finish_no_move(ctx, trace, explanations, balloon_cmd),
+            _ => self.finish_no_move(ctx, trace, balloon_cmd),
         }
     }
 }
 
 impl AutoPolicy {
-    /// Seals a decision: records the granted rung delta and the
-    /// explanations in the trace, then wraps everything up.
+    /// Seals a decision: records the target and the granted rung delta in
+    /// the trace, then wraps everything up.
     fn finish(
         mut trace: DecisionTrace,
-        explanations: Explanations,
         target: &Container,
         current: &Container,
         balloon: BalloonCommand,
     ) -> PolicyDecision {
         trace.target = target.id;
         trace.grant(current.rung, target.rung);
-        trace.explanations = explanations;
         PolicyDecision {
             target: target.id,
             trace,
@@ -438,24 +398,18 @@ impl AutoPolicy {
         &mut self,
         ctx: &PolicyContext<'_>,
         mut trace: DecisionTrace,
-        mut explanations: Explanations,
         balloon: BalloonCommand,
     ) -> PolicyDecision {
         if let Some(b) = ctx.available_budget {
             if ctx.current.cost > b + 1e-9 {
-                trace.budget_limited = true;
-                trace.gates.push(RuleId::BudgetForcedDowngrade);
-                explanations.push(Explanation::ScaleUpConstrainedByBudget);
+                trace.gates.insert(RuleId::BudgetForcedDowngrade);
                 if let Some(t) = ctx.catalog.most_expensive_under(b) {
                     self.last_resize = Some(ctx.signals.interval);
-                    return Self::finish(trace, explanations, t, ctx.current, balloon);
+                    return Self::finish(trace, t, ctx.current, balloon);
                 }
             }
         }
-        if explanations.is_empty() {
-            explanations.push(Explanation::NoChange);
-        }
-        Self::finish(trace, explanations, ctx.current, ctx.current, balloon)
+        Self::finish(trace, ctx.current, ctx.current, balloon)
     }
 }
 
@@ -463,6 +417,7 @@ impl AutoPolicy {
 mod tests {
     use super::*;
     use crate::estimator::tests_support::quiet_signal_set;
+    use crate::explain::Explanation;
     use crate::knobs::PerfSensitivity;
     use dasr_telemetry::categorize::{LatencyVerdict, UtilLevel, WaitPctLevel, WaitTimeLevel};
     use dasr_telemetry::LatencyGoal;
@@ -587,6 +542,46 @@ mod tests {
     }
 
     #[test]
+    fn probe_started_in_a_scale_down_decision_is_cancelled() {
+        // A pool far larger than the next rung's memory yet barely used:
+        // the balloon controller starts a probe, and the headroom step down
+        // goes ahead in the same decision, so the probe is dropped.
+        let cat = catalog();
+        let current = cat.get(dasr_containers::ContainerId(4)).unwrap().clone();
+        let mut s = quiet_signal_set(5);
+        s.latency.observed_ms = Some(50.0);
+        s.latency.goal_ms = Some(500.0);
+        s.mem_capacity_mb = 7_000.0;
+        s.mem_used_mb = 100.0;
+        let next_mem = AutoPolicy::memory_of_next_lower_rung(&cat, &current).unwrap();
+        let mut controller = BalloonController::default();
+        assert_eq!(
+            controller.step(
+                &s,
+                true,
+                Some(next_mem),
+                crate::policy::BalloonStatus::Inactive
+            ),
+            BalloonAction::Start {
+                target_mb: next_mem
+            },
+            "the controller alone would start a probe"
+        );
+        let d = policy().decide(&ctx(&s, &current, &cat, None));
+        assert!(cat.get(d.target).unwrap().cost < current.cost, "{d:?}");
+        assert_eq!(d.balloon, BalloonCommand::None);
+        assert_eq!(d.trace.balloon, BalloonGate::Idle);
+        assert!(!d.trace.gates.contains(RuleId::BalloonStart), "{d:?}");
+        assert!(
+            !d.trace
+                .render_explanations()
+                .iter()
+                .any(|line| line.starts_with("Ballooning memory toward")),
+            "{d:?}"
+        );
+    }
+
+    #[test]
     fn memory_gate_blocks_scale_down_until_balloon_confirms() {
         let cat = catalog();
         let current = cat.get(dasr_containers::ContainerId(4)).unwrap().clone();
@@ -668,7 +663,7 @@ mod tests {
             s6.latency.observed_ms = Some(observed_ms);
             let d2 = p.decide(&ctx(&s6, &after, &cat, None));
             assert_eq!(
-                d2.trace.gates.contains(&RuleId::EmergencyBypass),
+                d2.trace.gates.contains(RuleId::EmergencyBypass),
                 bypass,
                 "{observed_ms} ms: {d2:?}"
             );
@@ -741,7 +736,7 @@ mod tests {
             let later = full_pool_with_headroom(6 + after_commit);
             let d = p.decide(&ctx(&later, &current, &cat, None));
             assert_eq!(
-                d.trace.gates.contains(&RuleId::BalloonConfirmedShrink),
+                d.trace.gates.contains(RuleId::BalloonConfirmedShrink),
                 honoured,
                 "{after_commit} intervals after the commit: {d:?}"
             );

@@ -39,8 +39,8 @@ pub struct PolicyContext<'a> {
 /// A policy's decision for the next billing interval.
 ///
 /// Every decision carries a complete [`DecisionTrace`] — signals seen,
-/// rules evaluated/fired, steps demanded vs granted, gates engaged — and
-/// the §4 explanations live inside it as structured data.
+/// rules evaluated/fired, steps demanded vs granted, gates engaged — from
+/// whose fields the §4 explanations are derived.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyDecision {
     /// Container for the next interval (may equal the current one).
@@ -60,7 +60,6 @@ impl PolicyDecision {
         if let Some(t) = ctx.catalog.get(target) {
             trace.grant(ctx.current.rung, t.rung);
         }
-        trace.explanations.push(Explanation::NoChange);
         Self {
             target,
             trace,
@@ -68,9 +67,9 @@ impl PolicyDecision {
         }
     }
 
-    /// The §4 explanations this decision carries.
-    pub fn explanations(&self) -> &[Explanation] {
-        &self.trace.explanations
+    /// The §4 explanations of this decision, derived from its trace.
+    pub fn explanations(&self) -> Vec<Explanation> {
+        self.trace.explanations()
     }
 }
 
@@ -194,6 +193,23 @@ mod tests {
         // Past the end: clamps.
         let d = p.decide(&ctx(&signals, &current, &catalog));
         assert_eq!(d.target, ids[2]);
+    }
+
+    #[test]
+    fn pinned_decisions_explain_no_change_even_when_they_move() {
+        let catalog = Catalog::azure_like();
+        let signals = quiet_signal_set(0);
+        let current = catalog.smallest().clone();
+        let ids: Vec<ContainerId> = catalog.iter().take(3).map(|c| c.id).collect();
+        let mut schedule = SchedulePolicy::new(ids.clone());
+        let moved = schedule.decide(&ctx(&signals, &current, &catalog));
+        assert_ne!(moved.target, current.id);
+        let pinned =
+            StaticPolicy::new("peak", current.id).decide(&ctx(&signals, &current, &catalog));
+        let max = StaticPolicy::max(&catalog).decide(&ctx(&signals, &current, &catalog));
+        for d in [moved, pinned, max] {
+            assert_eq!(d.trace.render_explanations(), ["No change needed"], "{d:?}");
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! non-resource bottlenecks, so on a lock-bound workload it keeps scaling
 //! up as long as latency stays bad — the Figure 13 overshoot.
 
-use crate::explain::{Explanation, ResourceSet};
 use crate::policy::{BalloonCommand, PolicyContext, PolicyDecision, ScalingPolicy};
 use crate::rules::RuleId;
 use crate::trace::DecisionTrace;
@@ -35,20 +34,15 @@ impl UtilPolicy {
         Self::default()
     }
 
-    /// Wraps a move into a decision whose trace names `branch` and carries
-    /// `explanation`. Util has no rule tables; its trace records the branch
-    /// taken and the signals it saw.
-    fn moved(
-        ctx: &PolicyContext<'_>,
-        branch: RuleId,
-        target: &Container,
-        explanation: Explanation,
-    ) -> PolicyDecision {
+    /// Wraps a move into a decision whose trace names `branch`. Util has
+    /// no rule tables; its trace records the branch taken and the signals
+    /// it saw, and a scale-down is a whole-container step.
+    fn moved(ctx: &PolicyContext<'_>, branch: RuleId, target: &Container) -> PolicyDecision {
         let mut trace = DecisionTrace::from_signals(ctx.signals, ctx.current.id);
         trace.branch = branch;
+        trace.whole_step_down = branch == RuleId::ScaleDownDemand;
         trace.target = target.id;
         trace.grant(ctx.current.rung, target.rung);
-        trace.explanations.push(explanation);
         PolicyDecision {
             target: target.id,
             trace,
@@ -96,21 +90,7 @@ impl ScalingPolicy for UtilPolicy {
             {
                 if t.id != ctx.current.id {
                     self.last_resize = Some(sig.interval);
-                    let busiest = RESOURCE_KINDS
-                        .iter()
-                        .copied()
-                        .max_by(|a, b| {
-                            sig.resource(*a)
-                                .util_pct
-                                .total_cmp(&sig.resource(*b).util_pct)
-                        })
-                        .expect("non-empty");
-                    return Self::moved(
-                        ctx,
-                        RuleId::ScaleUpDemand,
-                        t,
-                        Explanation::UtilScaleUp { resource: busiest },
-                    );
+                    return Self::moved(ctx, RuleId::ScaleUpDemand, t);
                 }
             }
         } else if !sig.latency.needs_attention()
@@ -125,14 +105,7 @@ impl ScalingPolicy for UtilPolicy {
             {
                 if t.cost < ctx.current.cost {
                     self.last_resize = Some(sig.interval);
-                    return Self::moved(
-                        ctx,
-                        RuleId::ScaleDownDemand,
-                        t,
-                        Explanation::ScaleDownLowDemand {
-                            resources: ResourceSet::ALL,
-                        },
-                    );
+                    return Self::moved(ctx, RuleId::ScaleDownDemand, t);
                 }
             }
         }
@@ -256,5 +229,51 @@ mod tests {
         low3.interval = 5 + DOWN_COOLDOWN;
         let d3 = p.decide(&ctx(&low3, &after, &cat));
         assert!(cat.get(d3.target).unwrap().cost < after.cost);
+    }
+
+    #[test]
+    fn scale_up_names_the_busiest_resource_and_the_last_of_equals() {
+        let cat = Catalog::azure_like();
+        let current = cat.get(ContainerId(2)).unwrap().clone();
+        let up = |s: &SignalSet| {
+            let d = UtilPolicy::new().decide(&ctx(s, &current, &cat));
+            assert!(cat.get(d.target).unwrap().cost > current.cost, "{d:?}");
+            d.trace.render_explanations()
+        };
+        let mut s = bad_latency(quiet_signal_set(3));
+        s.resources[ResourceKind::DiskIo.index()].util_pct = 90.0;
+        assert_eq!(
+            up(&s),
+            ["Scale-up due to a disk_io bottleneck \
+              (latency BAD with utilization (no wait signals))"]
+        );
+        // Every utilization equal: the last kind in `RESOURCE_KINDS` order.
+        let s = bad_latency(quiet_signal_set(3));
+        assert_eq!(
+            up(&s),
+            ["Scale-up due to a log_io bottleneck \
+              (latency BAD with utilization (no wait signals))"]
+        );
+    }
+
+    #[test]
+    fn scale_down_names_every_resource() {
+        let cat = Catalog::azure_like();
+        let current = cat.get(ContainerId(4)).unwrap().clone();
+        let mut s = quiet_signal_set(4);
+        for k in RESOURCE_KINDS {
+            s.resources[k.index()].util_level = UtilLevel::Low;
+            s.resources[k.index()].util_pct = 10.0;
+        }
+        let d = UtilPolicy::new().decide(&ctx(&s, &current, &cat));
+        assert!(cat.get(d.target).unwrap().cost < current.cost, "{d:?}");
+        assert_eq!(
+            d.trace.render_explanations(),
+            ["Scale-down due to low demand for cpu, memory, disk_io, log_io"]
+        );
+        // Holding still explains nothing more than that.
+        let d = UtilPolicy::new().decide(&ctx(&quiet_signal_set(4), &current, &cat));
+        assert_eq!(d.target, current.id);
+        assert_eq!(d.trace.render_explanations(), ["No change needed"]);
     }
 }

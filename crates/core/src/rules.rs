@@ -48,7 +48,7 @@ pub const DOMINANT_WAIT_PCT: f64 = 70.0;
 /// reorder without bumping the trace format. [`HIGH_DEMAND`],
 /// [`LOW_DEMAND`] and [`ARBITRATION`] list their rows in this order too,
 /// which is what lets a [`RuleSet`] stand in for an evaluated-rule list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum RuleId {
     /// §4.2(a) at extreme pressure: everything HIGH/SIGNIFICANT *and*
@@ -86,7 +86,6 @@ pub enum RuleId {
     /// points down — scale down.
     ScaleDownDemand,
     /// §6 fallback branch: no rule fired — keep the current container.
-    #[default]
     HoldSteady,
     /// Gate: latency beyond
     /// [`EMERGENCY_FACTOR`](crate::policy::auto::EMERGENCY_FACTOR) × goal
@@ -199,6 +198,16 @@ impl RuleSet {
     /// Adds `id`.
     pub fn insert(&mut self, id: RuleId) {
         self.0 |= 1 << id.index();
+    }
+
+    /// Removes `id`.
+    pub fn remove(&mut self, id: RuleId) {
+        self.0 &= !(1 << id.index());
+    }
+
+    /// True when `id` is in the set.
+    pub fn contains(self, id: RuleId) -> bool {
+        self.0 & (1 << id.index()) != 0
     }
 
     /// Every id in `self` or `other`.
@@ -955,6 +964,12 @@ mod tests {
         );
         assert_eq!(set.last(), Some(RuleId::BalloonAbort));
         assert_eq!(set.iter().next_back(), Some(RuleId::BalloonAbort));
+        let mut set = set;
+        set.remove(RuleId::Low);
+        set.remove(RuleId::Low);
+        assert!(!set.contains(RuleId::Low));
+        assert!(set.contains(RuleId::HighA) && set.contains(RuleId::BalloonAbort));
+        assert_eq!(set.len(), 2);
     }
 
     #[test]

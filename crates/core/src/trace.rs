@@ -11,10 +11,10 @@
 //! clearer than a derive anyway. `f64` round-trips exactly because Rust's
 //! `Display` prints the shortest string that parses back to the same bits.
 //!
-//! A trace is fixed-size and `Copy`: evaluated-rule lists are
-//! [`RuleSet`]s, and the gates and explanations are [`FixedList`]s whose
-//! capacities follow from the §6 branch structure, so building one on the
-//! decision path allocates nothing.
+//! A trace is fixed-size and `Copy`: evaluated-rule lists and the gates
+//! are [`RuleSet`]s, so building one on the decision path allocates
+//! nothing. The §4 explanations are not stored at all:
+//! [`DecisionTrace::explanations`] derives them from the fields above.
 
 use crate::explain::{Explanation, ResourceSet};
 use crate::rules::{Bindings, RuleFire, RuleHistogram, RuleId, RuleSet};
@@ -26,103 +26,6 @@ use dasr_telemetry::signals::ResourceSignals;
 use dasr_telemetry::SignalSet;
 
 use self::json::Json;
-use std::fmt;
-use std::ops::Deref;
-
-/// An ordered list of at most `N` `Copy` items, stored inline.
-///
-/// Reads go through the slice it derefs to. Unused slots hold
-/// `T::default()` and take no part in equality or `Debug`.
-#[derive(Clone, Copy)]
-pub struct FixedList<T, const N: usize> {
-    len: u8,
-    items: [T; N],
-}
-
-impl<T: Copy + Default, const N: usize> FixedList<T, N> {
-    /// The empty list.
-    pub fn new() -> Self {
-        Self {
-            len: 0,
-            items: [T::default(); N],
-        }
-    }
-
-    /// Appends `item`. Callers size `N` so that this cannot overflow; a
-    /// debug build asserts it, and a release build keeps the first `N`.
-    pub fn push(&mut self, item: T) {
-        debug_assert!((self.len as usize) < N, "FixedList capacity {N} exceeded");
-        if let Some(slot) = self.items.get_mut(self.len as usize) {
-            *slot = item;
-            self.len += 1;
-        }
-    }
-
-    /// Keeps only the items `keep` accepts, in order.
-    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        let mut kept = Self::new();
-        for item in self.iter() {
-            if keep(item) {
-                kept.push(*item);
-            }
-        }
-        *self = kept;
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Default for FixedList<T, N> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T, const N: usize> Deref for FixedList<T, N> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.items[..self.len as usize]
-    }
-}
-
-impl<T: Copy + Default, const N: usize> FromIterator<T> for FixedList<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
-        let mut list = Self::new();
-        for item in items {
-            list.push(item);
-        }
-        list
-    }
-}
-
-impl<T: PartialEq, const N: usize> PartialEq for FixedList<T, N> {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl<T: fmt::Debug, const N: usize> fmt::Debug for FixedList<T, N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
-/// Most gates one Auto decision engages: one balloon gate (start or
-/// abort, never both), the emergency bypass, and at most two from the
-/// branch — scale-up adds a budget truncation and then, on the no-move
-/// path, a forced downgrade; scale-down adds a balloon-confirmed shrink
-/// and the latency headroom, or only the no-move path's forced downgrade.
-pub const GATE_CAPACITY: usize = 4;
-
-/// Most explanations one decision carries: one balloon explanation, then
-/// the scale-up branch's one bottleneck per resource (4) and two budget
-/// notes (truncation, then the no-move path's forced downgrade). Every
-/// other branch adds at most three.
-pub const EXPLANATION_CAPACITY: usize = 1 + RESOURCE_KINDS.len() + 2;
-
-/// A decision's gates, in the order they engaged.
-pub type Gates = FixedList<RuleId, GATE_CAPACITY>;
-
-/// A decision's explanations, in the order they were given.
-pub type Explanations = FixedList<Explanation, EXPLANATION_CAPACITY>;
 
 /// One resource dimension's slice of a decision trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -229,20 +132,23 @@ pub struct DecisionTrace {
     /// Rung steps actually granted (lockstep catalog: the container-rung
     /// delta, broadcast per dimension).
     pub granted: [i8; RESOURCE_KINDS.len()],
-    /// Whether the budget truncated, blocked or forced the move (§5).
-    pub budget_limited: bool,
     /// The balloon gate's event this decision (§4.3).
     pub balloon: BalloonGate,
     /// Gate rules that annotated the decision (emergency bypass, budget,
-    /// headroom, balloon), in the order they engaged.
-    pub gates: Gates,
+    /// headroom, balloon), iterated in wire order.
+    pub gates: RuleSet,
+    /// Share of waits attributable to application locks, %, as the
+    /// decision saw it (the Figure 13 lock-dominance input).
+    pub lock_wait_pct: f64,
+    /// The move was a whole-container step down taken without a latency
+    /// reading to justify it (Auto's idle or demand-free step, Util's
+    /// scale-in), so it is explained for every dimension rather than the
+    /// demanded ones.
+    pub whole_step_down: bool,
     /// Container the decision started from.
     pub from: ContainerId,
     /// Container chosen for the next interval.
     pub target: ContainerId,
-    /// The decision's explanations (§4) — structured; render with
-    /// [`DecisionTrace::render_explanations`].
-    pub explanations: Explanations,
 }
 
 impl DecisionTrace {
@@ -262,12 +168,12 @@ impl DecisionTrace {
             branch: RuleId::HoldSteady,
             demanded: [0; RESOURCE_KINDS.len()],
             granted: [0; RESOURCE_KINDS.len()],
-            budget_limited: false,
             balloon: BalloonGate::Disabled,
-            gates: Gates::new(),
+            gates: RuleSet::new(),
+            lock_wait_pct: signals.lock_wait_pct,
+            whole_step_down: false,
             from: current,
             target: current,
-            explanations: Explanations::new(),
         }
     }
 
@@ -302,12 +208,12 @@ impl DecisionTrace {
             branch: RuleId::HoldSteady,
             demanded: [0; RESOURCE_KINDS.len()],
             granted: [0; RESOURCE_KINDS.len()],
-            budget_limited: false,
             balloon: BalloonGate::Disabled,
-            gates: Gates::new(),
+            gates: RuleSet::new(),
+            lock_wait_pct: 0.0,
+            whole_step_down: false,
             from: container,
             target: container,
-            explanations: Explanations::new(),
         }
     }
 
@@ -318,10 +224,104 @@ impl DecisionTrace {
         self.granted = [delta; RESOURCE_KINDS.len()];
     }
 
+    /// Whether the budget truncated, blocked or forced the move (§5).
+    pub fn budget_limited(&self) -> bool {
+        self.gates.contains(RuleId::BudgetConstrained)
+            || self.gates.contains(RuleId::BudgetForcedDowngrade)
+    }
+
+    /// The decision's §4 explanations, derived from the trace's fields in
+    /// the order the decision gives them: the balloon event, the branch's
+    /// reasons, the budget's notes, and "No change needed" when nothing
+    /// else applies.
+    pub fn explanations(&self) -> Vec<Explanation> {
+        let mut out = Vec::new();
+        match self.balloon {
+            BalloonGate::Started { target_mb } => {
+                out.push(Explanation::BalloonStarted { target_mb });
+            }
+            BalloonGate::Aborted => out.push(Explanation::BalloonAborted),
+            _ => {}
+        }
+        let demanded = |keep: fn(i8) -> bool| {
+            self.resources
+                .iter()
+                .zip(self.demanded)
+                .filter(move |&(_, step)| keep(step))
+                .map(|(r, _)| r)
+        };
+        match self.branch {
+            RuleId::CooldownHold => out.push(Explanation::Cooldown),
+            RuleId::ScaleUpDemand => {
+                let bottlenecks = demanded(|step| step > 0).filter_map(|r| {
+                    let rule = r.fired?;
+                    Some(Explanation::ScaleUpBottleneck {
+                        resource: r.kind,
+                        rule,
+                    })
+                });
+                let before = out.len();
+                out.extend(bottlenecks);
+                if out.len() == before {
+                    // Util has no rule tables: it names the busiest
+                    // resource, the last of equals in `RESOURCE_KINDS` order.
+                    let busiest = self
+                        .resources
+                        .iter()
+                        .max_by(|a, b| a.util_pct.total_cmp(&b.util_pct))
+                        .expect("resources non-empty");
+                    out.push(Explanation::UtilScaleUp {
+                        resource: busiest.kind,
+                    });
+                }
+                if self.gates.contains(RuleId::BudgetConstrained) {
+                    out.push(Explanation::ScaleUpConstrainedByBudget);
+                }
+            }
+            RuleId::LockDominated => out.push(Explanation::NonResourceBottleneck {
+                lock_wait_pct: self.lock_wait_pct,
+            }),
+            RuleId::LatencyBadNoDemand => out.push(Explanation::LatencyBadNoDemand),
+            RuleId::ScaleDownDemand
+                if self.target != self.from
+                    && !self.gates.contains(RuleId::BudgetForcedDowngrade) =>
+            {
+                if self.gates.contains(RuleId::BalloonConfirmedShrink) {
+                    out.push(Explanation::ScaleDownBalloonConfirmed);
+                }
+                let headroom = self.gates.contains(RuleId::LatencyHeadroom);
+                out.push(
+                    match (headroom, self.latency.observed_ms, self.latency.goal_ms) {
+                        (true, Some(observed_ms), Some(goal_ms)) => {
+                            Explanation::ScaleDownLatencyHeadroom {
+                                observed_ms,
+                                goal_ms,
+                            }
+                        }
+                        _ if self.whole_step_down => Explanation::ScaleDownLowDemand {
+                            resources: ResourceSet::ALL,
+                        },
+                        _ => Explanation::ScaleDownLowDemand {
+                            resources: demanded(|step| step < 0).map(|r| r.kind).collect(),
+                        },
+                    },
+                );
+            }
+            _ => {}
+        }
+        if self.gates.contains(RuleId::BudgetForcedDowngrade) {
+            out.push(Explanation::ScaleUpConstrainedByBudget);
+        }
+        if out.is_empty() {
+            out.push(Explanation::NoChange);
+        }
+        out
+    }
+
     /// Renders the human-readable explanation lines from the structured
     /// trace — the only path that produces explanation text.
     pub fn render_explanations(&self) -> Vec<String> {
-        self.explanations.iter().map(|e| e.to_string()).collect()
+        self.explanations().iter().map(|e| e.to_string()).collect()
     }
 
     /// Adds every rule fire in this trace (per-resource fires, the
@@ -333,7 +333,7 @@ impl DecisionTrace {
             }
         }
         hist.record(self.branch);
-        for &gate in self.gates.iter() {
+        for gate in self.gates.iter() {
             hist.record(gate);
         }
     }
@@ -391,16 +391,10 @@ impl DecisionTrace {
                 "granted".into(),
                 Json::Arr(self.granted.iter().map(|&s| Json::Num(s as f64)).collect()),
             ),
-            ("budget_limited".into(), Json::Bool(self.budget_limited)),
             ("balloon".into(), balloon_to_json(&self.balloon)),
-            (
-                "gates".into(),
-                rule_list_to_json(self.gates.iter().copied()),
-            ),
-            (
-                "explanations".into(),
-                Json::Arr(self.explanations.iter().map(explanation_to_json).collect()),
-            ),
+            ("gates".into(), rule_list_to_json(self.gates.iter())),
+            ("lock_wait_pct".into(), Json::Num(self.lock_wait_pct)),
+            ("whole_step_down".into(), Json::Bool(self.whole_step_down)),
         ])
     }
 
@@ -419,10 +413,10 @@ impl DecisionTrace {
         }
         let latency = v.get("latency")?;
         Ok(Self {
-            interval: v.get("interval")?.num()? as u64,
+            interval: v.get("interval")?.int()?,
             tenant: match v.get("tenant")? {
                 Json::Null => None,
-                other => Some(other.num()? as u64),
+                other => Some(other.int()?),
             },
             resources,
             latency: LatencyTrace {
@@ -434,12 +428,12 @@ impl DecisionTrace {
             branch: rule_from_str(v.get("branch")?.str()?)?,
             demanded: steps_from_json(v.get("demanded")?)?,
             granted: steps_from_json(v.get("granted")?)?,
-            budget_limited: v.get("budget_limited")?.bool()?,
             balloon: balloon_from_json(v.get("balloon")?)?,
-            gates: fixed_list_from_json(v.get("gates")?, |j| rule_from_str(j.str()?))?,
-            from: ContainerId(v.get("from")?.num()? as u32),
-            target: ContainerId(v.get("target")?.num()? as u32),
-            explanations: fixed_list_from_json(v.get("explanations")?, explanation_from_json)?,
+            gates: rule_set_from_json(v.get("gates")?)?,
+            lock_wait_pct: v.get("lock_wait_pct")?.num()?,
+            whole_step_down: v.get("whole_step_down")?.bool()?,
+            from: ContainerId(v.get("from")?.int()?),
+            target: ContainerId(v.get("target")?.int()?),
         })
     }
 }
@@ -450,8 +444,8 @@ fn rule_list_to_json(rules: impl Iterator<Item = RuleId>) -> Json {
     Json::Arr(rules.map(|r| Json::Str(r.name().into())).collect())
 }
 
-/// Decodes an evaluated-rule list. A [`RuleSet`] holds only lists in
-/// strictly ascending wire order, which is all the tables produce; any
+/// Decodes an evaluated-rule or gate list. A [`RuleSet`] holds only lists
+/// in strictly ascending wire order, which is all the encoder writes; any
 /// other list is an error rather than silently reordered.
 fn rule_set_from_json(v: &Json) -> Result<RuleSet, String> {
     let mut set = RuleSet::new();
@@ -463,23 +457,6 @@ fn rule_set_from_json(v: &Json) -> Result<RuleSet, String> {
         set.insert(id);
     }
     Ok(set)
-}
-
-/// Decodes an array into a [`FixedList`]; an array longer than the list's
-/// capacity is an error, not a truncation.
-fn fixed_list_from_json<T: Copy + Default, const N: usize>(
-    v: &Json,
-    item: impl Fn(&Json) -> Result<T, String>,
-) -> Result<FixedList<T, N>, String> {
-    let arr = v.arr()?;
-    if arr.len() > N {
-        return Err(format!("{} items exceed the capacity of {N}", arr.len()));
-    }
-    let mut list = FixedList::new();
-    for j in arr {
-        list.push(item(j)?);
-    }
-    Ok(list)
 }
 
 fn rule_from_str(name: &str) -> Result<RuleId, String> {
@@ -534,7 +511,7 @@ fn steps_from_json(v: &Json) -> Result<[i8; RESOURCE_KINDS.len()], String> {
     }
     let mut out = [0i8; RESOURCE_KINDS.len()];
     for (slot, j) in out.iter_mut().zip(arr.iter()) {
-        *slot = j.num()? as i8;
+        *slot = j.int()?;
     }
     Ok(out)
 }
@@ -555,7 +532,7 @@ fn fire_to_json(fire: &RuleFire) -> Json {
 fn fire_from_json(v: &Json) -> Result<RuleFire, String> {
     Ok(RuleFire {
         id: rule_from_str(v.get("rule")?.str()?)?,
-        step: v.get("step")?.num()? as i8,
+        step: v.get("step")?.int()?,
         bindings: Bindings {
             util_pct: v.get("util_pct")?.num()?,
             wait_pct: v.get("wait_pct")?.num()?,
@@ -635,94 +612,6 @@ fn balloon_from_json(v: &Json) -> Result<BalloonGate, String> {
     }
 }
 
-fn explanation_to_json(e: &Explanation) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let why = match e {
-        Explanation::ScaleUpBottleneck { resource, rule } => {
-            fields.push(("resource".into(), Json::Str(resource.name().into())));
-            fields.push(("rule".into(), fire_to_json(rule)));
-            "scale_up_bottleneck"
-        }
-        Explanation::UtilScaleUp { resource } => {
-            fields.push(("resource".into(), Json::Str(resource.name().into())));
-            "util_scale_up"
-        }
-        Explanation::ScaleUpConstrainedByBudget => "budget_constrained",
-        Explanation::ScaleDownLowDemand { resources } => {
-            fields.push((
-                "resources".into(),
-                Json::Arr(
-                    resources
-                        .iter()
-                        .map(|k| Json::Str(k.name().into()))
-                        .collect(),
-                ),
-            ));
-            "scale_down_low_demand"
-        }
-        Explanation::ScaleDownLatencyHeadroom {
-            observed_ms,
-            goal_ms,
-        } => {
-            fields.push(("observed_ms".into(), Json::Num(*observed_ms)));
-            fields.push(("goal_ms".into(), Json::Num(*goal_ms)));
-            "scale_down_latency_headroom"
-        }
-        Explanation::ScaleDownBalloonConfirmed => "scale_down_balloon_confirmed",
-        Explanation::NonResourceBottleneck { lock_wait_pct } => {
-            fields.push(("lock_wait_pct".into(), Json::Num(*lock_wait_pct)));
-            "non_resource_bottleneck"
-        }
-        Explanation::LatencyBadNoDemand => "latency_bad_no_demand",
-        Explanation::BalloonStarted { target_mb } => {
-            fields.push(("target_mb".into(), Json::Num(*target_mb)));
-            "balloon_started"
-        }
-        Explanation::BalloonAborted => "balloon_aborted",
-        Explanation::Cooldown => "cooldown",
-        Explanation::NoChange => "no_change",
-    };
-    fields.insert(0, ("why".into(), Json::Str(why.into())));
-    Json::Obj(fields)
-}
-
-fn explanation_from_json(v: &Json) -> Result<Explanation, String> {
-    Ok(match v.get("why")?.str()? {
-        "scale_up_bottleneck" => Explanation::ScaleUpBottleneck {
-            resource: kind_from_str(v.get("resource")?.str()?)?,
-            rule: fire_from_json(v.get("rule")?)?,
-        },
-        "util_scale_up" => Explanation::UtilScaleUp {
-            resource: kind_from_str(v.get("resource")?.str()?)?,
-        },
-        "budget_constrained" => Explanation::ScaleUpConstrainedByBudget,
-        "scale_down_low_demand" => Explanation::ScaleDownLowDemand {
-            resources: v
-                .get("resources")?
-                .arr()?
-                .iter()
-                .map(|j| kind_from_str(j.str()?))
-                .collect::<Result<ResourceSet, _>>()?,
-        },
-        "scale_down_latency_headroom" => Explanation::ScaleDownLatencyHeadroom {
-            observed_ms: v.get("observed_ms")?.num()?,
-            goal_ms: v.get("goal_ms")?.num()?,
-        },
-        "scale_down_balloon_confirmed" => Explanation::ScaleDownBalloonConfirmed,
-        "non_resource_bottleneck" => Explanation::NonResourceBottleneck {
-            lock_wait_pct: v.get("lock_wait_pct")?.num()?,
-        },
-        "latency_bad_no_demand" => Explanation::LatencyBadNoDemand,
-        "balloon_started" => Explanation::BalloonStarted {
-            target_mb: v.get("target_mb")?.num()?,
-        },
-        "balloon_aborted" => Explanation::BalloonAborted,
-        "cooldown" => Explanation::Cooldown,
-        "no_change" => Explanation::NoChange,
-        other => return Err(format!("unknown explanation {other:?}")),
-    })
-}
-
 /// A minimal JSON value with a writer and a recursive-descent parser —
 /// exactly the subset the trace and [`crate::obs`] formats need. Public
 /// so out-of-tree tooling (the `dasr-lint` report writer) can emit the
@@ -771,6 +660,21 @@ pub mod json {
                 Json::Num(n) => Ok(*n),
                 other => Err(format!("expected number, found {other:?}")),
             }
+        }
+
+        /// The value as an integer of type `T`: only a number that is
+        /// integral and in `T`'s range converts, anything else is an error
+        /// rather than a truncating or saturating cast.
+        pub fn int<T: TryFrom<i128>>(&self) -> Result<T, String> {
+            let n = self.num()?;
+            // An integral f64 below 2^127 in magnitude converts to i128
+            // exactly; anything larger saturates and fails `try_from`.
+            if n.is_finite() && n.fract() == 0.0 {
+                if let Ok(v) = T::try_from(n as i128) {
+                    return Ok(v);
+                }
+            }
+            Err(format!("expected an integer in range, found {n}"))
         }
 
         /// The value as a number, with `Null` mapping to `None`.
@@ -1062,17 +966,10 @@ mod tests {
         t.branch = RuleId::ScaleUpDemand;
         t.demanded = [1, 0, 0, -1];
         t.granted = [1, 1, 1, 1];
-        t.budget_limited = true;
-        t.balloon = BalloonGate::Started { target_mb: 1740.5 };
-        t.gates = Gates::from_iter([RuleId::EmergencyBypass, RuleId::BudgetConstrained]);
+        t.balloon = BalloonGate::Confirmed { target_mb: 1740.5 };
+        t.gates = RuleSet::from_iter([RuleId::EmergencyBypass, RuleId::BudgetConstrained]);
+        t.lock_wait_pct = 12.375;
         t.target = ContainerId(3);
-        t.explanations = Explanations::from_iter([
-            Explanation::ScaleUpBottleneck {
-                resource: ResourceKind::Cpu,
-                rule: t.resources[0].fired.unwrap(),
-            },
-            Explanation::ScaleUpConstrainedByBudget,
-        ]);
         t
     }
 
@@ -1099,6 +996,7 @@ mod tests {
     #[test]
     fn explanations_render_from_structure() {
         let t = sample_trace();
+        assert!(t.budget_limited());
         let lines = t.render_explanations();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("Scale-up due to a cpu bottleneck"));
@@ -1125,41 +1023,40 @@ mod tests {
         assert!(DecisionTrace::from_json_line("{\"interval\":1").is_err());
         let good = sample_trace().to_json_line();
         assert!(DecisionTrace::from_json_line(&format!("{good}x")).is_err());
+        // Integers are checked, not cast: a step beyond `i8` and a
+        // negative container id are errors, not 127 and container 0.
+        for (field, bad) in [
+            ("\"demanded\":[1,0,0,-1]", "\"demanded\":[300,0,0,0]"),
+            ("\"from\":2", "\"from\":-1"),
+            ("\"interval\":42", "\"interval\":42.5"),
+        ] {
+            let line = good.replace(field, bad);
+            assert_ne!(line, good, "{field}");
+            let err = DecisionTrace::from_json_line(&line).unwrap_err();
+            assert!(err.contains("integer"), "{bad}: {err}");
+        }
     }
 
     #[test]
     fn unrepresentable_lists_are_rejected_not_rewritten() {
         let line = sample_trace().to_json_line();
-        let gates = format!("[{}]", ["\"balloon_start\""; GATE_CAPACITY + 1].join(","));
-        let over = line.replace(
-            "\"gates\":[\"emergency_bypass\",\"budget_constrained\"]",
-            &format!("\"gates\":{gates}"),
-        );
-        assert_ne!(over, line);
-        let err = DecisionTrace::from_json_line(&over).unwrap_err();
-        assert!(err.contains("capacity"), "{err}");
-        // An evaluated list out of wire order cannot come from the tables.
-        let reordered = line.replace(
-            "\"arbitration\":[\"cooldown_hold\",\"scale_up_demand\"]",
-            "\"arbitration\":[\"scale_up_demand\",\"cooldown_hold\"]",
-        );
-        assert_ne!(reordered, line);
-        let err = DecisionTrace::from_json_line(&reordered).unwrap_err();
-        assert!(err.contains("wire order"), "{err}");
-    }
-
-    #[test]
-    fn fixed_list_keeps_order_through_retain() {
-        let mut gates = Gates::from_iter([
-            RuleId::BalloonStart,
-            RuleId::EmergencyBypass,
-            RuleId::BudgetConstrained,
-        ]);
-        gates.retain(|&g| g != RuleId::BalloonStart);
-        assert_eq!(*gates, [RuleId::EmergencyBypass, RuleId::BudgetConstrained]);
-        gates.push(RuleId::LatencyHeadroom);
-        assert_eq!(gates.len(), 3);
-        assert_eq!(gates, Gates::from_iter(gates.iter().copied()));
+        // Gates and evaluated lists are written in wire order; any other
+        // order cannot come from the encoder.
+        for (ordered, reordered) in [
+            (
+                "\"gates\":[\"emergency_bypass\",\"budget_constrained\"]",
+                "\"gates\":[\"budget_constrained\",\"emergency_bypass\"]",
+            ),
+            (
+                "\"arbitration\":[\"cooldown_hold\",\"scale_up_demand\"]",
+                "\"arbitration\":[\"scale_up_demand\",\"cooldown_hold\"]",
+            ),
+        ] {
+            let bad = line.replace(ordered, reordered);
+            assert_ne!(bad, line, "{ordered}");
+            let err = DecisionTrace::from_json_line(&bad).unwrap_err();
+            assert!(err.contains("wire order"), "{err}");
+        }
     }
 
     #[test]

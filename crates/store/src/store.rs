@@ -179,12 +179,12 @@ impl RunManifest {
         if v.get("kind")?.str()? != "dasr-run" {
             return Err("not a dasr-run manifest line".into());
         }
-        let version = v.get("version")?.num()? as u64;
+        let version: u64 = v.get("version")?.int()?;
         if version != 1 {
             return Err(format!("unsupported manifest version {version}"));
         }
         Ok(Self {
-            run: RunId(v.get("run")?.num()? as u32),
+            run: RunId(v.get("run")?.int()?),
             meta: RunMeta {
                 policy: v.get("policy")?.str()?.to_string(),
                 workload: v.get("workload")?.str()?.to_string(),
@@ -194,11 +194,11 @@ impl RunManifest {
                     .str()?
                     .parse::<u64>()
                     .map_err(|e| format!("bad seed: {e}"))?,
-                tenants: v.get("tenants")?.num()? as u64,
-                intervals: v.get("intervals")?.num()? as u64,
+                tenants: v.get("tenants")?.int()?,
+                intervals: v.get("intervals")?.int()?,
             },
-            samples: v.get("samples")?.num()? as u64,
-            events: v.get("events")?.num()? as u64,
+            samples: v.get("samples")?.int()?,
+            events: v.get("events")?.int()?,
         })
     }
 }
@@ -393,9 +393,12 @@ impl Store {
         let manifest = recover_manifest(&dir, &mut notes)?;
         let max_manifest_run = manifest.iter().map(|m| m.run.0).max();
         let max_stored_run = indices.iter().filter_map(SegmentIndex::max_run).max();
-        let next_run = max_manifest_run
-            .max(max_stored_run)
-            .map_or(0, |max| max + 1);
+        let next_run = match max_manifest_run.max(max_stored_run) {
+            None => 0,
+            Some(max) => max.checked_add(1).ok_or_else(|| {
+                StoreError::Corrupt(format!("run id {max} leaves no id for a new run"))
+            })?,
+        };
         let writer = StoreWriter::spawn(dir.clone(), cfg, indices)?;
         Ok(Self {
             dir,
@@ -983,6 +986,40 @@ mod tests {
         let line = entry.to_json_line();
         assert_eq!(RunManifest::from_json_line(&line).expect("parses"), entry);
         assert!(RunManifest::from_json_line("{\"kind\":\"nope\"}").is_err());
+    }
+
+    #[test]
+    fn hostile_manifest_run_ids_are_corrupt_not_a_panic() {
+        let good = RunManifest {
+            run: RunId(0),
+            meta: RunMeta::new("auto", "cpuio", "flat", 7),
+            samples: 0,
+            events: 0,
+        }
+        .to_json_line();
+        for (i, run) in ["4294967295", "1e10", "-1", "0.5"].into_iter().enumerate() {
+            let hostile = good.replace("\"run\":0", &format!("\"run\":{run}"));
+            assert_ne!(hostile, good);
+            // An id that does not fit `u32` exactly is rejected by the
+            // decoder; the largest one that fits leaves no next id.
+            assert_eq!(
+                RunManifest::from_json_line(&hostile).is_ok(),
+                i == 0,
+                "{run}"
+            );
+            let dir = fresh_dir(&format!("hostile-run-{i}"));
+            std::fs::create_dir_all(&dir).expect("mkdir");
+            let text = format!("{hostile}\n{good}\n");
+            std::fs::write(dir.join(MANIFEST_FILE), &text).expect("manifest");
+            let err = Store::open(&dir).err();
+            assert!(
+                matches!(err, Some(StoreError::Corrupt(_))),
+                "{run}: {err:?}"
+            );
+            let kept = std::fs::read_to_string(dir.join(MANIFEST_FILE)).expect("read");
+            assert_eq!(kept, text, "{run}: the manifest is left as it was");
+            std::fs::remove_dir_all(&dir).expect("cleanup");
+        }
     }
 
     #[test]
