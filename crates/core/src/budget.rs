@@ -195,6 +195,46 @@ mod tests {
         assert_eq!(m.spent(), spent);
     }
 
+    /// Every spending path of small budgets: costs {1, 2, 3, 5} (so Cmin 1
+    /// and Cmax 5), n ≤ 7 intervals, B = n·Cmin + 0..=12, under Aggressive
+    /// and Conservative K = 1..=3, buying at every interval each cost that
+    /// is affordable.
+    #[test]
+    fn every_affordable_spending_path_stays_within_budget() {
+        const COSTS: [f64; 4] = [1.0, 2.0, 3.0, 5.0];
+        /// Counts the states visited and the complete paths.
+        fn walk(m: &BudgetManager, states: &mut u64, paths: &mut u64) {
+            *states += 1;
+            if m.elapsed() == m.intervals() {
+                assert!(m.spent() <= m.budget(), "overspent: {m:?}");
+                *paths += 1;
+                return;
+            }
+            assert!(m.available() >= m.min_cost(), "B_i < Cmin: {m:?}");
+            for cost in COSTS.into_iter().filter(|&c| c <= m.available()) {
+                let mut next = m.clone();
+                assert!(next.charge(cost), "affordable {cost} refused: {m:?}");
+                walk(&next, states, paths);
+            }
+        }
+        let (mut states, mut paths) = (0, 0);
+        for n in 1..=7u64 {
+            for surplus in 0..=12 {
+                let budget = n as f64 * COSTS[0] + f64::from(surplus);
+                for strategy in [
+                    BudgetStrategy::Aggressive,
+                    BudgetStrategy::Conservative { k: 1 },
+                    BudgetStrategy::Conservative { k: 2 },
+                    BudgetStrategy::Conservative { k: 3 },
+                ] {
+                    let m = BudgetManager::new(budget, n, COSTS[0], COSTS[3], strategy);
+                    walk(&m, &mut states, &mut paths);
+                }
+            }
+        }
+        assert_eq!((states, paths), (295_184, 190_511));
+    }
+
     #[test]
     fn cheapest_container_always_affordable() {
         // Even after a maximal early burst, Bᵢ ≥ Cmin at every decision.

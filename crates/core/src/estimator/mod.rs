@@ -105,15 +105,6 @@ impl DemandEstimate {
     pub fn down_steps(&self) -> [i8; RESOURCE_KINDS.len()] {
         self.per_resource(|d| d.step.min(0))
     }
-
-    /// True when every dimension *except memory* has low (negative) demand
-    /// — the §4.3 precondition for triggering a balloon probe.
-    pub fn others_low_for_balloon(&self) -> bool {
-        self.demands
-            .iter()
-            .filter(|d| d.kind != ResourceKind::Memory)
-            .all(|d| d.step < 0)
-    }
 }
 
 /// The rule-based demand estimator (§4).
@@ -388,7 +379,11 @@ mod tests {
             0,
             "memory scale-down only via ballooning (§4.3)"
         );
-        assert!(e.others_low_for_balloon());
+        assert!(e
+            .demands
+            .iter()
+            .filter(|d| d.kind != ResourceKind::Memory)
+            .all(|d| d.step < 0));
     }
 
     #[test]

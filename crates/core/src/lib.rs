@@ -17,7 +17,9 @@
 //!   first-match-wins, every fire carrying a stable [`rules::RuleId`];
 //! - [`trace`] — the **structured decision trace**: what every decision
 //!   saw (categorized signals), which rules it evaluated and fired, what
-//!   it demanded vs got, and why — serializable as JSON lines;
+//!   it demanded vs got, and why — written out as JSON lines;
+//! - [`json`] — the serde-free JSON value, writer and depth-bounded parser
+//!   behind every JSON line the workspace writes or reads;
 //! - [`explain`] — the human-readable explanations every decision carries
 //!   (§4: "Scale-up due to a CPU bottleneck", "Scale-up constrained by
 //!   budget", …), rendered from the structured trace;
@@ -58,6 +60,7 @@
 pub mod budget;
 pub mod estimator;
 pub mod explain;
+pub mod json;
 pub mod knobs;
 pub mod obs;
 pub mod policy;
@@ -90,5 +93,4 @@ pub use runner::ordered::ordered_shards;
 pub use runner::shard::{FleetAccumulator, FleetSummary, REQUEST_LATENCY_BOUNDS};
 pub use runner::source::SimulatorSource;
 pub use runner::{ClosedLoop, Controller, RunConfig, Step};
-pub use trace::json;
 pub use trace::{BalloonGate, DecisionTrace};

@@ -6,11 +6,11 @@
 //! structured state the loop already produced — the
 //! [`crate::trace::DecisionTrace`], the interval's counters — never from
 //! formatted text, honoring the repo rule that human-readable output is
-//! rendered from structure, not stored. Serialization reuses the same
-//! hand-rolled JSON writer/parser as [`crate::trace`] (the workspace is
-//! offline and serde-free).
+//! rendered from structure, not stored. Events are written through
+//! [`crate::json`], like [`crate::trace`]; they are output only, and
+//! nothing in the workspace reads an event line back.
 
-use crate::trace::json::{self, Json};
+use crate::json::Json;
 use std::fmt;
 
 /// Why a wanted resize was not issued (§5 budget gate, §6 cooldown).
@@ -28,15 +28,6 @@ impl DenyReason {
         match self {
             DenyReason::Cooldown => "cooldown",
             DenyReason::Budget => "budget",
-        }
-    }
-
-    /// Parses a wire name back to the reason.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "cooldown" => Some(DenyReason::Cooldown),
-            "budget" => Some(DenyReason::Budget),
-            _ => None,
         }
     }
 }
@@ -59,16 +50,6 @@ impl BalloonPhase {
             BalloonPhase::Started => "started",
             BalloonPhase::Aborted => "aborted",
             BalloonPhase::Confirmed => "confirmed",
-        }
-    }
-
-    /// Parses a wire name back to the phase.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "started" => Some(BalloonPhase::Started),
-            "aborted" => Some(BalloonPhase::Aborted),
-            "confirmed" => Some(BalloonPhase::Confirmed),
-            _ => None,
         }
     }
 }
@@ -152,7 +133,10 @@ impl EventKind {
 ///     kind: EventKind::ResizeIssued { from_rung: 1, to_rung: 2 },
 /// };
 /// let line = ev.to_json_line();
-/// assert_eq!(RunEvent::from_json_line(&line).unwrap(), ev);
+/// assert_eq!(
+///     line,
+///     r#"{"event":"resize_issued","tenant":3,"interval":17,"from_rung":1,"to_rung":2}"#
+/// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunEvent {
@@ -168,18 +152,19 @@ pub struct RunEvent {
 impl RunEvent {
     /// Serializes the event as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
+        // Every field is named, so a field added later does not compile
+        // until it is written here.
+        let RunEvent {
+            tenant,
+            interval,
+            kind,
+        } = self;
         let mut fields = vec![
-            ("event".to_string(), Json::Str(self.kind.name().into())),
-            (
-                "tenant".into(),
-                match self.tenant {
-                    Some(t) => Json::Num(t as f64),
-                    None => Json::Null,
-                },
-            ),
-            ("interval".into(), Json::Num(self.interval as f64)),
+            ("event".to_string(), Json::Str(kind.name().into())),
+            ("tenant".into(), Json::from_opt(tenant.map(|t| t as f64))),
+            ("interval".into(), Json::Num(*interval as f64)),
         ];
-        match &self.kind {
+        match kind {
             EventKind::IntervalStart => {}
             EventKind::IntervalEnd {
                 latency_ms,
@@ -213,48 +198,6 @@ impl RunEvent {
             }
         }
         Json::Obj(fields).write()
-    }
-
-    /// Parses an event back from [`RunEvent::to_json_line`] output.
-    pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let v = json::parse(line)?;
-        let kind = match v.get("event")?.str()? {
-            "interval_start" => EventKind::IntervalStart,
-            "interval_end" => EventKind::IntervalEnd {
-                latency_ms: v.get("latency_ms")?.opt_num()?,
-                completed: v.get("completed")?.int()?,
-                rejected: v.get("rejected")?.int()?,
-            },
-            "resize_issued" => EventKind::ResizeIssued {
-                from_rung: v.get("from_rung")?.int()?,
-                to_rung: v.get("to_rung")?.int()?,
-            },
-            "resize_denied" => EventKind::ResizeDenied {
-                reason: DenyReason::from_name(v.get("reason")?.str()?)
-                    .ok_or_else(|| "unknown deny reason".to_string())?,
-            },
-            "budget_throttle" => EventKind::BudgetThrottle {
-                headroom_pct: v.get("headroom_pct")?.num()?,
-            },
-            "balloon_trigger" => EventKind::BalloonTrigger {
-                phase: BalloonPhase::from_name(v.get("phase")?.str()?)
-                    .ok_or_else(|| "unknown balloon phase".to_string())?,
-                target_mb: v.get("target_mb")?.opt_num()?,
-            },
-            "slo_violation" => EventKind::SloViolation {
-                observed_ms: v.get("observed_ms")?.num()?,
-                goal_ms: v.get("goal_ms")?.num()?,
-            },
-            other => return Err(format!("unknown event {other:?}")),
-        };
-        Ok(Self {
-            tenant: match v.get("tenant")? {
-                Json::Null => None,
-                other => Some(other.int()?),
-            },
-            interval: v.get("interval")?.int()?,
-            kind,
-        })
     }
 }
 
@@ -340,22 +283,37 @@ mod tests {
                 observed_ms: 150.5,
                 goal_ms: 100.0,
             },
+            EventKind::BalloonTrigger {
+                phase: BalloonPhase::Confirmed,
+                target_mb: Some(1024.0),
+            },
         ]
     }
 
     #[test]
-    fn every_kind_round_trips() {
-        for (i, kind) in all_kinds().into_iter().enumerate() {
+    fn every_kind_encodes_to_its_pinned_line() {
+        let pinned = [
+            r#"{"event":"interval_start","tenant":0,"interval":100}"#,
+            r#"{"event":"interval_end","tenant":null,"interval":101,"latency_ms":41.25,"completed":640,"rejected":2}"#,
+            r#"{"event":"interval_end","tenant":2,"interval":102,"latency_ms":null,"completed":0,"rejected":0}"#,
+            r#"{"event":"resize_issued","tenant":null,"interval":103,"from_rung":2,"to_rung":4}"#,
+            r#"{"event":"resize_denied","tenant":4,"interval":104,"reason":"cooldown"}"#,
+            r#"{"event":"resize_denied","tenant":null,"interval":105,"reason":"budget"}"#,
+            r#"{"event":"budget_throttle","tenant":6,"interval":106,"headroom_pct":12.5}"#,
+            r#"{"event":"balloon_trigger","tenant":null,"interval":107,"phase":"started","target_mb":1740.5}"#,
+            r#"{"event":"balloon_trigger","tenant":8,"interval":108,"phase":"aborted","target_mb":null}"#,
+            r#"{"event":"slo_violation","tenant":null,"interval":109,"observed_ms":150.5,"goal_ms":100}"#,
+            r#"{"event":"balloon_trigger","tenant":10,"interval":110,"phase":"confirmed","target_mb":1024}"#,
+        ];
+        let kinds = all_kinds();
+        assert_eq!(kinds.len(), pinned.len());
+        for (i, (kind, want)) in kinds.into_iter().zip(pinned).enumerate() {
             let ev = RunEvent {
                 tenant: if i % 2 == 0 { Some(i as u64) } else { None },
                 interval: 100 + i as u64,
                 kind,
             };
-            let line = ev.to_json_line();
-            assert!(!line.contains('\n'));
-            let back = RunEvent::from_json_line(&line).expect(&line);
-            assert_eq!(back, ev);
-            assert_eq!(back.to_json_line(), line, "stable serialization");
+            assert_eq!(ev.to_json_line(), want);
         }
     }
 
@@ -369,26 +327,6 @@ mod tests {
             };
             assert!(!ev.to_string().is_empty());
             assert!(ev.to_string().starts_with("[t001 i0005]"));
-        }
-    }
-
-    #[test]
-    fn malformed_lines_are_rejected() {
-        assert!(RunEvent::from_json_line("").is_err());
-        assert!(RunEvent::from_json_line("{}").is_err());
-        assert!(
-            RunEvent::from_json_line("{\"event\":\"nope\",\"tenant\":null,\"interval\":1}")
-                .is_err()
-        );
-        // Integers are checked, not cast.
-        for line in [
-            "{\"event\":\"interval_start\",\"tenant\":null,\"interval\":-1}",
-            "{\"event\":\"interval_start\",\"tenant\":1.5,\"interval\":1}",
-            "{\"event\":\"resize_issued\",\"tenant\":null,\"interval\":1,\
-              \"from_rung\":300,\"to_rung\":1}",
-        ] {
-            let err = RunEvent::from_json_line(line).unwrap_err();
-            assert!(err.contains("integer"), "{line}: {err}");
         }
     }
 }

@@ -889,9 +889,9 @@ mod tests {
         assert!(lines[0].contains("\"metric\":\"intervals_run\""));
         assert!(out.contains("\"type\":\"timer\""));
         assert!(out.contains("rule_fires.hold_steady"));
-        // Every line parses as one JSON object via the trace parser.
+        // Every line parses as one JSON object.
         for line in lines {
-            crate::trace::json::parse(line).expect("valid JSON line");
+            crate::json::parse(line).expect("valid JSON line");
         }
     }
 

@@ -1023,6 +1023,26 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_manifest_line_is_corrupt_not_a_stack_overflow() {
+        let good = RunManifest {
+            run: RunId(0),
+            meta: RunMeta::new("auto", "cpuio", "flat", 7),
+            samples: 0,
+            events: 0,
+        }
+        .to_json_line();
+        let dir = fresh_dir("hostile-nesting");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let text = format!("{}\n{good}\n", "[".repeat(100_000));
+        std::fs::write(dir.join(MANIFEST_FILE), &text).expect("manifest");
+        let err = Store::open(&dir).err();
+        assert!(matches!(err, Some(StoreError::Corrupt(_))), "{err:?}");
+        let kept = std::fs::read_to_string(dir.join(MANIFEST_FILE)).expect("read");
+        assert_eq!(kept, text, "the manifest is left as it was");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
     fn runs_commit_through_the_manifest() {
         let dir = fresh_dir("commit");
         let mut store = Store::open(&dir).expect("open");
