@@ -264,17 +264,56 @@ fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Resu
     }
 }
 
+/// Parses a number with RFC 8259's grammar (§6):
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A leading
+/// `+`, a bare `.`, a leading zero or an empty fraction or exponent is
+/// not a JSON number, whatever `f64::from_str` would make of it.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
+    if scan_number(bytes, pos).is_none() {
+        let len = bytes[start..]
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .count();
+        let text = String::from_utf8_lossy(&bytes[start..start + len]);
+        return Err(format!("invalid number {text:?} at byte {start}"));
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii slice");
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+}
+
+/// Advances `pos` past the one RFC 8259 number that starts there; `None`
+/// when the bytes there do not start one.
+fn scan_number(bytes: &[u8], pos: &mut usize) -> Option<()> {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        (*pos > from).then_some(())
+    };
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    match bytes.get(*pos)? {
+        b'0' => *pos += 1,
+        b'1'..=b'9' => digits(pos)?,
+        _ => return None,
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        digits(pos)?;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        digits(pos)?;
+    }
+    Some(())
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -338,5 +377,25 @@ mod tests {
         // 2 MiB thread stack.
         let err = parse(&"[".repeat(100_000)).unwrap_err();
         assert!(err.contains("nested deeper"), "{err}");
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for text in ["+1", ".5", "1.", "01", "+.5e-3", "-", "1e"] {
+            assert!(parse(text).is_err(), "{text:?} is not a JSON number");
+            assert!(parse(&format!("[{text}]")).is_err(), "[{text}]");
+        }
+        for (text, want) in [
+            ("0", 0.0f64),
+            ("-0", -0.0),
+            ("1.5e-3", 1.5e-3),
+            ("1E+2", 100.0),
+            ("4294967295", 4_294_967_295.0),
+        ] {
+            match parse(text) {
+                Ok(Json::Num(got)) => assert_eq!(got.to_bits(), want.to_bits(), "{text:?}"),
+                other => panic!("{text:?} parsed to {other:?}"),
+            }
+        }
     }
 }

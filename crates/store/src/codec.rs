@@ -31,6 +31,10 @@
 //! sequence, so the PR-8 determinism argument (DESIGN.md §16) carries
 //! over verbatim; DESIGN.md §17 extends it to this codec.
 //!
+//! Decoding reads every field through a small `Copy` error type; an
+//! error message is written only when a frame is refused, in
+//! [`BatchDecoder::decode_next`].
+//!
 //! The byte layout is specified normatively in `docs/STORE_FORMAT.md`
 //! §9–§10, whose worked hex dump the `format_spec` test decodes with
 //! this module.
@@ -71,25 +75,96 @@ pub fn put_ivar(buf: &mut Vec<u8>, v: i64) {
     put_uvar(buf, ((v << 1) ^ (v >> 63)) as u64);
 }
 
+/// Why a frame was refused. Small and `Copy`, so every field read on
+/// the decode path returns it without touching the heap; it becomes text
+/// only once, in [`BatchDecoder::decode_next`], through [`message`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DecodeError {
+    /// A fixed-width read of `wanted` bytes ran past the payload.
+    Truncated { wanted: u8 },
+    /// A varint ran past the payload.
+    VarintTruncated,
+    /// A varint's tenth byte still had its continuation bit set.
+    VarintOverlong,
+    /// A varint's tenth byte carried bits above bit 63.
+    VarintOverflow,
+    /// A float back-reference named no dictionary entry.
+    DictRef { slot: u64 },
+    /// The run delta left the `u32` range.
+    RunRange,
+    /// A sample frame's slot counts differ from this build's.
+    Arity { util: u8, wait: u8 },
+    /// Unknown record kind byte.
+    Kind(u8),
+    /// Unknown event tag.
+    EventTag(u8),
+    /// Unknown deny-reason code.
+    Deny(u64),
+    /// Unknown balloon-phase code.
+    Phase(u64),
+}
+
+/// The text of `e`. `c` is the cursor the failed read used: a read that
+/// runs out leaves it where it began, so its position is where the bytes
+/// ran out. `entries` is the float dictionary's length, which a failed
+/// read leaves as it was.
+#[cold]
+#[inline(never)]
+fn message(e: DecodeError, c: &Cursor<'_>, entries: usize) -> String {
+    match e {
+        DecodeError::Truncated { wanted } => format!(
+            "record truncated at byte {} (wanted {wanted} more of {})",
+            c.pos(),
+            c.len()
+        ),
+        DecodeError::VarintTruncated => format!(
+            "varint truncated: record truncated at byte {} (wanted 1 more of {})",
+            c.pos(),
+            c.len()
+        ),
+        DecodeError::VarintOverlong => "varint longer than 10 bytes".to_string(),
+        DecodeError::VarintOverflow => "varint overflows u64".to_string(),
+        DecodeError::DictRef { slot } => {
+            format!("float dictionary reference {slot} out of range ({entries} entries)")
+        }
+        DecodeError::RunRange => "run delta leaves the u32 range".to_string(),
+        DecodeError::Arity { util, wait } => format!(
+            "sample arity mismatch: frame has {util} util / {wait} wait slots, \
+             this build expects {} / {}",
+            RESOURCE_KINDS.len(),
+            WAIT_CLASSES.len()
+        ),
+        DecodeError::Kind(k) => format!("unknown v2 record kind {k}"),
+        DecodeError::EventTag(t) => format!("unknown v2 event tag {t}"),
+        DecodeError::Deny(code) => format!("unknown deny-reason code {code}"),
+        DecodeError::Phase(code) => format!("unknown balloon-phase code {code}"),
+    }
+}
+
+/// One byte; a truncation error otherwise.
+fn byte(c: &mut Cursor<'_>) -> Result<u8, DecodeError> {
+    c.u8().ok_or(DecodeError::Truncated { wanted: 1 })
+}
+
 /// Reads an unsigned LEB128 varint. Rejects truncation and encodings
 /// longer than 10 bytes (the widest a u64 needs).
-pub fn read_uvar(c: &mut Cursor<'_>) -> Result<u64, String> {
+fn read_uvar(c: &mut Cursor<'_>) -> Result<u64, DecodeError> {
     // One-byte varints dominate real streams (deltas, small counters);
     // take them without entering the loop.
-    let first = c.u8().map_err(|e| format!("varint truncated: {e}"))?;
+    let first = c.u8().ok_or(DecodeError::VarintTruncated)?;
     if first & 0x80 == 0 {
         return Ok(u64::from(first));
     }
     let mut v: u64 = u64::from(first & 0x7f);
     let mut shift = 7u32;
     loop {
-        let byte = c.u8().map_err(|e| format!("varint truncated: {e}"))?;
+        let byte = c.u8().ok_or(DecodeError::VarintTruncated)?;
         if shift == 63 {
             if byte & 0x80 != 0 {
-                return Err("varint longer than 10 bytes".to_string());
+                return Err(DecodeError::VarintOverlong);
             }
             if byte > 1 {
-                return Err("varint overflows u64".to_string());
+                return Err(DecodeError::VarintOverflow);
             }
         }
         v |= u64::from(byte & 0x7f) << shift;
@@ -101,7 +176,7 @@ pub fn read_uvar(c: &mut Cursor<'_>) -> Result<u64, String> {
 }
 
 /// Reads a zigzag varint back to a signed value.
-pub fn read_ivar(c: &mut Cursor<'_>) -> Result<i64, String> {
+fn read_ivar(c: &mut Cursor<'_>) -> Result<i64, DecodeError> {
     let z = read_uvar(c)?;
     Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
 }
@@ -206,26 +281,18 @@ struct DictDecoder {
 }
 
 impl DictDecoder {
-    fn reset(&mut self) {
-        self.entries.clear();
-    }
-
-    fn read_f64(&mut self, c: &mut Cursor<'_>) -> Result<f64, String> {
+    fn read_f64(&mut self, c: &mut Cursor<'_>) -> Result<f64, DecodeError> {
         let tag = read_uvar(c)?;
         if tag == 0 {
-            let bits = c.u64()?;
+            let bits = c.u64().ok_or(DecodeError::Truncated { wanted: 8 })?;
             if self.entries.len() < DICT_CAP {
                 self.entries.push(bits);
             }
             return Ok(f64::from_bits(bits));
         }
-        let slot = (tag - 1) as usize;
-        match self.entries.get(slot) {
+        match self.entries.get((tag - 1) as usize) {
             Some(&bits) => Ok(f64::from_bits(bits)),
-            None => Err(format!(
-                "float dictionary reference {slot} out of range ({} entries)",
-                self.entries.len()
-            )),
+            None => Err(DecodeError::DictRef { slot: tag - 1 }),
         }
     }
 }
@@ -422,16 +489,21 @@ impl BatchDecoder {
     /// Clears all cross-record state (call at each batch boundary).
     pub fn reset(&mut self) {
         self.prev = Prev::default();
-        self.dict.reset();
+        self.dict.entries.clear();
     }
 
     /// Decodes the next v2 frame from `c`.
     // dasr-lint: entry(G1, G3)
     pub fn decode_next(&mut self, c: &mut Cursor<'_>) -> Result<StoredRecord, String> {
-        let kind = c.u8()?;
+        self.decode(c)
+            .map_err(|e| message(e, c, self.dict.entries.len()))
+    }
+
+    fn decode(&mut self, c: &mut Cursor<'_>) -> Result<StoredRecord, DecodeError> {
+        let kind = byte(c)?;
         let run = RunId(
             u32::try_from(undelta(&mut self.prev.run, read_ivar(c)?))
-                .map_err(|_| "run delta leaves the u32 range".to_string())?,
+                .map_err(|_| DecodeError::RunRange)?,
         );
         let tenant_wire = undelta(&mut self.prev.tenant, read_ivar(c)?);
         let tenant = (tenant_wire != TENANT_NONE).then_some(tenant_wire);
@@ -443,14 +515,14 @@ impl BatchDecoder {
                 kind: self.decode_event_kind(c)?,
             }),
             KIND_SAMPLE => RecordPayload::Sample(self.decode_sample(tenant, interval, c)?),
-            other => return Err(format!("unknown v2 record kind {other}")),
+            other => return Err(DecodeError::Kind(other)),
         };
         Ok(StoredRecord { run, payload })
     }
 
-    fn decode_event_kind(&mut self, c: &mut Cursor<'_>) -> Result<EventKind, String> {
-        let tag = c.u8()?;
-        let flags = c.u8()?;
+    fn decode_event_kind(&mut self, c: &mut Cursor<'_>) -> Result<EventKind, DecodeError> {
+        let tag = byte(c)?;
+        let flags = byte(c)?;
         Ok(match tag {
             etag::INTERVAL_START => EventKind::IntervalStart,
             etag::INTERVAL_END => {
@@ -473,7 +545,7 @@ impl BatchDecoder {
                 reason: match read_uvar(c)? {
                     0 => DenyReason::Cooldown,
                     1 => DenyReason::Budget,
-                    other => return Err(format!("unknown deny-reason code {other}")),
+                    other => return Err(DecodeError::Deny(other)),
                 },
             },
             etag::BUDGET_THROTTLE => EventKind::BudgetThrottle {
@@ -484,7 +556,7 @@ impl BatchDecoder {
                     0 => BalloonPhase::Started,
                     1 => BalloonPhase::Aborted,
                     2 => BalloonPhase::Confirmed,
-                    other => return Err(format!("unknown balloon-phase code {other}")),
+                    other => return Err(DecodeError::Phase(other)),
                 };
                 let target_mb = if flags & flag::OPT_A != 0 {
                     Some(self.dict.read_f64(c)?)
@@ -497,7 +569,7 @@ impl BatchDecoder {
                 observed_ms: self.dict.read_f64(c)?,
                 goal_ms: self.dict.read_f64(c)?,
             },
-            other => return Err(format!("unknown v2 event tag {other}")),
+            other => return Err(DecodeError::EventTag(other)),
         })
     }
 
@@ -506,17 +578,12 @@ impl BatchDecoder {
         tenant: Option<u64>,
         interval: u64,
         c: &mut Cursor<'_>,
-    ) -> Result<SampleRecord, String> {
-        let flags = c.u8()?;
-        let n_util = c.u8()? as usize;
-        let n_wait = c.u8()? as usize;
-        if n_util != RESOURCE_KINDS.len() || n_wait != WAIT_CLASSES.len() {
-            return Err(format!(
-                "sample arity mismatch: frame has {n_util} util / {n_wait} wait slots, \
-                 this build expects {} / {}",
-                RESOURCE_KINDS.len(),
-                WAIT_CLASSES.len()
-            ));
+    ) -> Result<SampleRecord, DecodeError> {
+        let flags = byte(c)?;
+        let util = byte(c)?;
+        let wait = byte(c)?;
+        if usize::from(util) != RESOURCE_KINDS.len() || usize::from(wait) != WAIT_CLASSES.len() {
+            return Err(DecodeError::Arity { util, wait });
         }
         let mut util_pct = [0.0; RESOURCE_KINDS.len()];
         for slot in &mut util_pct {
@@ -625,21 +692,29 @@ mod tests {
         for n in 1..10 {
             let bytes = vec![0x80u8; n];
             let mut c = Cursor::new(&bytes);
-            assert!(read_uvar(&mut c).is_err(), "truncated at {n}");
+            assert_eq!(
+                read_uvar(&mut c),
+                Err(DecodeError::VarintTruncated),
+                "truncated at {n}"
+            );
         }
         // 10 continuation bytes: longer than any u64 needs.
         let bytes = [0x80u8; 11];
         let mut c = Cursor::new(&bytes);
-        assert!(read_uvar(&mut c)
-            .expect_err("overlong")
-            .contains("longer than 10"));
+        assert_eq!(read_uvar(&mut c), Err(DecodeError::VarintOverlong));
         // 10th byte with payload bits above bit 63.
         let mut bytes = vec![0xffu8; 9];
         bytes.push(0x02);
         let mut c = Cursor::new(&bytes);
-        assert!(read_uvar(&mut c)
-            .expect_err("overflow")
-            .contains("overflow"));
+        assert_eq!(read_uvar(&mut c), Err(DecodeError::VarintOverflow));
+    }
+
+    #[test]
+    fn a_read_result_stays_two_words() {
+        // What every field read returns: small enough to come back in
+        // registers, which is the point of not returning a `String`.
+        assert!(std::mem::size_of::<DecodeError>() <= 16);
+        assert!(std::mem::size_of::<Result<u64, DecodeError>>() <= 16);
     }
 
     #[test]
@@ -821,10 +896,7 @@ mod tests {
         put_uvar(&mut buf, 3); // reference to entry 2 of an empty dict
         let mut dec = DictDecoder::default();
         let mut c = Cursor::new(&buf);
-        assert!(dec
-            .read_f64(&mut c)
-            .expect_err("dangling")
-            .contains("out of range"));
+        assert_eq!(dec.read_f64(&mut c), Err(DecodeError::DictRef { slot: 2 }));
     }
 
     #[test]

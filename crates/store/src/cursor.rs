@@ -157,6 +157,8 @@ struct FoldScratch {
     buf: Vec<u8>,
     /// Entries of the current segment that must be read and decoded.
     todo: Vec<usize>,
+    /// Record decoder, reset at each batch.
+    decoder: BatchDecoder,
 }
 
 /// Streams one segment's matching records into `fold(acc, &record)`.
@@ -183,7 +185,7 @@ where
     A: Fn(&mut T, &IndexEntry) -> bool,
     F: Fn(&mut T, &StoredRecord),
 {
-    let FoldScratch { buf, todo } = scratch;
+    let FoldScratch { buf, todo, decoder } = scratch;
     todo.clear();
     for (i, entry) in idx.entries.iter().enumerate() {
         if query.matches_entry(entry) && !answer(acc, entry) {
@@ -218,7 +220,7 @@ where
             buf.as_slice()
         };
         Batch::parse_exact(frame, offset)?
-            .visit(|rec| {
+            .visit_with(decoder, |rec| {
                 if query.matches_record(rec) {
                     fold(acc, rec);
                 }

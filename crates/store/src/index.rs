@@ -46,6 +46,7 @@
 //! sidecars simply fail the magic check and are rebuilt from their
 //! segment — the sidecar is a cache, so the upgrade is self-healing.)
 
+use crate::codec::BatchDecoder;
 use crate::crc::crc32;
 use crate::record::{etag, etag_of, RecordPayload, StoredRecord};
 use crate::segment;
@@ -460,10 +461,11 @@ impl SegmentIndex {
     pub fn build_from_segment(bytes: &[u8]) -> Result<Self, String> {
         let scan = segment::scan(bytes)?;
         let mut entries = Vec::with_capacity(scan.batches.len());
+        let mut decoder = BatchDecoder::new();
         for batch in &scan.batches {
             let mut entry = IndexEntry::empty(batch.offset);
             batch
-                .visit(|rec| entry.absorb(rec))
+                .visit_with(&mut decoder, |rec| entry.absorb(rec))
                 .map_err(|e| format!("batch at offset {}: {e}", batch.offset))?;
             entries.push(entry);
         }

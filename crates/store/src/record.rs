@@ -128,7 +128,9 @@ impl StoredRecord {
 
 /// Bounds-checked little-endian reader over a byte slice: the
 /// truncation-checked primitive the codec ([`crate::codec`]) layers its
-/// varint and float reads on.
+/// varint and float reads on. A read past the end returns `None` and
+/// leaves the position where the read started, so the caller can say
+/// where the bytes ran out.
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -145,36 +147,23 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
-    /// Reads one byte; errors on truncation.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        match self.bytes.get(self.pos) {
-            Some(&b) => {
-                self.pos += 1;
-                Ok(b)
-            }
-            None => Err(format!(
-                "record truncated at byte {} (wanted 1 more of {})",
-                self.pos,
-                self.bytes.len()
-            )),
-        }
+    /// Length of the whole slice being read.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len()
     }
 
-    /// Reads a little-endian `u64`; errors on truncation.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        let word = (self.pos.checked_add(8))
-            .and_then(|end| self.bytes.get(self.pos..end))
-            .and_then(|b| <[u8; 8]>::try_from(b).ok());
-        match word {
-            Some(word) => {
-                self.pos += 8;
-                Ok(u64::from_le_bytes(word))
-            }
-            None => Err(format!(
-                "record truncated at byte {} (wanted 8 more of {})",
-                self.pos,
-                self.bytes.len()
-            )),
-        }
+    /// Reads one byte; `None` on truncation.
+    pub fn u8(&mut self) -> Option<u8> {
+        let b = *self.bytes.get(self.pos)?;
+        self.pos += 1;
+        Some(b)
+    }
+
+    /// Reads a little-endian `u64`; `None` on truncation.
+    pub fn u64(&mut self) -> Option<u64> {
+        let end = self.pos.checked_add(8)?;
+        let word = <[u8; 8]>::try_from(self.bytes.get(self.pos..end)?).ok()?;
+        self.pos = end;
+        Some(u64::from_le_bytes(word))
     }
 }

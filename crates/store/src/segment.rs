@@ -149,9 +149,23 @@ impl<'a> Batch<'a> {
     /// A `StoredRecord` owns no heap data, so visiting stack copies is
     /// allocation-free and the caller chooses whether to collect, fold,
     /// or drop them.
-    pub fn visit(&self, mut visit: impl FnMut(&StoredRecord)) -> Result<(), String> {
+    pub fn visit(&self, visit: impl FnMut(&StoredRecord)) -> Result<(), String> {
+        self.visit_with(&mut BatchDecoder::new(), visit)
+    }
+
+    /// [`visit`](Self::visit) through the caller's decoder, reset here
+    /// first: a reader that decodes many batches keeps one decoder, and
+    /// with it the float dictionary's storage, instead of growing a new
+    /// one per batch.
+    pub fn visit_with(
+        &self,
+        dec: &mut BatchDecoder,
+        mut visit: impl FnMut(&StoredRecord),
+    ) -> Result<(), String> {
         let (payload, n_records) = (self.payload, self.n_records);
-        let mut dec = BatchDecoder::new();
+        // A path call: `dasr-lint` resolves a method call on a local by
+        // name alone, and would reach the encoder's `reset` from here.
+        BatchDecoder::reset(dec);
         let mut c = Cursor::new(payload);
         for _ in 0..n_records {
             visit(&dec.decode_next(&mut c)?);

@@ -18,7 +18,10 @@
 //! the segment is sealed (final flush + `.idx` sidecar) and the next
 //! numbered segment is created. Flush replies carry a [`WriterSnapshot`]
 //! — the full index set — which is how the query side sees fresh data
-//! without sharing mutable state.
+//! without sharing mutable state. A flush with nothing to do (nothing
+//! staged, no message sent since the last `Ok` reply) is answered from
+//! that reply on the caller's side, so queries on an idle store never
+//! wait for the writer thread (DESIGN.md §16).
 //!
 //! I/O errors are sticky: the first failure is kept, subsequent appends
 //! are dropped, and every later flush reports the original error. An
@@ -107,6 +110,13 @@ struct Staging {
     batch_records: usize,
     /// Set by shutdown; every later append or flush fails `Closed`.
     closed: bool,
+    /// Messages sent (or attempted) to the writer thread so far.
+    sent: u64,
+    /// The last `Ok` flush reply, with the value `sent` had once that
+    /// flush was sent. The writer thread changes state only while it
+    /// handles a message, so while `sent` still reads that value and
+    /// nothing is staged, the reply still describes the store.
+    last_flush: Option<(u64, Arc<WriterSnapshot>)>,
 }
 
 impl Staging {
@@ -146,8 +156,22 @@ impl Staging {
     }
 
     // dasr-lint: no-alloc
-    fn send(&self, msg: Msg) -> Result<(), StoreError> {
+    fn send(&mut self, msg: Msg) -> Result<(), StoreError> {
+        self.sent += 1;
         self.tx.send(msg).map_err(|_| StoreError::Closed)
+    }
+
+    /// The last flush reply, if a flush now would find nothing to do:
+    /// nothing staged and no message sent since. A closed store never
+    /// qualifies: shutdown sends a message of its own (or counts the one
+    /// it failed to send) before it sets `closed`.
+    fn idle_snapshot(&self) -> Option<Arc<WriterSnapshot>> {
+        match &self.last_flush {
+            Some((at, snap)) if *at == self.sent && self.records.is_empty() => {
+                Some(Arc::clone(snap))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -184,11 +208,32 @@ impl AppendHandle {
     }
 
     /// Flushes staged and buffered records to disk and waits for the ack.
+    ///
+    /// A flush with nothing to do — nothing staged and no message sent
+    /// since the last `Ok` reply — returns a copy of that reply without
+    /// a round trip to the writer thread, so a run of queries on an idle
+    /// store costs no sidecar rewrite. An `Err` reply is never kept: a
+    /// store that failed reports its error at every flush.
     pub fn flush(&self) -> Result<WriterSnapshot, StoreError> {
         let (ack, rx) = mpsc::channel();
-        lock(&self.staging).send_after_staged(Msg::Flush(ack))?;
+        let at = {
+            let mut staging = lock(&self.staging);
+            if let Some(snap) = staging.idle_snapshot() {
+                drop(staging);
+                return Ok(WriterSnapshot::clone(&snap));
+            }
+            staging.send_after_staged(Msg::Flush(ack))?;
+            staging.sent
+        };
         match rx.recv() {
-            Ok(Ok(snap)) => Ok(snap),
+            Ok(Ok(snap)) => {
+                // A reply kept out of order, behind a later flush's, is
+                // only older: its count no longer matches, so it is
+                // never returned.
+                let snap = Arc::new(snap);
+                lock(&self.staging).last_flush = Some((at, Arc::clone(&snap)));
+                Ok(WriterSnapshot::clone(&snap))
+            }
             Ok(Err(e)) => Err(StoreError::Backend(e)),
             Err(_) => Err(StoreError::Closed),
         }
@@ -257,6 +302,8 @@ impl StoreWriter {
             spare: spare_rx,
             batch_records: cfg.batch_records,
             closed: false,
+            sent: 0,
+            last_flush: None,
         };
         Ok(Self {
             handle: AppendHandle {
@@ -477,6 +524,114 @@ mod tests {
         std::fs::write(dir.join(segment::file_name(0)), segment::header_bytes(0))
             .expect("seed segment");
         vec![SegmentIndex::fresh(0)]
+    }
+
+    /// Messages the writer's staging has sent so far.
+    fn sent(writer: &StoreWriter) -> u64 {
+        lock(&writer.handle.staging).sent
+    }
+
+    /// Bytes and modification time of segment 0's `.idx` sidecar.
+    fn sidecar(dir: &Path) -> (Vec<u8>, std::time::SystemTime) {
+        let path = dir.join(SegmentIndex::file_name(0));
+        let mtime = std::fs::metadata(&path)
+            .and_then(|m| m.modified())
+            .expect("sidecar mtime");
+        (std::fs::read(&path).expect("sidecar bytes"), mtime)
+    }
+
+    #[test]
+    fn idle_flushes_send_nothing_and_leave_the_sidecar_alone() {
+        let dir = fresh_dir("idle");
+        let cfg = WriterConfig {
+            batch_records: 4,
+            ..WriterConfig::default()
+        };
+        let writer = StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir)).expect("spawn");
+        for i in 0..10 {
+            writer.append(rec(i)).expect("append");
+        }
+        let first = writer.flush().expect("flush");
+        let (messages, before) = (sent(&writer), sidecar(&dir));
+        // A rewrite after this pause would carry a later mtime.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        for _ in 0..20 {
+            let snap = writer.flush().expect("idle flush");
+            assert_eq!(snap.indices, first.indices);
+            assert_eq!(snap.records_appended, 10);
+        }
+        assert_eq!(sent(&writer), messages, "an idle flush sends no message");
+        assert_eq!(sidecar(&dir), before, "an idle flush rewrites no sidecar");
+        drop(writer);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn appends_from_another_thread_between_flushes_are_seen() {
+        let dir = fresh_dir("other-thread");
+        let cfg = WriterConfig {
+            batch_records: 4,
+            ..WriterConfig::default()
+        };
+        let writer = StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir)).expect("spawn");
+        writer.append(rec(0)).expect("append");
+        assert_eq!(writer.flush().expect("flush").records(), 1);
+        // Nine appends leave one staged; eight more leave none staged but
+        // hand two whole batches over: either way the next flush is real.
+        for (n, want) in [(9, 10), (8, 18)] {
+            let handle = writer.handle();
+            std::thread::spawn(move || {
+                for i in 0..n {
+                    handle.append(rec(i)).expect("append");
+                }
+            })
+            .join()
+            .expect("appender");
+            let snap = writer.flush().expect("flush");
+            assert_eq!((snap.records(), snap.records_appended), (want, want));
+        }
+        drop(writer);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_staged_tail_below_the_batch_forces_a_real_flush() {
+        let dir = fresh_dir("tail");
+        let cfg = WriterConfig {
+            batch_records: 4,
+            ..WriterConfig::default()
+        };
+        let writer = StoreWriter::spawn(dir.clone(), cfg, init_segment(&dir)).expect("spawn");
+        writer.append(rec(0)).expect("append");
+        writer.flush().expect("flush");
+        let (messages, before) = (sent(&writer), sidecar(&dir));
+        // Two records: below the batch size, so they wait in staging and
+        // send nothing until the flush.
+        writer.append(rec(1)).expect("append");
+        writer.append(rec(2)).expect("append");
+        assert_eq!(sent(&writer), messages);
+        let snap = writer.flush().expect("flush");
+        assert_eq!(snap.records(), 3);
+        assert_eq!(sent(&writer), messages + 2, "records, then the flush");
+        assert_ne!(sidecar(&dir).0, before.0, "the sidecar indexes the tail");
+        drop(writer);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn a_flush_after_close_is_closed_even_with_a_kept_reply() {
+        let dir = fresh_dir("closed");
+        let mut writer =
+            StoreWriter::spawn(dir.clone(), WriterConfig::default(), init_segment(&dir))
+                .expect("spawn");
+        let handle = writer.handle();
+        writer.append(rec(0)).expect("append");
+        handle.flush().expect("flush");
+        handle.flush().expect("idle flush");
+        writer.shutdown().expect("shutdown");
+        assert!(matches!(handle.flush(), Err(StoreError::Closed)));
+        assert!(matches!(writer.flush(), Err(StoreError::Closed)));
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

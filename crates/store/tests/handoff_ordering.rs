@@ -5,10 +5,12 @@
 //! sequence in order, the manifest must count what was decoded, batch
 //! boundaries must fall where the batch size and the flush points put
 //! them, and a sink that outlives the store must report `Closed`. Sinks
-//! emitting from two threads at once must each keep their own order.
+//! emitting from two threads at once must each keep their own order. A
+//! query on a store with nothing new to flush must not touch its files.
 
 use dasr_core::obs::{EventKind, EventSink, RunEvent};
 use dasr_core::SampleRecord;
+use dasr_store::index::SegmentIndex;
 use dasr_store::{
     Query, RecordPayload, RunId, RunMeta, Store, StoreError, StoreSink, StoredRecord, WriterConfig,
 };
@@ -246,6 +248,62 @@ fn a_sink_that_outlives_its_store_reports_closed() {
         .expect("decode");
     assert_eq!(on_disk.len(), 3);
     assert!(on_disk.iter().all(|r| r.run == run));
+    store.close().expect("close");
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn read_only_queries_leave_the_active_sidecar_alone() {
+    let dir = fresh_dir("readonly");
+    let cfg = WriterConfig {
+        batch_records: BATCH,
+        ..WriterConfig::default()
+    };
+    let mut store = Store::open_with(&dir, cfg).expect("open");
+    let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 4));
+    for k in 0..20 {
+        store
+            .append(run, RecordPayload::Sample(sample(k % 2, k)))
+            .expect("append");
+        store
+            .append(run, RecordPayload::Event(event(k % 2, k)))
+            .expect("append");
+    }
+    store.end_run(run).expect("commit");
+    let active = store.stats().expect("stats").segments as u32 - 1;
+    let path = dir.join(SegmentIndex::file_name(active));
+    let state = || {
+        let mtime = std::fs::metadata(&path)
+            .and_then(|m| m.modified())
+            .expect("sidecar mtime");
+        (std::fs::read(&path).expect("sidecar bytes"), mtime)
+    };
+    let before = state();
+    // A rewrite after this pause would carry a later mtime.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    for _ in 0..3 {
+        assert_eq!(store.scan_range(0..10).expect("scan").len(), 20);
+        assert_eq!(store.run_records(run).expect("run").len(), 40);
+        assert_eq!(store.tenant_events(run, 0).expect("events").len(), 10);
+        assert_eq!(store.run_samples(run, Some(1)).expect("samples").len(), 10);
+        store.fire_counts(None, 0..20).expect("fire counts");
+        store.load_recording(run, Some(0)).expect("recording");
+        let streamed = store.cursor(Query::default()).expect("cursor").count();
+        assert_eq!(streamed, 40);
+        assert_eq!(store.stats().expect("stats").records, 40);
+        store.flush().expect("flush");
+    }
+    assert_eq!(state(), before, "read-only queries rewrote the sidecar");
+
+    // The same check sees a flush that has something to write.
+    let next = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 5));
+    store
+        .append(next, RecordPayload::Event(event(0, 20)))
+        .expect("append");
+    store.flush().expect("flush");
+    let after = state();
+    assert_ne!(after.0, before.0);
+    assert_ne!(after.1, before.1);
     store.close().expect("close");
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
