@@ -4,8 +4,9 @@
 //! streams events through a `StoreSink` while tenants execute, so append
 //! cost is on the fleet's critical path. `store_append_1k` times one
 //! iteration of 1000 event appends through `Store::append` + one explicit
-//! flush, staging, the hand-off to the writer thread, framing and the
-//! (amortized) flush included. `store_encode_1k` and
+//! flush. The store writes on the caller's thread, so everything is in
+//! it: encoding, framing, the batch writes (one per 256 appends) and the
+//! flush's sidecar rewrite. `store_encode_1k` and
 //! `store_encode_samples_1k` time the batch codec alone: on events, and on
 //! a fleet-synthesised tenant-day of samples, whose 16 floats per record
 //! exercise the float dictionary.

@@ -296,7 +296,7 @@ const STD_SHADOWED_METHODS: &[&str] = &[
     "sum",
     "count",
     // `.spawn(..)` is a `thread::Scope`/`Builder`; associated-fn spawns
-    // (`StoreWriter::spawn(..)`) are path calls and still resolve.
+    // (`Type::spawn(..)`) are path calls and still resolve.
     "spawn",
 ];
 

@@ -239,7 +239,9 @@ impl DictEncoder {
     // dasr-lint: no-alloc
     fn reset(&mut self) {
         for &i in &self.used {
-            self.table[i as usize].num = EMPTY_SLOT;
+            if let Some(slot) = self.table.get_mut(i as usize) {
+                slot.num = EMPTY_SLOT;
+            }
         }
         self.used.clear();
     }

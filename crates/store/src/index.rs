@@ -316,28 +316,30 @@ impl SegmentIndex {
 
     /// Serializes the sidecar bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.entries.len() * ENTRY_LEN + 4);
+        // The CRC covers the entries, so they are laid out first.
+        let mut entries = Vec::with_capacity(self.entries.len() * ENTRY_LEN);
+        for e in &self.entries {
+            entries.extend_from_slice(&e.offset.to_le_bytes());
+            entries.extend_from_slice(&e.n_records.to_le_bytes());
+            entries.extend_from_slice(&e.min_interval.to_le_bytes());
+            entries.extend_from_slice(&e.max_interval.to_le_bytes());
+            entries.extend_from_slice(&e.min_run.to_le_bytes());
+            entries.extend_from_slice(&e.max_run.to_le_bytes());
+            entries.extend_from_slice(&e.tenant_filter.0.to_le_bytes());
+            entries.extend_from_slice(&e.kinds.0.to_le_bytes());
+            for slot in e.fires.0 {
+                entries.extend_from_slice(&slot.to_le_bytes());
+            }
+        }
+        let mut out = Vec::with_capacity(HEADER_LEN + entries.len() + 4);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&self.segment_id.to_le_bytes());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.seg_bytes.to_le_bytes());
         out.extend_from_slice(&segment::VERSION.to_le_bytes());
         out.extend_from_slice(&[0u8; 6]);
-        for e in &self.entries {
-            out.extend_from_slice(&e.offset.to_le_bytes());
-            out.extend_from_slice(&e.n_records.to_le_bytes());
-            out.extend_from_slice(&e.min_interval.to_le_bytes());
-            out.extend_from_slice(&e.max_interval.to_le_bytes());
-            out.extend_from_slice(&e.min_run.to_le_bytes());
-            out.extend_from_slice(&e.max_run.to_le_bytes());
-            out.extend_from_slice(&e.tenant_filter.0.to_le_bytes());
-            out.extend_from_slice(&e.kinds.0.to_le_bytes());
-            for slot in e.fires.0 {
-                out.extend_from_slice(&slot.to_le_bytes());
-            }
-        }
-        let crc = crc32(&out[HEADER_LEN..]);
-        out.extend_from_slice(&crc.to_le_bytes());
+        out.extend_from_slice(&entries);
+        out.extend_from_slice(&crc32(&entries).to_le_bytes());
         out
     }
 

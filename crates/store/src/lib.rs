@@ -10,11 +10,11 @@
 //!
 //! ```text
 //!  run_fleet_summary ──events──▶ StoreSink ─┐          ┌─▶ scan_range
-//!  record_run ───────samples──▶ Store ──────┤ writer   │   tenant_events
-//!                                           ├─thread──▶│   fire_counts
-//!  (batch-buffered, CRC-framed,             │          └─▶ load_recording ──▶ replay
-//!   deterministic flush — DESIGN.md §16)    ▼
-//!                                     seg-NNNNNN.dseg
+//!  record_run ───────samples──▶ Store ──────┤ writer,  │   tenant_events
+//!                                           ├─one ────▶│   fire_counts
+//!  (encoded on the appending thread,        │ lock     └─▶ load_recording ──▶ replay
+//!   CRC-framed, deterministic flush —       ▼
+//!   DESIGN.md §16)                    seg-NNNNNN.dseg
 //!                                     seg-NNNNNN.idx
 //!                                     manifest.jsonl
 //! ```
@@ -29,7 +29,8 @@
 //!   [`cursor`] — the layers: bit-exact record codec (delta/varint/
 //!   dictionary framing, the one record format), CRC-framed
 //!   batches in numbered segments, sparse per-batch time index with content
-//!   filters and fire tallies, deterministic writer thread, and the
+//!   filters and fire tallies, the deterministic writer (it writes on
+//!   the appending thread, under one lock), and the
 //!   streaming/parallel read fast path ([`Query`], [`RecordCursor`]).
 //!
 //! Floats are stored as raw IEEE-754 bits, so an archived run replays
@@ -42,8 +43,10 @@
 //!
 //! Crash consistency: the batch is the durability quantum. A torn write
 //! leaves a tail that fails its CRC; [`Store::open`] truncates to the
-//! last intact batch, rebuilds stale index sidecars, drops a torn
-//! manifest tail line, and never reuses the run id of orphaned records.
+//! last intact batch, rebuilds stale index sidecars, cuts off an
+//! unterminated manifest tail line (a run is committed iff its
+//! newline-terminated line is in the manifest), and never reuses the run
+//! id of orphaned records.
 //! (Durability is to the OS page cache — the store targets torn-write
 //! safety and deterministic bytes, not power-loss fsync guarantees.)
 

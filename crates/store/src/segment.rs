@@ -57,10 +57,12 @@ pub fn file_name(id: u32) -> String {
 
 /// The 16 header bytes of a new segment `id`.
 pub fn header_bytes(id: u32) -> [u8; HEADER_LEN] {
+    let (id, version) = (id.to_le_bytes(), VERSION.to_le_bytes());
     let mut h = [0u8; HEADER_LEN];
-    h[..8].copy_from_slice(&MAGIC);
-    h[8..12].copy_from_slice(&id.to_le_bytes());
-    h[12..14].copy_from_slice(&VERSION.to_le_bytes());
+    // The reserved bytes after the three fields stay zero.
+    for (byte, field) in h.iter_mut().zip(MAGIC.iter().chain(&id).chain(&version)) {
+        *byte = *field;
+    }
     h
 }
 

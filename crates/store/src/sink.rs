@@ -3,9 +3,12 @@
 //! Implements [`EventSink`], so
 //! [`FleetRunner::run_fleet_summary`](dasr_core::FleetRunner) can deliver
 //! a fleet's event stream to disk in shard order without ever
-//! materializing it in memory — the one persisted event path. Events go
-//! into the store's shared staging buffer and cross to the writer thread
-//! a batch at a time; the scheduler's worker is never blocked on disk I/O.
+//! materializing it in memory — the one persisted event path. Each event
+//! is encoded into the store's open batch on the emitting thread, under
+//! the writer lock the store and every sink share; the emit that fills a
+//! batch also writes it, so a fleet worker that delivers events pays for
+//! their encoding and, once per `batch_records` events, a frame write to
+//! the page cache.
 //!
 //! `emit` cannot fail (the trait has no error channel), so the first
 //! failure is recorded, later events are dropped, and

@@ -12,14 +12,17 @@
 //!   seg-000001.idx     its sidecar (refreshed at every flush)
 //! ```
 //!
-//! **Commit protocol.** Records append through the writer thread into the
-//! active segment; a run becomes *committed* when [`Store::end_run`]
-//! flushes the writer and appends the run's manifest line. Recovery honors
-//! exactly that order: torn segment tails are truncated to the last intact
-//! batch, a torn manifest tail line is dropped, and run ids of
-//! uncommitted records are never reused (the sparse index doubles as a
-//! run-id high-water mark), so a crash leaves at worst an orphaned —
-//! never a corrupted or aliased — run.
+//! **Commit protocol.** Records append through the writer, on the
+//! appending thread, into the active segment; a run becomes *committed*
+//! when [`Store::end_run`] flushes the writer and then writes the run's
+//! manifest line and its newline in one write. The newline is the commit
+//! point: a run is committed iff its newline-terminated line is in the
+//! manifest. Recovery honors exactly that order: torn segment tails are
+//! truncated to the last intact batch, an unterminated manifest tail is
+//! cut off (by renaming a rewritten copy over the file) before anything
+//! is appended after it, and run ids of uncommitted records are never
+//! reused (the sparse index doubles as a run-id high-water mark), so a
+//! crash leaves at worst an orphaned — never a corrupted or aliased — run.
 //!
 //! **Queries.** Every query first flushes the writer (so results include
 //! all appends that happened-before the call), then runs a [`Query`]
@@ -44,27 +47,33 @@ use crate::index::{FireTally, IndexEntry, KindSet, SegmentIndex};
 use crate::record::{etag, RecordPayload, RunId, StoredRecord};
 use crate::segment;
 use crate::sink::StoreSink;
-use crate::writer::{StoreWriter, WriterConfig, WriterSnapshot};
+use crate::writer::{AppendHandle, WriterConfig, WriterSnapshot};
 use dasr_core::json::{self, Json};
 use dasr_core::obs::{BalloonPhase, DenyReason, EventKind, RunEvent};
 use dasr_core::replay::{RecordingHeader, RunRecording, SampleRecord};
+use dasr_core::FleetRunner;
 
 /// The run-catalog file name inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.jsonl";
+
+/// Where recovery writes the repaired catalog before renaming it over
+/// [`MANIFEST_FILE`].
+const MANIFEST_REPAIR_FILE: &str = "manifest.jsonl.tmp";
 
 /// Everything that can go wrong talking to a store.
 #[derive(Debug)]
 pub enum StoreError {
     /// An I/O operation failed (open, read, truncate, manifest write).
     Io(std::io::Error),
-    /// The writer thread hit an I/O error earlier; appends since then were
-    /// dropped and the original failure is reported here.
+    /// The writer hit an I/O error earlier (appends since then were
+    /// dropped and the original failure is reported here), or a panic
+    /// interrupted a write, after which every append and flush fails.
     Backend(String),
     /// On-disk bytes that recovery cannot explain as a torn tail.
     Corrupt(String),
     /// The run id is not open (for appends) or not committed (for reads).
     UnknownRun(RunId),
-    /// The writer thread is gone (the store was closed).
+    /// The store was closed: its writer flushed and accepts nothing more.
     Closed,
 }
 
@@ -345,7 +354,7 @@ struct PendingRun {
 /// directory layout and commit protocol.
 pub struct Store {
     dir: PathBuf,
-    writer: StoreWriter,
+    pub(crate) writer: AppendHandle,
     manifest: Vec<RunManifest>,
     open_runs: BTreeMap<u32, PendingRun>,
     next_run: u32,
@@ -399,7 +408,7 @@ impl Store {
                 StoreError::Corrupt(format!("run id {max} leaves no id for a new run"))
             })?,
         };
-        let writer = StoreWriter::spawn(dir.clone(), cfg, indices)?;
+        let writer = AppendHandle::open(dir.clone(), cfg, indices)?;
         Ok(Self {
             dir,
             writer,
@@ -407,7 +416,7 @@ impl Store {
             open_runs: BTreeMap::new(),
             next_run,
             recovery: notes,
-            read_threads: std::thread::available_parallelism().map_or(1, usize::from),
+            read_threads: FleetRunner::with_available_parallelism().threads(),
         })
     }
 
@@ -456,11 +465,12 @@ impl Store {
         run
     }
 
-    /// Appends one record under an open run. Buffered: the record waits in
-    /// the caller-side staging buffer, and is durable after the batch
-    /// fills, an explicit [`flush`](Self::flush), or the committing
+    /// Appends one record under an open run. Buffered: the record is
+    /// encoded into the writer's open batch, and is durable after the
+    /// batch fills, an explicit [`flush`](Self::flush), or the committing
     /// [`end_run`](Self::end_run). A write error surfaces at that flush;
-    /// the append itself fails only for an unknown run or a closed store.
+    /// the append itself fails only for an unknown run, a closed store, or
+    /// a writer a panic interrupted.
     ///
     /// # Examples
     ///
@@ -503,8 +513,8 @@ impl Store {
 
     /// Appends every sample record of `recording` under `run` (the bulk
     /// path for archiving a [`record_run`](dasr_core::replay::record_run)
-    /// capture). Records are `Copy`, so the loop moves plain stack
-    /// copies into the staging buffer — no per-record heap traffic.
+    /// capture). Records are `Copy` and encode into the writer's reusable
+    /// batch buffer — no per-record heap traffic.
     // dasr-lint: no-alloc
     pub fn append_recording(
         &mut self,
@@ -528,14 +538,15 @@ impl Store {
             .get(&run.0)
             .ok_or(StoreError::UnknownRun(run))?;
         Ok(StoreSink::new(
-            self.writer.handle(),
+            self.writer.clone(),
             run,
             Arc::clone(&pending.events),
         ))
     }
 
     /// Commits an open run: flushes every buffered record to disk, then
-    /// appends the run's line to `manifest.jsonl` — the commit point.
+    /// appends the run's line to `manifest.jsonl`. The line and its
+    /// newline go out in one write, and the newline is the commit point.
     pub fn end_run(&mut self, run: RunId) -> Result<RunManifest, StoreError> {
         if !self.open_runs.contains_key(&run.0) {
             return Err(StoreError::UnknownRun(run));
@@ -551,13 +562,13 @@ impl Store {
             samples: pending.samples,
             events: pending.events.load(Ordering::Relaxed),
         };
-        let mut file = OpenOptions::new()
+        let mut line = entry.to_json_line();
+        line.push('\n');
+        OpenOptions::new()
             .append(true)
             .create(true)
-            .open(self.dir.join(MANIFEST_FILE))?;
-        file.write_all(entry.to_json_line().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()?;
+            .open(self.dir.join(MANIFEST_FILE))?
+            .write_all(line.as_bytes())?;
         self.manifest.push(entry.clone());
         Ok(entry)
     }
@@ -567,10 +578,11 @@ impl Store {
         self.writer.flush().map(|_| ())
     }
 
-    /// Flushes, stops the writer thread, and consumes the store. Open
+    /// Flushes, closes the writer, and consumes the store. Open
     /// (uncommitted) runs stay orphaned on disk; recovery never confuses
-    /// them with committed data.
-    pub fn close(mut self) -> Result<(), StoreError> {
+    /// them with committed data. Dropping the store does the same and
+    /// ignores the result.
+    pub fn close(self) -> Result<(), StoreError> {
         self.writer.shutdown().map(|_| ())
     }
 
@@ -823,6 +835,13 @@ impl Store {
     }
 }
 
+impl Drop for Store {
+    fn drop(&mut self) {
+        // After `close` this is `Closed`; either way no one is left to tell.
+        let _ = self.writer.shutdown();
+    }
+}
+
 /// Scans the store directory's segments, truncating torn tails and
 /// rebuilding stale sidecars. Returns one index per segment, id order,
 /// active last — the writer resumes from exactly this state.
@@ -920,8 +939,12 @@ fn parse_segment_name(name: &str) -> Option<u32> {
     (stem.len() == 6).then(|| stem.parse().ok()).flatten()
 }
 
-/// Loads the run catalog; a torn final line (crash mid-commit) is dropped
-/// and the file rewritten without it, any earlier damage is an error.
+/// Loads the run catalog. A run is committed iff its newline-terminated
+/// line is in the manifest: an unterminated final line (a crash inside
+/// `end_run`'s one write) is cut off before anything can be appended to
+/// it, by writing the committed lines to a temporary file and renaming it
+/// over the manifest. A terminated line that does not parse is
+/// corruption.
 fn recover_manifest(
     dir: &Path,
     notes: &mut Vec<RecoveryNote>,
@@ -930,28 +953,27 @@ fn recover_manifest(
     if !path.exists() {
         return Ok(Vec::new());
     }
-    let text = fs::read_to_string(&path)?;
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let mut manifest = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        match RunManifest::from_json_line(line) {
-            Ok(entry) => manifest.push(entry),
-            Err(e) if i + 1 == lines.len() => {
-                let mut clean = String::new();
-                for entry in &manifest {
-                    clean.push_str(&entry.to_json_line());
-                    clean.push('\n');
-                }
-                fs::write(&path, clean)?;
-                notes.push(RecoveryNote {
-                    segment: None,
-                    detail: format!("dropped torn manifest tail line: {e}"),
-                });
-            }
-            Err(e) => {
-                return Err(StoreError::Corrupt(format!("manifest line {}: {e}", i + 1)));
-            }
-        }
+    let bytes = fs::read(&path)?;
+    let committed = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let text = std::str::from_utf8(&bytes[..committed])
+        .map_err(|e| StoreError::Corrupt(format!("manifest: {e}")))?;
+    let mut manifest = Vec::new();
+    for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
+        let entry = RunManifest::from_json_line(line)
+            .map_err(|e| StoreError::Corrupt(format!("manifest line {}: {e}", i + 1)))?;
+        manifest.push(entry);
+    }
+    if committed < bytes.len() {
+        let repair = dir.join(MANIFEST_REPAIR_FILE);
+        fs::write(&repair, &bytes[..committed])?;
+        fs::rename(&repair, &path)?;
+        notes.push(RecoveryNote {
+            segment: None,
+            detail: format!(
+                "cut {} bytes of unterminated manifest tail line",
+                bytes.len() - committed
+            ),
+        });
     }
     Ok(manifest)
 }
@@ -1260,6 +1282,76 @@ mod tests {
         let store = Store::open(&dir).expect("clean reopen");
         assert!(store.recovery_notes().is_empty());
         store.close().expect("close");
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    /// Begins a run with `seed`, appends one event to it and commits it.
+    fn commit_one(store: &mut Store, seed: u64) -> RunId {
+        let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", seed));
+        store
+            .append(run, event(0, seed, EventKind::IntervalStart))
+            .expect("append");
+        store.end_run(run).expect("commit");
+        run
+    }
+
+    /// Commits runs A and B, then cuts B's newline, as a crash inside
+    /// B's commit would. Returns A.
+    fn commit_two_and_lose_the_last_newline(dir: &Path) -> RunId {
+        let mut store = Store::open(dir).expect("open");
+        let a = commit_one(&mut store, 1);
+        commit_one(&mut store, 2);
+        store.close().expect("close");
+        let path = dir.join(MANIFEST_FILE);
+        let mut bytes = std::fs::read(&path).expect("read");
+        assert_eq!(bytes.pop(), Some(b'\n'));
+        std::fs::write(&path, bytes).expect("cut");
+        a
+    }
+
+    /// Reopens `dir` and checks it lists exactly `want`, each readable,
+    /// with nothing left to recover.
+    fn assert_committed(dir: &Path, want: &[RunId]) {
+        let store = Store::open(dir).expect("reopen");
+        let listed: Vec<RunId> = store.runs().iter().map(|m| m.run).collect();
+        assert_eq!(listed, want);
+        for &run in want {
+            assert_eq!(store.run_records(run).expect("records").len(), 1);
+        }
+        assert!(store.recovery_notes().is_empty());
+        store.close().expect("close");
+        assert!(!dir.join(MANIFEST_REPAIR_FILE).exists());
+    }
+
+    #[test]
+    fn a_run_whose_newline_was_lost_is_not_committed() {
+        let dir = fresh_dir("lost-newline");
+        let a = commit_two_and_lose_the_last_newline(&dir);
+        let mut store = Store::open(&dir).expect("reopen");
+        assert_eq!(store.runs().len(), 1, "B's commit point never landed");
+        assert!(
+            store
+                .recovery_notes()
+                .iter()
+                .any(|n| n.detail.contains("manifest")),
+            "notes: {:?}",
+            store.recovery_notes()
+        );
+        let c = commit_one(&mut store, 3);
+        store.close().expect("close");
+        assert_committed(&dir, &[a, c]);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn commits_after_a_lost_newline_keep_the_store_openable() {
+        let dir = fresh_dir("lost-newline-more");
+        let a = commit_two_and_lose_the_last_newline(&dir);
+        let mut store = Store::open(&dir).expect("reopen");
+        let c = commit_one(&mut store, 3);
+        let d = commit_one(&mut store, 4);
+        store.close().expect("close");
+        assert_committed(&dir, &[a, c, d]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

@@ -1,5 +1,5 @@
-//! The hand-off from appenders to the writer thread loses and reorders
-//! nothing. `Store::append` and two `StoreSink`s on two runs interleave
+//! The path from appenders to the writer loses and reorders nothing.
+//! `Store::append` and two `StoreSink`s on two runs interleave
 //! on one store, with flushes and `end_run`s at record counts that are not
 //! multiples of `batch_records`; the archive must decode to the append
 //! sequence in order, the manifest must count what was decoded, batch
@@ -225,7 +225,8 @@ fn a_sink_that_outlives_its_store_reports_closed() {
     let mut store = Store::open_with(&dir, cfg).expect("open");
     let run = store.begin_run(RunMeta::new("auto", "cpuio", "flat", 3));
     let mut sink: StoreSink = store.event_sink(run).expect("sink");
-    // Fewer than a batch: these wait in staging when the store closes.
+    // Fewer than a batch: these wait in the open batch when the store
+    // closes.
     for k in 0..3 {
         sink.emit(&event(0, k));
     }
@@ -238,8 +239,8 @@ fn a_sink_that_outlives_its_store_reports_closed() {
         sink.error()
     );
 
-    // Close handed the staged events to the writer: they are on disk
-    // under the (uncommitted) run.
+    // Close wrote the open batch: the events are on disk under the
+    // (uncommitted) run.
     let store = Store::open(&dir).expect("reopen");
     let on_disk: Vec<StoredRecord> = store
         .cursor(Query::default())

@@ -8,9 +8,9 @@
 //! * every truncation, where every strict prefix must be `Err`;
 //! * every single-byte substitution drawn from `[ ] { } " : ,`, the
 //!   digits, `.`, `-`, `e`, a backslash and one non-ASCII character. (A
-//!   lone non-ASCII byte is not a `&str`: `Store::open` reads the manifest
-//!   with `read_to_string`, which refuses invalid UTF-8 before any line
-//!   reaches the decoder.)
+//!   lone non-ASCII byte is not a `&str`: `Store::open` refuses a manifest
+//!   whose committed lines are not UTF-8 before any line reaches the
+//!   decoder.)
 //!
 //! A damaged line that still decodes must re-encode to a line that decodes
 //! to the same entry.
