@@ -41,7 +41,6 @@ fn main() {
             telemetry: TelemetryConfig {
                 trend_alpha,
                 latency_goal: Some(goal),
-                ..TelemetryConfig::default()
             },
             prewarm_pages: workload.config().hot_pages,
             ..RunConfig::default()

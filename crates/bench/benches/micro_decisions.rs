@@ -96,16 +96,12 @@ fn random_facts(rng: &mut StdRng) -> FactSet {
     [
         Fact::HasGoal,
         Fact::LatencyAttention,
-        Fact::Emergency,
         Fact::UpBlocked,
         Fact::DownBlocked,
         Fact::DemandUp,
-        Fact::DemandDown,
         Fact::WantsDown,
         Fact::ScaleUpGate,
         Fact::LockShareHigh,
-        Fact::HeadroomOk,
-        Fact::BalloonEnabled,
     ]
     .into_iter()
     .fold(FactSet::new(), |set, fact| {

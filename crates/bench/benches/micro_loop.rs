@@ -1,27 +1,22 @@
-//! Trait-seam dispatch overhead on the closed loop.
+//! The closed loop, simulated and replayed.
 //!
 //! `ClosedLoop` is a driver over `Controller::step`, generic over
 //! `TelemetrySource`/`ResizeActuator` with the engine plugged in as
-//! `SimulatorSource`. Dispatch is static (monomorphized), so the seam
-//! should cost nothing measurable next to the loop body it wraps; this
-//! bench times it against `OracleLoop`, the frozen pre-refactor loop that
-//! calls the engine directly. A replay pass over a recorded run is benched
-//! alongside (it skips the simulator entirely, so it shows the
-//! loop-plus-telemetry floor).
+//! `SimulatorSource`. This bench times one 60-minute Auto run through it,
+//! and a replay of the same run from its recording, which skips the
+//! simulator entirely and so shows the loop-plus-telemetry floor.
 //!
-//! An ungated diagnostic: the two sides differ by less than their
-//! run-to-run noise, and end-to-end speed is judged by `e2e compare`.
+//! An ungated diagnostic: end-to-end speed is judged by `e2e compare`.
 //! With `DASR_BENCH_JSON` set, the vendored criterion shim appends one
 //! `{"bench": …, "ns_per_iter": …}` line per benchmark.
 
 use criterion::{black_box, Criterion};
-use dasr_core::{record_run, replay, AutoPolicy, ClosedLoop, OracleLoop, RunConfig, TenantKnobs};
+use dasr_core::{record_run, replay, AutoPolicy, ClosedLoop, RunConfig, TenantKnobs};
 use dasr_telemetry::LatencyGoal;
 use dasr_workloads::{CpuIoConfig, CpuIoWorkload, Trace};
 
 /// Minutes per loop run. Long enough that per-run setup (engine, policy)
-/// amortizes out and per-interval work — the thing the seam sits on —
-/// dominates; `engine_1000_requests_mixed`-style arrival volume per
+/// amortizes out and per-interval work dominates; `engine_1000_requests_mixed`-style arrival volume per
 /// interval comes from the trace's ~17 rps.
 const MINUTES: usize = 60;
 
@@ -51,16 +46,7 @@ fn bench_loop(c: &mut Criterion) {
     let cfg = cfg();
     let trace = trace();
 
-    // The pre-seam loop: direct engine calls, no trait in the path.
-    c.bench_function("loop_direct_60min", |b| {
-        b.iter(|| {
-            let mut policy = AutoPolicy::with_knobs(cfg.knobs);
-            let report = OracleLoop::run(&cfg, &trace, workload(), &mut policy);
-            black_box(report.resizes)
-        })
-    });
-
-    // The same run through the generic loop + SimulatorSource.
+    // The generic loop over SimulatorSource.
     c.bench_function("loop_seam_60min", |b| {
         b.iter(|| {
             let mut policy = AutoPolicy::with_knobs(cfg.knobs);
@@ -91,16 +77,6 @@ fn main() {
             .find(|m| m.id.contains(needle))
             .map(|m| m.ns_per_iter)
     };
-    if let (Some(direct), Some(seam)) = (ns("loop_direct"), ns("loop_seam")) {
-        if direct > 0.0 {
-            let overhead = (seam - direct) / direct * 100.0;
-            println!(
-                "trait-seam dispatch overhead on the closed loop: {overhead:+.2}% \
-                 (direct {:.0} ns → seam {:.0} ns per {MINUTES}-minute run)",
-                direct, seam
-            );
-        }
-    }
     if let (Some(seam), Some(rep)) = (ns("loop_seam"), ns("loop_replay")) {
         if seam > 0.0 {
             println!(

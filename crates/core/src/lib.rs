@@ -32,8 +32,8 @@
 //!   One interval is one [`runner::Controller::step`]; a cloned controller
 //!   is a snapshot. The drivers over it are generic over the
 //!   `dasr_telemetry` source/actuator seam with the engine plugged in as
-//!   [`runner::source::SimulatorSource`] (pinned bit-identical to the
-//!   frozen [`runner::oracle::OracleLoop`]);
+//!   [`runner::source::SimulatorSource`] (its outputs pinned by hash in
+//!   `tests/loop_hash.rs`);
 //!   [`runner::fleet`] runs N independent tenant loops across a sharded
 //!   worker pool with bit-identical results regardless of thread or shard
 //!   count, in full (O(tenants)) or streaming-summary (O(shards)) memory
@@ -88,7 +88,6 @@ pub use replay::{
 pub use report::{IntervalRecord, RunReport};
 pub use rules::{RuleFire, RuleHistogram, RuleId, RuleTable};
 pub use runner::fleet::{tenant_seed, FleetReport, FleetRunner, TenantSpec};
-pub use runner::oracle::OracleLoop;
 pub use runner::ordered::ordered_shards;
 pub use runner::shard::{FleetAccumulator, FleetSummary, REQUEST_LATENCY_BOUNDS};
 pub use runner::source::SimulatorSource;

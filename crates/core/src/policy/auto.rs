@@ -227,16 +227,12 @@ impl ScalingPolicy for AutoPolicy {
         let facts = FactSet::new()
             .with(Fact::HasGoal, goal.is_some())
             .with(Fact::LatencyAttention, sig.latency.needs_attention())
-            .with(Fact::Emergency, emergency)
             .with(Fact::UpBlocked, up_blocked)
             .with(Fact::DownBlocked, down_blocked)
             .with(Fact::DemandUp, est.any_up())
-            .with(Fact::DemandDown, est.any_down())
             .with(Fact::WantsDown, wants_down)
             .with(Fact::ScaleUpGate, scale_up_gate)
-            .with(Fact::LockShareHigh, sig.lock_bottleneck(LOCK_DOMINANCE_PCT))
-            .with(Fact::HeadroomOk, headroom_ok)
-            .with(Fact::BalloonEnabled, self.cfg.balloon_enabled);
+            .with(Fact::LockShareHigh, sig.lock_bottleneck(LOCK_DOMINANCE_PCT));
         let eval = ARBITRATION.evaluate(&EvalCtx::arbitration(&self.cfg.estimator, facts));
         trace.arbitration = eval.evaluated;
         let branch = eval.fired.expect("arbitration table has a fallback").id;

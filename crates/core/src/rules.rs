@@ -1,9 +1,7 @@
 //! The declarative §4 rule engine: the paper's manually-constructed rule
 //! hierarchy as *data*, not control flow.
 //!
-//! The seed reproduction encoded the §4.2/§4.3 scenarios as `if` chains in
-//! [`crate::estimator::rules`] (kept there as the reference oracle). This
-//! module expresses the same hierarchy as static [`RuleTable`]s — ordered
+//! The §4.2/§4.3 scenarios are static [`RuleTable`]s — ordered
 //! lists of [`Rule`]s whose conditions are [`Predicate`] combinators over
 //! the categorized signal domain — evaluated by a generic first-match
 //! engine. The payoff, following RobustScaler and Daedalus's
@@ -18,9 +16,11 @@
 //!   hold) is one more table over policy-level [`Fact`]s, so the whole
 //!   loop is one evaluation plus one arbitration pass.
 //!
-//! Behaviour is preserved by construction (first-match over the same
-//! conditions in the same order) and verified bit-for-bit against the seed
-//! chain by `tests/decision_equivalence.rs`.
+//! `tests/decision_domain.rs` checks the tables over their whole finite
+//! domain: every row fires for some input the telemetry manager can
+//! produce, no conjunct of a row is implied by the rest of it but the
+//! three [`HIGH_DEMAND`] and [`LOW_DEMAND`] name, the §4 step bounds hold,
+//! and every class's outcome is pinned by hash.
 
 use crate::estimator::EstimatorConfig;
 use dasr_telemetry::categorize::{LatencyVerdict, UtilLevel, WaitPctLevel, WaitTimeLevel};
@@ -288,17 +288,14 @@ pub enum Fact {
     HasGoal,
     /// Latency is BAD or trending up significantly (§6).
     LatencyAttention,
-    /// Latency exceeds [`EMERGENCY_FACTOR`](crate::policy::auto::EMERGENCY_FACTOR) × goal.
-    Emergency,
-    /// Scale-ups are blocked (inside the sensitivity cooldown and no
-    /// emergency).
+    /// Scale-ups are blocked (inside the sensitivity cooldown, and latency
+    /// within [`EMERGENCY_FACTOR`](crate::policy::auto::EMERGENCY_FACTOR)
+    /// × goal).
     UpBlocked,
     /// Scale-downs are blocked (resized last interval).
     DownBlocked,
     /// Some resource demands a larger container.
     DemandUp,
-    /// Some resource demands a smaller container.
-    DemandDown,
     /// The scale-down preconditions hold (no up demand, latency calm, and
     /// either down demand or latency headroom).
     WantsDown,
@@ -307,41 +304,17 @@ pub enum Fact {
     ScaleUpGate,
     /// Lock waits dominate total waits (Figure 13).
     LockShareHigh,
-    /// Latency is comfortably inside the goal (margin applied).
-    HeadroomOk,
-    /// The §4.3 ballooning probe is enabled.
-    BalloonEnabled,
 }
 
 impl Fact {
-    const COUNT: usize = 12;
-
-    fn bit(self) -> u16 {
+    fn bit(self) -> u8 {
         1 << (self as usize)
-    }
-
-    /// Stable wire name (lower snake case of the variant).
-    pub fn name(self) -> &'static str {
-        match self {
-            Fact::HasGoal => "has_goal",
-            Fact::LatencyAttention => "latency_attention",
-            Fact::Emergency => "emergency",
-            Fact::UpBlocked => "up_blocked",
-            Fact::DownBlocked => "down_blocked",
-            Fact::DemandUp => "demand_up",
-            Fact::DemandDown => "demand_down",
-            Fact::WantsDown => "wants_down",
-            Fact::ScaleUpGate => "scale_up_gate",
-            Fact::LockShareHigh => "lock_share_high",
-            Fact::HeadroomOk => "headroom_ok",
-            Fact::BalloonEnabled => "balloon_enabled",
-        }
     }
 }
 
 /// A small bitset of [`Fact`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FactSet(u16);
+pub struct FactSet(u8);
 
 impl FactSet {
     /// The empty set.
@@ -360,25 +333,6 @@ impl FactSet {
     /// True when `fact` is in the set.
     pub fn contains(self, fact: Fact) -> bool {
         self.0 & fact.bit() != 0
-    }
-
-    /// The facts present, in declaration order.
-    pub fn iter(self) -> impl Iterator<Item = Fact> {
-        const ALL: [Fact; Fact::COUNT] = [
-            Fact::HasGoal,
-            Fact::LatencyAttention,
-            Fact::Emergency,
-            Fact::UpBlocked,
-            Fact::DownBlocked,
-            Fact::DemandUp,
-            Fact::DemandDown,
-            Fact::WantsDown,
-            Fact::ScaleUpGate,
-            Fact::LockShareHigh,
-            Fact::HeadroomOk,
-            Fact::BalloonEnabled,
-        ];
-        ALL.into_iter().filter(move |f| self.contains(*f))
     }
 }
 
@@ -672,6 +626,12 @@ use Predicate::*;
 /// | [`RuleId::HighB`] | (b) … share not significant, trend corroborates | +1 |
 /// | [`RuleId::HighC`] | (c) waits MEDIUM yet SIGNIFICANT, trending | +1 |
 /// | [`RuleId::HighCorr`] | §3.2.2 latency/wait rank correlation | +1 |
+///
+/// `HighASurge` keeps util HIGH and share SIGNIFICANT although, at the
+/// manager's [`THRESHOLDS`](dasr_telemetry::manager::THRESHOLDS), util ≥ 90 % and share ≥ 70 % imply them: the
+/// levels are public fields, and on signals not categorized by the manager
+/// (the core crate's `decision_stream` draws levels apart from their
+/// percentages) the row would fire without them.
 pub static HIGH_DEMAND: RuleTable = RuleTable {
     name: "high_demand",
     rules: &[
@@ -731,6 +691,9 @@ pub static HIGH_DEMAND: RuleTable = RuleTable {
 
 /// Low-demand (scale-down) rules: the other end of the §4.2 spectrum.
 /// Never evaluated for memory — low memory demand needs the §4.3 balloon.
+///
+/// `LowIdle` keeps util LOW, which util ≤ 5 % implies at the manager's
+/// thresholds, for the reason [`HIGH_DEMAND`] gives for `HighASurge`.
 pub static LOW_DEMAND: RuleTable = RuleTable {
     name: "low_demand",
     rules: &[
@@ -1103,11 +1066,9 @@ mod tests {
     fn fact_set_round_trip() {
         let facts = FactSet::new()
             .with(Fact::HasGoal, true)
-            .with(Fact::Emergency, false)
-            .with(Fact::WantsDown, true);
-        assert!(facts.contains(Fact::HasGoal));
-        assert!(!facts.contains(Fact::Emergency));
-        let listed: Vec<Fact> = facts.iter().collect();
-        assert_eq!(listed, vec![Fact::HasGoal, Fact::WantsDown]);
+            .with(Fact::UpBlocked, false)
+            .with(Fact::LockShareHigh, true);
+        assert!(facts.contains(Fact::HasGoal) && facts.contains(Fact::LockShareHigh));
+        assert!(!facts.contains(Fact::UpBlocked) && !facts.contains(Fact::WantsDown));
     }
 }

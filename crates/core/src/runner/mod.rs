@@ -12,8 +12,8 @@
 //! - [`ClosedLoop::run_source`] steps over any backend behind the
 //!   [`TelemetrySource`]/[`ResizeActuator`] seam from `dasr_telemetry`;
 //!   [`source::SimulatorSource`] plugs the discrete-event engine in (the
-//!   classic [`ClosedLoop::run`] entry point), pinned bit-identical to the
-//!   frozen [`oracle::OracleLoop`] by the `loop_equivalence` tests;
+//!   classic [`ClosedLoop::run`] entry point), its outputs pinned by hash
+//!   in `tests/loop_hash.rs`;
 //! - `crate::replay::record_run` steps over the simulator and keeps every
 //!   sample and probe it passes in; `crate::replay::replay` steps over
 //!   such a recording with the commands discarded.
@@ -24,7 +24,6 @@
 //! runs on, and [`shard`] holds the exact-sum monoid the fold rests on.
 
 pub mod fleet;
-pub mod oracle;
 pub mod ordered;
 pub mod shard;
 pub mod source;
@@ -310,9 +309,7 @@ impl ClosedLoop {
     /// just ran, and the policy picks the next interval's container (§6).
     ///
     /// This is [`ClosedLoop::run_source`] with the engine plugged in as
-    /// [`SimulatorSource`]; the pairing is pinned bit-identical to the
-    /// pre-seam loop ([`oracle::OracleLoop`]) by the `loop_equivalence`
-    /// tests.
+    /// [`SimulatorSource`].
     pub fn run<W: Workload>(
         cfg: &RunConfig,
         trace: &Trace,

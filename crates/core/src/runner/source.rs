@@ -5,9 +5,7 @@
 //! [`TelemetrySource`] (advance one billing minute, surface the interval's
 //! [`TelemetrySample`]) and [`ResizeActuator`] (apply resizes and balloon
 //! commands to the engine). [`ClosedLoop::run`](super::ClosedLoop::run) is
-//! now just "construct a `SimulatorSource`, hand it to the generic loop" —
-//! proven bit-identical to the pre-seam loop by the `loop_equivalence`
-//! tests against [`OracleLoop`](super::oracle::OracleLoop).
+//! just "construct a `SimulatorSource`, hand it to the generic loop".
 
 use crate::runner::RunConfig;
 use dasr_containers::ResourceVector;

@@ -1,5 +1,9 @@
-//! The randomized signal generator shared by `decision_equivalence` and
-//! `decide_capacity` (see `decision_equivalence` for what it covers).
+//! The randomized signal generator behind the `decision_stream` that
+//! `decide_capacity` and `explanation_hash` drive. It draws levels
+//! independently of the percentages they categorize, so it also reaches
+//! inputs the telemetry manager cannot produce (HIGH utilization at a
+//! near-idle percentage); `decision_domain` covers the consistent domain
+//! exhaustively.
 
 use dasr_containers::ResourceKind;
 use dasr_stats::{Trend, TrendDirection};

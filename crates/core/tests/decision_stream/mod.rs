@@ -1,9 +1,9 @@
 //! The seeded decision stream shared by `decide_capacity` and
 //! `explanation_hash`: 400 tenants × 250 decisions whose signals come from
-//! the `decision_equivalence` generator, and whose budgets, cooldown
-//! histories (interval gaps of 0 to 5, so both cooldowns and
-//! re-evaluations of one interval occur), balloon probe states, tenant
-//! knobs and current container are drawn at random.
+//! the `common` generator, and whose budgets, cooldown histories (interval
+//! gaps of 0 to 5, so both cooldowns and re-evaluations of one interval
+//! occur), balloon probe states, tenant knobs and current container are
+//! drawn at random.
 //!
 //! The random draws do not depend on what the policy decides, so every
 //! policy driven over one tenant sees the same stream of draws.

@@ -29,8 +29,10 @@ pub enum Kind {
     Ident(String),
     /// Single punctuation character (`::` arrives as two `:` tokens).
     Punct(char),
-    /// Any literal — string, char, byte, number. Contents are opaque to
-    /// the rule passes by design.
+    /// A string literal — plain, raw, byte or raw byte. Contents are
+    /// opaque to the rule passes by design.
+    Str,
+    /// Any other literal — char, byte, number. Contents are opaque too.
     Lit,
 }
 
@@ -171,7 +173,7 @@ pub fn lex(src: &str) -> Lexed {
                 skip_string(b, &mut i, &mut line);
                 out.tokens.push(Tok {
                     line: l,
-                    kind: Kind::Lit,
+                    kind: Kind::Str,
                 });
             }
             b'\'' => {
@@ -224,7 +226,7 @@ pub fn lex(src: &str) -> Lexed {
                 if let Some(next_i) = try_string_prefix(b, i, &mut line) {
                     out.tokens.push(Tok {
                         line,
-                        kind: Kind::Lit,
+                        kind: Kind::Str,
                     });
                     i = next_i;
                     continue;

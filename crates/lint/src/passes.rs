@@ -226,6 +226,18 @@ mod tests {
     }
 
     #[test]
+    fn string_literal_into_allocates() {
+        let bad = "// dasr-lint: no-alloc\nfn hot() -> Result<(), E> {\n    Err(E::Backend(\"poisoned\".into()))\n}\n";
+        let (_, f) = run(&[("crates/a/src/lib.rs", bad)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!((f[0].rule, f[0].line), (LintRule::G2AllocReachability, 3));
+        // `.into()` on a value, a number or a char may convert for free.
+        let ok = "// dasr-lint: no-alloc\nfn hot(x: u8) -> (u32, u64, char) {\n    (x.into(), 1.into(), 'c'.into())\n}\n";
+        let (_, f) = run(&[("crates/a/src/lib.rs", ok)]);
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
     fn g3_one_finding_per_reachable_fn() {
         let (_, f) = run(&[(
             "crates/a/src/lib.rs",

@@ -170,12 +170,13 @@ impl LintRule {
             LintRule::G2AllocReachability => {
                 "A `// dasr-lint: no-alloc` marker promises the function performs \
                  no heap allocation, itself or through anything it calls: no \
-                 collect/to_vec/to_string/clone calls, no vec!/format! macros, no \
-                 Vec/String/Box constructors. Hot dispatch paths use caller-owned \
-                 scratch instead. G2 flags every allocation site in the marked \
-                 body at its own line, and every call edge out of the marked \
-                 function whose callee (or anything it transitively calls) \
-                 allocates, with the offending chain in the detail."
+                 collect/to_vec/to_string/clone calls, no `.into()` on a string \
+                 literal, no vec!/format! macros, no Vec/String/Box constructors. \
+                 Hot dispatch paths use caller-owned scratch instead. G2 flags \
+                 every allocation site in the marked body at its own line, and \
+                 every call edge out of the marked function whose callee (or \
+                 anything it transitively calls) allocates, with the offending \
+                 chain in the detail."
             }
             LintRule::G3PanicPath => {
                 "Engine dispatch and store read paths must not panic on untrusted \
@@ -748,15 +749,22 @@ fn scan_f1(tokens: &[Tok], in_test: &[bool], scope: Scope, out: &mut Vec<RawFind
 }
 
 /// Whether the token at `i` is an allocation site: allocating calls
-/// (`collect`, `clone`, `to_vec`, …), allocating macros (`vec!`,
-/// `format!`), and allocating constructors (`Vec::new`, `String::from`,
-/// `Box::new`): the raw material of the graph phase's per-function
-/// allocation facts.
+/// (`collect`, `clone`, `to_vec`, …), a string literal's `.into()`,
+/// allocating macros (`vec!`, `format!`), and allocating constructors
+/// (`Vec::new`, `String::from`, `Box::new`): the raw material of the graph
+/// phase's per-function allocation facts.
 fn alloc_hit(tokens: &[Tok], i: usize) -> bool {
     let Some(name) = tokens[i].ident() else {
         return false;
     };
-    if ALLOC_CALLS.contains(&name) {
+    if name == "into" {
+        // `"…".into()` builds an owned string (or byte vector) from the
+        // literal; `.into()` on anything else may convert for free.
+        i >= 2
+            && tokens[i - 1].is_punct('.')
+            && tokens[i - 2].kind == Kind::Str
+            && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+    } else if ALLOC_CALLS.contains(&name) {
         // Require call position to spare field names like `clone`.
         tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
             || (tokens.get(i + 1).is_some_and(|t| t.is_punct(':')) && is_path_sep(tokens, i + 1))

@@ -34,6 +34,7 @@
 //! and byte-identical at any thread count. [`Store::cursor`] exposes the
 //! same machinery as a lazy iterator with O(batch) memory.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
@@ -68,7 +69,7 @@ pub enum StoreError {
     /// The writer hit an I/O error earlier (appends since then were
     /// dropped and the original failure is reported here), or a panic
     /// interrupted a write, after which every append and flush fails.
-    Backend(String),
+    Backend(Cow<'static, str>),
     /// On-disk bytes that recovery cannot explain as a torn tail.
     Corrupt(String),
     /// The run id is not open (for appends) or not committed (for reads).

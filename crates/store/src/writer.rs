@@ -27,6 +27,7 @@
 //! [`StoreError::Backend`]. Otherwise an append fails only with
 //! [`StoreError::Closed`], once the store has shut down.
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -133,7 +134,7 @@ impl AppendHandle {
     fn lock(&self) -> Result<MutexGuard<'_, WriterState>, StoreError> {
         self.state
             .lock()
-            .map_err(|_| StoreError::Backend("a panic interrupted the store writer".into()))
+            .map_err(|_| StoreError::Backend(Cow::Borrowed("a panic interrupted the store writer")))
     }
 
     /// Encodes one record into the open batch, and writes the batch once
@@ -275,7 +276,7 @@ impl WriterState {
             }
         }
         match &self.error {
-            Some(e) => Err(StoreError::Backend(e.clone())),
+            Some(e) => Err(StoreError::Backend(Cow::Owned(e.clone()))),
             None => {
                 let mut indices = Vec::with_capacity(self.sealed.len() + 1);
                 indices.extend_from_slice(&self.sealed);

@@ -28,6 +28,11 @@ pub const CORR_WINDOW: usize = 15;
 /// drift would thrash containers.
 pub const TREND_MIN_RELATIVE_CHANGE: f64 = 0.10;
 
+/// The category thresholds (§4.1) every signal set is categorized with.
+/// `dasr_fleet::derive_threshold_config` derives a fleet's own set for the
+/// §4.1 analysis; the closed loop runs on these.
+pub const THRESHOLDS: ThresholdConfig = ThresholdConfig::DEFAULT;
+
 const _: () = assert!(SMOOTHING_WINDOW >= 1);
 
 /// Telemetry-manager tuning.
@@ -35,8 +40,6 @@ const _: () = assert!(SMOOTHING_WINDOW >= 1);
 pub struct TelemetryConfig {
     /// Theil–Sen sign-agreement acceptance threshold α (paper: 0.70).
     pub trend_alpha: f64,
-    /// Thresholds for categorization (§4.1).
-    pub thresholds: ThresholdConfig,
     /// The tenant's latency goal, if any (§2.3).
     pub latency_goal: Option<LatencyGoal>,
 }
@@ -45,7 +48,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             trend_alpha: 0.70,
-            thresholds: ThresholdConfig::default(),
             latency_goal: None,
         }
     }
@@ -203,7 +205,7 @@ impl TelemetryManager {
 
         let resources: [ResourceSignals; RESOURCE_KINDS.len()] = RESOURCE_KINDS.map(|kind| {
             let i = kind.index();
-            let thresholds = cfg.thresholds.waits_for(kind);
+            let thresholds = THRESHOLDS.waits_for(kind);
             let util_pct = level(recent, scratch, |l| l.util[i]).unwrap_or(0.0);
             let wait_ms = level(recent, scratch, |l| l.wait[i]).unwrap_or(0.0);
             let wait_pct = level(recent, scratch, |l| l.wait_pct[i]).unwrap_or(0.0);
@@ -211,7 +213,7 @@ impl TelemetryManager {
             ResourceSignals {
                 kind,
                 util_pct,
-                util_level: categorize_util(&cfg.thresholds, util_pct),
+                util_level: categorize_util(&THRESHOLDS, util_pct),
                 wait_ms,
                 wait_level: categorize_wait_ms(thresholds, wait_ms),
                 wait_pct,

@@ -64,12 +64,6 @@ impl ResourceSignals {
         self.util_trend.is_increasing() || self.wait_trend.is_increasing()
     }
 
-    /// True when neither series shows an increasing trend (used by the
-    /// low-demand rules).
-    pub fn no_increasing_trend(&self) -> bool {
-        !self.increasing_pressure_trend()
-    }
-
     /// True when latency correlates strongly (ρ ≥ `threshold`) with this
     /// resource's waits or utilization.
     pub fn latency_correlated(&self, threshold: f64) -> bool {
@@ -174,7 +168,6 @@ mod tests {
             agreement: 0.9,
         };
         assert!(r.increasing_pressure_trend());
-        assert!(!r.no_increasing_trend());
     }
 
     #[test]

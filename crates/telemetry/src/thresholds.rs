@@ -54,6 +54,12 @@ pub struct ThresholdConfig {
 }
 
 impl Default for ThresholdConfig {
+    fn default() -> Self {
+        Self::DEFAULT
+    }
+}
+
+impl ThresholdConfig {
     /// Defaults for the closed-loop telemetry manager, which normalizes
     /// wait magnitudes to **milliseconds per completed request** so the
     /// categories are throughput-invariant (the paper instead re-derives
@@ -61,21 +67,16 @@ impl Default for ThresholdConfig {
     /// stands in for that re-derivation). A healthy request waits well under
     /// 2 ms per resource; sustained governor throttling pushes per-request
     /// waits past 25 ms.
-    fn default() -> Self {
-        let default_wait = WaitThresholds {
+    pub const DEFAULT: Self = Self {
+        util_low_pct: 30.0,
+        util_high_pct: 70.0,
+        waits: [WaitThresholds {
             low_ms: 2.0,
             high_ms: 25.0,
             significant_pct: 40.0,
-        };
-        Self {
-            util_low_pct: 30.0,
-            util_high_pct: 70.0,
-            waits: [default_wait; RESOURCE_KINDS.len()],
-        }
-    }
-}
+        }; RESOURCE_KINDS.len()],
+    };
 
-impl ThresholdConfig {
     /// Wait thresholds for one resource dimension.
     pub fn waits_for(&self, kind: ResourceKind) -> &WaitThresholds {
         &self.waits[kind.index()]

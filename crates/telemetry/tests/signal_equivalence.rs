@@ -3,12 +3,11 @@
 //! assembled from the batch kernels (`trend_indexed_in`, `spearman_in`,
 //! `median_in`) over the tails of every sample observed so far.
 //!
-//! Why it exists: no other test can see the signals diverge. The loop
-//! equivalence suite compares `ClosedLoop` against `OracleLoop`
-//! (`crates/core/src/runner/oracle.rs`), and both build their signals with
-//! the same `TelemetryManager` — a wrong trend or correlation moves both
-//! sides together. This test and the end-to-end benchmark's digests are the
-//! only guards on what the sliding kernels compute.
+//! Why it exists: no other test checks what the sliding kernels compute.
+//! The core crate's pinned hashes (`loop_hash`, `explanation_hash`) see a
+//! signals change only as a moved hash, without saying which signal moved
+//! or whether the old value was right. This test and the end-to-end
+//! benchmark's digests are the only guards on the sliding kernels.
 
 use dasr_containers::{Catalog, ResourceKind, RESOURCE_KINDS};
 use dasr_engine::{WaitClass, WAIT_CLASSES};
@@ -17,7 +16,7 @@ use dasr_stats::{median_in, spearman_in, SpearmanScratch, TheilSen, Trend, Trend
 use dasr_telemetry::categorize::{
     categorize_latency, categorize_util, categorize_wait_ms, categorize_wait_pct,
 };
-use dasr_telemetry::manager::TREND_MIN_RELATIVE_CHANGE;
+use dasr_telemetry::manager::{THRESHOLDS, TREND_MIN_RELATIVE_CHANGE};
 use dasr_telemetry::signals::wait_class_for;
 use dasr_telemetry::{
     LatencyGoal, LatencySignals, ResourceSignals, SignalSet, TelemetryConfig, TelemetryManager,
@@ -103,7 +102,7 @@ impl BatchSignals {
 
         let resources = RESOURCE_KINDS.map(|kind| {
             let class = wait_class_for(kind);
-            let thresholds = cfg.thresholds.waits_for(kind);
+            let thresholds = THRESHOLDS.waits_for(kind);
             let util = |s: &TelemetrySample| s.util(kind);
             let wait = |s: &TelemetrySample| s.wait_per_request(class);
             let util_pct = kernels.median(&series(h, smoothing, util)).unwrap_or(0.0);
@@ -114,7 +113,7 @@ impl BatchSignals {
             ResourceSignals {
                 kind,
                 util_pct,
-                util_level: categorize_util(&cfg.thresholds, util_pct),
+                util_level: categorize_util(&THRESHOLDS, util_pct),
                 wait_ms,
                 wait_level: categorize_wait_ms(thresholds, wait_ms),
                 wait_pct,
